@@ -15,7 +15,6 @@ from .errors import (
     KerrQlinkError,
     NoRootInBracketError,
     NumericalError,
-    OperationCancelled,
     RegimeError,
 )
 from .geometry import (

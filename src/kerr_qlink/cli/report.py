@@ -34,7 +34,7 @@ from ..metrology import (
 )
 from ..perturb import decompose_ground, decompose_sats
 from ..shift import LinkScheme, shift
-from ..units import CONSTANTS, EarthModel
+from ..units import CONSTANTS
 from ..wavepacket import overlap_analytic
 from .scenario import ScenarioConfig, SweepSpec
 
@@ -155,20 +155,12 @@ def assemble_report(cfg: ScenarioConfig) -> Report:
     delta_f = result.delta.to_float()
 
     if cfg.scheme is LinkScheme.GROUND_TO_SAT:
-        earth = EarthModel(mass_kg=cfg.planet_mass_kg,
-                           r_A=cfg.emitter_radius_m,
-                           omega_A=cfg.ground_omega_rad_s,
-                           a_m=cfg.planet_spin_parameter_m,
-                           inertia=cfg.planet_spin_parameter_m
-                           * cfg.planet_mass_kg * CONSTANTS.c
-                           / cfg.ground_omega_rad_s)
-        dec = decompose_ground(earth, cfg.receiver_radius_m,
-                               direction=cfg.receiver_direction)
+        dec = decompose_ground(link.params, cfg.emitter_radius_m,
+                               cfg.ground_omega_rad_s, cfg.receiver_radius_m,
+                               result.delta)
     else:
-        dec = decompose_sats(cfg.spacetime(), cfg.emitter_radius_m,
-                             cfg.receiver_radius_m,
-                             emitter_direction=cfg.emitter_direction,
-                             receiver_direction=cfg.receiver_direction)
+        dec = decompose_sats(link.params, cfg.emitter_radius_m,
+                             cfg.receiver_radius_m, result.delta)
 
     overlap = overlap_analytic(cfg.packet(), delta_f)
     m = cfg.metrology()

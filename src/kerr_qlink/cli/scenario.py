@@ -8,6 +8,7 @@ a line diagnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -37,6 +38,9 @@ class ScenarioConfig:
     planet_spin_parameter_m: float = EARTH.a_m
 
     def validate(self) -> "ScenarioConfig":
+        for name in sorted(_FLOAT_KEYS):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.receiver_radius_m <= 0.0:
             raise ConfigError("receiver_radius_m must be set to a positive value")
         if self.emitter_radius_m <= 0.0:
@@ -44,7 +48,7 @@ class ScenarioConfig:
         if self.emitter_direction not in (-1, +1) or self.receiver_direction not in (-1, +1):
             raise ConfigError("direction flags must be +1 or -1")
         if self.scheme is LinkScheme.SAT_TO_SAT \
-                and self.receiver_radius_m < self.emitter_radius_m:
+                and self.receiver_radius_m <= self.emitter_radius_m:
             raise ConfigError("sat-to-sat scenarios need receiver above emitter")
         for name in ("ground_omega_rad_s", "peak_frequency_hz", "bandwidth_hz",
                      "probes", "squeezing", "planet_mass_kg",
@@ -121,7 +125,6 @@ class SweepSpec:
             stride = (self.hi - self.lo) / (n - 1)
             vals = [self.lo + i * stride for i in range(n)]
         else:
-            import math
             la, lb = math.log(self.lo), math.log(self.hi)
             vals = [math.exp(la + i * (lb - la) / (n - 1)) for i in range(n)]
         vals[0], vals[-1] = self.lo, self.hi

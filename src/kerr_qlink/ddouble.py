@@ -157,7 +157,7 @@ class DD:
 
     def __pow__(self, n: int) -> "DD":
         if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers are supported")
+            raise DomainError("only non-negative integer powers are supported")
         out = DD(1.0)
         base = self
         while n:

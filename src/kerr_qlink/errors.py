@@ -34,8 +34,5 @@ class RegimeError(DomainError):
 
 class NumericalError(KerrQlinkError):
     """A numerical backend (quadrature, Richardson ladder, ODE integrator)
-    failed to reach its requested tolerance."""
-
-
-class OperationCancelled(KerrQlinkError):
-    """A long-running evaluation observed its cancellation token."""
+    failed to reach its requested tolerance, or a compensated result failed
+    its own consistency check."""

@@ -19,37 +19,16 @@ magnitude slower than the pipeline it checks.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Optional
 
 from .ddouble import DD
-from .errors import DomainError, NumericalError, OperationCancelled
+from .errors import DomainError, NumericalError
 from .units import CONSTANTS, PhysicalConstants
 
 _D = Decimal
 
 MIN_DIGITS = 50
-
-
-class CancellationToken:
-    """Cooperative cancellation for long-running oracle evaluations."""
-
-    def __init__(self):
-        self._event = threading.Event()
-
-    def cancel(self) -> None:
-        self._event.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
-
-
-def _check_cancel(token: Optional[CancellationToken]) -> None:
-    if token is not None and token.cancelled:
-        raise OperationCancelled("oracle evaluation cancelled")
 
 
 @dataclass(frozen=True)
@@ -132,8 +111,7 @@ def _kappa(M, a, r) -> Decimal:
 
 
 def eval_exact(expr: ExactExpr, inputs: dict, digits: int = MIN_DIGITS,
-               k: PhysicalConstants = CONSTANTS,
-               cancel: Optional[CancellationToken] = None) -> BigReal:
+               k: PhysicalConstants = CONSTANTS) -> BigReal:
     """Evaluate one closed form in decimal arithmetic at the given precision.
 
     ``inputs`` carries floats keyed by name; every float converts to Decimal
@@ -152,7 +130,6 @@ def eval_exact(expr: ExactExpr, inputs: dict, digits: int = MIN_DIGITS,
     """
     if digits < MIN_DIGITS:
         raise DomainError(f"oracle precision must be at least {MIN_DIGITS} digits")
-    _check_cancel(cancel)
     with localcontext() as ctx:
         ctx.prec = digits
         g = {key: _D(val) for key, val in inputs.items()
@@ -215,8 +192,7 @@ def extract_series_coefficient(param: SeriesParam, order: int, *,
                                M: float, a: float, r_A: float,
                                omega_A_si: float, r_B: float, eps: int = +1,
                                digits: int = 80, rel_step: float = 1e-3,
-                               k: PhysicalConstants = CONSTANTS,
-                               cancel: Optional[CancellationToken] = None) -> float:
+                               k: PhysicalConstants = CONSTANTS) -> float:
     """Taylor coefficient of delta with respect to one spacetime parameter.
 
     Central differences on the exact decimal delta with one Richardson level
@@ -241,7 +217,6 @@ def extract_series_coefficient(param: SeriesParam, order: int, *,
         h0 = base * _D(repr(rel_step))
 
         def delta_of(p: Decimal) -> Decimal:
-            _check_cancel(cancel)
             mm = p / 2 if param is SeriesParam.R_S else _D(M)
             aa = p if param is SeriesParam.SPIN else _D(a)
             ww = (p if param is SeriesParam.OMEGA_A else _D(omega_A_si)) / _D(k.c)
@@ -337,8 +312,7 @@ def _energy_dev(M: float, r: float, q: float) -> float:
 
 
 def integrate_schwarzschild_radial(M_geom: float, r_A: float, r_B: float,
-                                   tol: float = 1e-13,
-                                   cancel: Optional[CancellationToken] = None
+                                   tol: float = 1e-13
                                    ) -> RadialGeodesicResult:
     """Integrate an outgoing radial null geodesic from r_A to r_B (a = 0) and
     rebuild the shift between a static emitter and a circular-orbit receiver.
@@ -410,7 +384,6 @@ def integrate_schwarzschild_radial(M_geom: float, r_A: float, r_B: float,
     steps = 0
     done = False
     while not done:
-        _check_cancel(cancel)
         steps += 1
         if steps > max_steps:
             raise NumericalError("integrator exceeded its step budget")

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .ddouble import DD
 from .errors import DomainError, NumericalError
 
@@ -110,6 +108,10 @@ def overlap_numeric(received: GaussianWavepacket,
     difference, so the integrand only ever sees well-conditioned quantities.
     Integration covers [max(0, mid - 12 sbar), mid + 12 sbar].
     """
+    # imported here: only verification uses scipy, and its import dominates
+    # the start-up of every other command
+    from scipy.integrate import quad
+
     s1 = received.width.to_float()
     s2 = reference.width.to_float()
     if s1 <= 0.0 or s2 <= 0.0:

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import settings
 
 from kerr_qlink.geometry import Worldline
-from kerr_qlink.shift import LinkScenario, LinkScheme
+from kerr_qlink.perturb import ShiftDecomposition, decompose_ground, decompose_sats
+from kerr_qlink.shift import LinkScenario, LinkScheme, shift
 from kerr_qlink.units import EARTH, geo_radius, leo_radius
 
 # deterministic property tests, no wall-clock flakiness on slow runners
@@ -31,6 +32,18 @@ def sat_link(r_C: float, r_B: float, eta: int = +1, eps: int = +1) -> LinkScenar
         Worldline.circular_orbit(r_B, eps),
         EARTH.spacetime(),
     )
+
+
+def earth_decomposition(r_B: float) -> ShiftDecomposition:
+    """decompose_ground for the Earth station, fed the exact shift of earth_link."""
+    return decompose_ground(EARTH.spacetime(), EARTH.r_A, EARTH.omega_A, r_B,
+                            shift(earth_link(r_B)).delta)
+
+
+def sats_decomposition(r_C: float, r_B: float) -> ShiftDecomposition:
+    """decompose_sats for two Earth orbits, fed the exact shift of sat_link."""
+    return decompose_sats(EARTH.spacetime(), r_C, r_B,
+                          shift(sat_link(r_C, r_B)).delta)
 
 
 @pytest.fixture

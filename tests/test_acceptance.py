@@ -24,7 +24,7 @@ from contextlib import contextmanager
 import pytest
 
 import expected
-from conftest import earth_link, sat_link
+from conftest import earth_decomposition, earth_link, sat_link, sats_decomposition
 from kerr_qlink.ddouble import DD, ONE
 from kerr_qlink.geometry import (
     Worldline,
@@ -47,7 +47,6 @@ from kerr_qlink.oracle import (
     extract_series_coefficient,
     integrate_schwarzschild_radial,
 )
-from kerr_qlink.perturb import decompose_ground, decompose_sats
 from kerr_qlink.shift import (
     LinkScenario,
     LinkScheme,
@@ -103,9 +102,9 @@ def test_1_dimensionless_parameter_table():
 
 def test_2_shift_decomposition_magnitudes():
     with criterion(2, "shift decomposition magnitudes", 10.0):
-        leo = decompose_ground(EARTH, leo_radius())
-        geo = decompose_ground(EARTH, geo_radius())
-        sats = decompose_sats(P, leo_radius(), geo_radius())
+        leo = earth_decomposition(leo_radius())
+        geo = earth_decomposition(geo_radius())
+        sats = sats_decomposition(leo_radius(), geo_radius())
 
         # anchors at their stated tolerances
         assert 0.9 * 9.87e-11 <= leo.delta_S.to_float() <= 1.1 * 9.87e-11
@@ -133,8 +132,8 @@ def test_2_residual_bound_as_published():
     the measurement.
     """
     with criterion(2, "residual magnitude bound |delta_c| <= 1e-20", 10.0):
-        leo = decompose_ground(EARTH, leo_radius())
-        geo = decompose_ground(EARTH, geo_radius())
+        leo = earth_decomposition(leo_radius())
+        geo = earth_decomposition(geo_radius())
         # consistency first: the residual itself is reproduced to high accuracy
         assert within(leo.delta_c.to_float(), expected.DELTA_C_LEO, 1e-6)
         assert within(geo.delta_c.to_float(), expected.DELTA_C_GEO, 1e-6)
@@ -148,16 +147,16 @@ def test_2_residual_bound_as_published():
 
 def test_3_schwarzschild_radius_bounds():
     with criterion(3, "Schwarzschild-radius precision bounds", 1.0):
-        leo = bound_schwarzschild_radius(CFG, decompose_ground(EARTH, leo_radius()))
-        geo = bound_schwarzschild_radius(CFG, decompose_ground(EARTH, geo_radius()))
+        leo = bound_schwarzschild_radius(CFG, earth_decomposition(leo_radius()))
+        geo = bound_schwarzschild_radius(CFG, earth_decomposition(geo_radius()))
         sats = bound_schwarzschild_radius(
-            CFG, decompose_sats(P, leo_radius(), geo_radius()))
+            CFG, sats_decomposition(leo_radius(), geo_radius()))
         assert within(leo.relative_bound, 2.8e-5, 0.02)
         assert within(geo.relative_bound, 5.2e-6, 0.02)
         assert within(sats.relative_bound, 4.4e-6, 0.02)
         # satellite-to-satellite spin sensitivity collapses far beyond unity
         omega_sats = bound_angular_velocity(
-            CFG, decompose_sats(P, leo_radius(), geo_radius()))
+            CFG, sats_decomposition(leo_radius(), geo_radius()))
         assert omega_sats.relative_bound > 1.0
         assert within(omega_sats.relative_bound, expected.BOUND_OMEGA_SATS, 1e-12)
 
@@ -171,7 +170,7 @@ def test_3_angular_velocity_bound_as_published():
     number.  Asserted as stated rather than recalibrated.
     """
     with criterion(3, "angular-velocity bound 1.2e-3 within 2%", 1.0):
-        ground = bound_angular_velocity(CFG, decompose_ground(EARTH, leo_radius()))
+        ground = bound_angular_velocity(CFG, earth_decomposition(leo_radius()))
         # consistency first: the bound matches its frozen derivation exactly
         assert within(ground.relative_bound, expected.BOUND_OMEGA_GROUND, 1e-12)
         assert within(ground.relative_bound, 1.2e-3, 0.02), (
@@ -181,8 +180,8 @@ def test_3_angular_velocity_bound_as_published():
 
 def test_4_qber_values():
     with criterion(4, "QBER for LEO, GEO and the zero-shift orbit", 1.0):
-        leo = decompose_ground(EARTH, leo_radius())
-        geo = decompose_ground(EARTH, geo_radius())
+        leo = earth_decomposition(leo_radius())
+        geo = earth_decomposition(geo_radius())
         # LEO and GEO evaluated at the dominant mass-term shift
         q_leo = qber(leo.delta_S.to_float(), CFG)
         q_geo = qber(geo.delta_S.to_float(), CFG)
@@ -273,7 +272,7 @@ def test_6_series_validation():
         coef_mass = extract_series_coefficient(
             SeriesParam.R_S, 1, M=P.M_geom, a=P.a, r_A=EARTH.r_A,
             omega_A_si=EARTH.omega_A, r_B=leo_radius(), digits=80)
-        analytic_mass = decompose_ground(EARTH, leo_radius()).delta_S.to_float() / P.r_S
+        analytic_mass = earth_decomposition(leo_radius()).delta_S.to_float() / P.r_S
         assert within(coef_mass, analytic_mass, 1e-4)
 
         coef_rot = extract_series_coefficient(

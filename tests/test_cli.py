@@ -1,11 +1,15 @@
 """Configuration parsing, report/sweep/zero-orbit/verify commands, exit codes."""
 
+import importlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 import expected
+import kerr_qlink
 from kerr_qlink.cli.main import main
 from kerr_qlink.cli.report import CSV_COLUMNS, assemble_report, run_sweep
 from kerr_qlink.cli.scenario import (
@@ -356,6 +360,45 @@ class TestCliEntry:
 
     def test_verify_fast_through_entry_point(self, capsys):
         assert main(["verify", "fast"]) == 0
+
+    @pytest.mark.parametrize("preset, overlay", [
+        ("earth-leo", "receiver_radius_m = nan\n"),
+        ("earth-leo", "receiver_radius_m = inf\n"),
+        ("earth-leo", "probes = nan\n"),
+        ("leo-geo-sat", "receiver_radius_m = 8.378e6\n"),  # equal radii
+    ])
+    def test_unevaluable_config_is_config_error(self, tmp_path, capsys,
+                                                preset, overlay):
+        path = tmp_path / "bad.cfg"
+        path.write_text(overlay)
+        assert main(["report", "--preset", preset, "--config", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestLeanReportPath:
+    def test_cli_import_loads_neither_scipy_nor_numpy(self):
+        src = os.path.dirname(os.path.dirname(kerr_qlink.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys, kerr_qlink.cli; "
+                "print(sorted({'scipy', 'numpy'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_report_assembles_the_shift_once(self, monkeypatch, preset):
+        # the package re-exports the function shift, which hides the module
+        shift_module = importlib.import_module("kerr_qlink.shift")
+        calls = []
+        original = shift_module._assemble
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shift_module, "_assemble", counting)
+        assemble_report(PRESETS[preset])
+        assert len(calls) == 1
 
 
 class TestVerify:

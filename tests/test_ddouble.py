@@ -116,6 +116,13 @@ def test_int_powers():
         x ** -1
 
 
+def test_bad_power_is_domain_error():
+    with pytest.raises(DomainError):
+        DD.of(3.0) ** -1
+    with pytest.raises(DomainError):
+        DD.of(3.0) ** 0.5
+
+
 def test_float_round_trip_and_repr():
     x = DD.sum2(1.0, 2 ** -70)
     assert float(x) == 1.0 + 2 ** -70

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expected
+from conftest import earth_decomposition, sats_decomposition
 from kerr_qlink.errors import DomainError, RegimeError
 from kerr_qlink.metrology import (
     STATE_OF_THE_ART_OMEGA_RELATIVE,
@@ -22,8 +23,8 @@ from kerr_qlink.metrology import (
     regime_check,
     shift_uncertainty_floor,
 )
-from kerr_qlink.perturb import ParamTarget, decompose_ground, decompose_sats
-from kerr_qlink.units import EARTH, geo_radius, leo_radius
+from kerr_qlink.perturb import ParamTarget
+from kerr_qlink.units import geo_radius, leo_radius
 
 CFG = MetrologyConfig()
 
@@ -142,23 +143,23 @@ class TestCramerRao:
 
 class TestBounds:
     def test_schwarzschild_radius_presets(self):
-        leo = bound_schwarzschild_radius(CFG, decompose_ground(EARTH, leo_radius()))
-        geo = bound_schwarzschild_radius(CFG, decompose_ground(EARTH, geo_radius()))
+        leo = bound_schwarzschild_radius(CFG, earth_decomposition(leo_radius()))
+        geo = bound_schwarzschild_radius(CFG, earth_decomposition(geo_radius()))
         sats = bound_schwarzschild_radius(
-            CFG, decompose_sats(EARTH.spacetime(), leo_radius(), geo_radius()))
+            CFG, sats_decomposition(leo_radius(), geo_radius()))
         assert leo.relative_bound == pytest.approx(expected.BOUND_RS_LEO, rel=1e-12)
         assert geo.relative_bound == pytest.approx(expected.BOUND_RS_GEO, rel=1e-12)
         assert sats.relative_bound == pytest.approx(expected.BOUND_RS_SATS, rel=1e-12)
         assert leo.target is ParamTarget.SCHWARZSCHILD_RADIUS
 
     def test_angular_velocity_ground(self):
-        dec = decompose_ground(EARTH, leo_radius())
+        dec = earth_decomposition(leo_radius())
         bound = bound_angular_velocity(CFG, dec)
         assert bound.relative_bound == pytest.approx(
             expected.BOUND_OMEGA_GROUND, rel=1e-12)
 
     def test_angular_velocity_sats_beyond_unity(self):
-        dec = decompose_sats(EARTH.spacetime(), leo_radius(), geo_radius())
+        dec = sats_decomposition(leo_radius(), geo_radius())
         bound = bound_angular_velocity(CFG, dec, ParamTarget.KERR_PARAMETER)
         assert bound.relative_bound == pytest.approx(
             expected.BOUND_OMEGA_SATS, rel=1e-12)
@@ -172,7 +173,7 @@ class TestBounds:
 
     def test_consistency_with_error_relation(self):
         # bound = cramer_rao(qfi)/|delta_S| through an independent route
-        dec = decompose_ground(EARTH, leo_radius())
+        dec = earth_decomposition(leo_radius())
         direct = bound_schwarzschild_radius(CFG, dec).relative_bound
         routed = cramer_rao(qfi(CFG), CFG.probes) / abs(dec.delta_S.to_float())
         assert direct == pytest.approx(routed, rel=1e-12)

@@ -6,12 +6,11 @@ from decimal import Decimal
 import pytest
 
 import expected
-from conftest import earth_link
-from kerr_qlink.errors import DomainError, OperationCancelled
+from conftest import earth_decomposition
+from kerr_qlink.errors import DomainError
 from kerr_qlink.geometry import Worldline
 from kerr_qlink.oracle import (
     BigReal,
-    CancellationToken,
     ExactExpr,
     SeriesParam,
     delta_exact_ground,
@@ -20,7 +19,6 @@ from kerr_qlink.oracle import (
     extract_series_coefficient,
     integrate_schwarzschild_radial,
 )
-from kerr_qlink.perturb import decompose_ground
 from kerr_qlink.shift import (
     LinkScenario,
     LinkScheme,
@@ -109,13 +107,6 @@ class TestEvalExact:
                              50).value
             assert abs(float(gamma.to_decimal() - ref)) <= 1e-28
 
-    def test_cancellation_token(self):
-        token = CancellationToken()
-        token.cancel()
-        with pytest.raises(OperationCancelled):
-            eval_exact(ExactExpr.KAPPA, dict(M=P.M_geom, a=P.a, r=leo_radius()),
-                       50, cancel=token)
-
 
 class TestPipelineAgreement:
     def test_presets(self, leo_scenario, geo_scenario):
@@ -149,7 +140,7 @@ class TestSeriesExtraction:
         coef = extract_series_coefficient(
             SeriesParam.R_S, 1, M=P.M_geom, a=P.a, r_A=EARTH.r_A,
             omega_A_si=EARTH.omega_A, r_B=leo_radius(), digits=80)
-        dec = decompose_ground(EARTH, leo_radius())
+        dec = earth_decomposition(leo_radius())
         analytic = dec.delta_S.to_float() / P.r_S
         assert coef == pytest.approx(analytic, rel=1e-4)
 
@@ -181,7 +172,7 @@ class TestSeriesExtraction:
         coef = extract_series_coefficient(
             SeriesParam.R_S, 1, M=P.M_geom, a=P.a, r_A=EARTH.r_A,
             omega_A_si=EARTH.omega_A, r_B=leo_radius(), digits=80)
-        dec = decompose_ground(EARTH, leo_radius())
+        dec = earth_decomposition(leo_radius())
         wrong = -dec.delta_S.to_float() / P.r_S
         assert abs(coef / wrong - 1.0) > 1.0
 
@@ -226,13 +217,6 @@ class TestGeodesicIntegration:
             integrate_schwarzschild_radial(P.M_geom, EARTH.r_A, leo_radius(), 1e-14)
         with pytest.raises(DomainError):
             integrate_schwarzschild_radial(1.0, 2.5, 10.0)  # emitter below 3M
-
-    def test_cancellation(self):
-        token = CancellationToken()
-        token.cancel()
-        with pytest.raises(OperationCancelled):
-            integrate_schwarzschild_radial(P.M_geom, EARTH.r_A, leo_radius(),
-                                           1e-13, cancel=token)
 
 
 def test_literal_first_power_spin_term_is_unphysical():

@@ -3,7 +3,8 @@
 import pytest
 
 import expected
-from conftest import earth_link, sat_link
+from conftest import earth_decomposition, earth_link, sat_link, sats_decomposition
+from kerr_qlink.ddouble import DD
 from kerr_qlink.errors import DomainError, HigherOrderRegimeError
 from kerr_qlink.perturb import (
     ParamTarget,
@@ -22,25 +23,25 @@ P = EARTH.spacetime()
 
 class TestGroundDecomposition:
     def test_leo_terms(self):
-        dec = decompose_ground(EARTH, leo_radius())
+        dec = earth_decomposition(leo_radius())
         assert dec.delta_S.to_float() == pytest.approx(expected.DELTA_S_LEO, rel=1e-12)
         assert dec.delta_rot.to_float() == pytest.approx(expected.DELTA_ROT, rel=1e-12)
         assert dec.delta_c.to_float() == pytest.approx(expected.DELTA_C_LEO, rel=1e-6)
         assert dec.delta_S.to_float() > 0.0
 
     def test_geo_terms(self):
-        dec = decompose_ground(EARTH, geo_radius())
+        dec = earth_decomposition(geo_radius())
         assert dec.delta_S.to_float() == pytest.approx(expected.DELTA_S_GEO, rel=1e-12)
         assert dec.delta_c.to_float() == pytest.approx(expected.DELTA_C_GEO, rel=1e-6)
 
     def test_rotation_term_is_radius_independent(self):
-        leo = decompose_ground(EARTH, leo_radius())
-        geo = decompose_ground(EARTH, geo_radius())
+        leo = earth_decomposition(leo_radius())
+        geo = earth_decomposition(geo_radius())
         assert leo.delta_rot.to_float() == geo.delta_rot.to_float()
 
     def test_sum_identity(self):
         for r_b in (leo_radius(), geo_radius(), 1.27 * geo_radius()):
-            dec = decompose_ground(EARTH, r_b)
+            dec = earth_decomposition(r_b)
             exact = shift_ground_to_sat(earth_link(r_b)).delta
             assert abs((dec.delta_total - exact).to_float()) < 1e-28
 
@@ -55,26 +56,27 @@ class TestGroundDecomposition:
 
     def test_rejects_radius_below_surface(self):
         with pytest.raises(DomainError):
-            decompose_ground(EARTH, EARTH.r_A)
+            decompose_ground(P, EARTH.r_A, EARTH.omega_A, EARTH.r_A,
+                             shift_ground_to_sat(earth_link(EARTH.r_A)).delta)
 
 
 class TestSatDecomposition:
     def test_leo_geo_terms(self):
-        dec = decompose_sats(P, leo_radius(), geo_radius())
+        dec = sats_decomposition(leo_radius(), geo_radius())
         assert dec.delta_S.to_float() == pytest.approx(expected.DELTA_S_SATS, rel=1e-12)
         assert dec.delta_rot.to_float() == pytest.approx(expected.DELTA_ROT_SATS, rel=1e-12)
         assert dec.delta_c.to_float() == pytest.approx(expected.DELTA_C_SATS, rel=1e-6)
 
     def test_terms_shrink_with_separation(self):
-        near = decompose_sats(P, leo_radius(), leo_radius() * 1.0001)
-        far = decompose_sats(P, leo_radius(), geo_radius())
+        near = sats_decomposition(leo_radius(), leo_radius() * 1.0001)
+        far = sats_decomposition(leo_radius(), geo_radius())
         assert abs(near.delta_S.to_float()) < abs(far.delta_S.to_float())
         assert abs(near.delta_rot.to_float()) < abs(far.delta_rot.to_float())
 
     def test_mass_term_never_vanishes(self):
         # both observers geodesic: the mass term is strictly negative
         for r_b in (1.0001, 1.5, 3.0, 5.0):
-            dec = decompose_sats(P, leo_radius(), leo_radius() * r_b)
+            dec = sats_decomposition(leo_radius(), leo_radius() * r_b)
             assert dec.delta_S.to_float() < 0.0
 
     def test_terms_vanish_at_zero_separation(self):
@@ -84,13 +86,13 @@ class TestSatDecomposition:
         assert delta_rotation_term_sats(P, r, r).to_float() == 0.0
 
     def test_sum_identity(self):
-        dec = decompose_sats(P, leo_radius(), geo_radius())
+        dec = sats_decomposition(leo_radius(), geo_radius())
         exact = shift_sat_to_sat(sat_link(leo_radius(), geo_radius())).delta
         assert abs((dec.delta_total - exact).to_float()) < 1e-28
 
     def test_rejects_bad_ordering(self):
         with pytest.raises(DomainError):
-            decompose_sats(P, geo_radius(), leo_radius())
+            decompose_sats(P, geo_radius(), leo_radius(), DD(0.0))
 
 
 class TestResidualScale:
@@ -101,7 +103,7 @@ class TestResidualScale:
         # a few 1e-19 for the preset orbits.
         for r_b, want in ((leo_radius(), expected.DELTA_C_LEO),
                           (geo_radius(), expected.DELTA_C_GEO)):
-            dec = decompose_ground(EARTH, r_b)
+            dec = earth_decomposition(r_b)
             x = 2.0 * P.M_geom / EARTH.r_A
             y = 3.0 * P.M_geom / r_b
             second_order = 0.5 * y * (y - x) - (y - x) ** 2 / 8.0
@@ -109,31 +111,31 @@ class TestResidualScale:
             assert dec.delta_c.to_float() == pytest.approx(second_order, rel=0.05)
 
     def test_sat_residual_scale(self):
-        dec = decompose_sats(P, leo_radius(), geo_radius())
+        dec = sats_decomposition(leo_radius(), geo_radius())
         assert abs(dec.delta_c.to_float()) == pytest.approx(
             abs(expected.DELTA_C_SATS), rel=1e-6)
 
 
 class TestErrorPropagation:
     def test_schwarzschild_radius_leo(self):
-        dec = decompose_ground(EARTH, leo_radius())
+        dec = earth_decomposition(leo_radius())
         err = error_schwarzschild_radius(dec, expected.DELTA_DELTA_MIN)
         assert err.target is ParamTarget.SCHWARZSCHILD_RADIUS
         assert err.relative_error == pytest.approx(expected.BOUND_RS_LEO, rel=1e-12)
 
     def test_zero_uncertainty_gives_zero_error(self):
-        dec = decompose_ground(EARTH, leo_radius())
+        dec = earth_decomposition(leo_radius())
         assert error_schwarzschild_radius(dec, 0.0).relative_error == 0.0
         assert error_angular_velocity(dec, 0.0).relative_error == 0.0
 
     def test_higher_order_regime_refusal(self):
         r_b = EARTH.r_A + EARTH.r_A / 2.0  # mass term vanishes here
-        dec = decompose_ground(EARTH, r_b)
+        dec = earth_decomposition(r_b)
         with pytest.raises(HigherOrderRegimeError):
             error_schwarzschild_radius(dec, 1e-15)
 
     def test_angular_velocity_ground(self):
-        dec = decompose_ground(EARTH, leo_radius())
+        dec = earth_decomposition(leo_radius())
         err = error_angular_velocity(dec, 2.79e-15)
         assert err.relative_error == pytest.approx(
             2.79e-15 / (2.0 * abs(expected.DELTA_ROT)), rel=1e-12)
@@ -141,18 +143,21 @@ class TestErrorPropagation:
         assert err.relative_error == pytest.approx(1.2e-3, rel=0.05)
 
     def test_angular_velocity_sats_loses_precision(self):
-        dec = decompose_sats(P, leo_radius(), geo_radius())
+        dec = sats_decomposition(leo_radius(), geo_radius())
         err = error_angular_velocity(dec, 2.79e-15)
         assert err.relative_error > 1e6  # far beyond unity
 
     def test_spin_target_alias(self):
-        dec = decompose_sats(P, leo_radius(), geo_radius())
+        dec = sats_decomposition(leo_radius(), geo_radius())
         err = error_angular_velocity(dec, 1e-15, ParamTarget.KERR_PARAMETER)
         assert err.target is ParamTarget.KERR_PARAMETER
 
     def test_zero_rotation_term_rejected(self):
         still = EarthModel_still()
-        dec = decompose_ground(still, leo_radius())
+        delta = shift_ground_to_sat(
+            earth_link(leo_radius(), omega=still.omega_A, a=still.a_m)).delta
+        dec = decompose_ground(still.spacetime(), still.r_A, still.omega_A,
+                               leo_radius(), delta)
         with pytest.raises(DomainError):
             error_angular_velocity(dec, 1e-15)
 

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 import expected
 from conftest import earth_link, sat_link
 from kerr_qlink.ddouble import DD
-from kerr_qlink.errors import DomainError, NoRootInBracketError
+from kerr_qlink.errors import DomainError, NoRootInBracketError, NumericalError
 from kerr_qlink.geometry import Worldline
 from kerr_qlink.shift import (
     LinkScenario,
     LinkScheme,
     ShiftMethod,
+    ShiftResult,
     find_zero_shift_orbit,
     shift,
     shift_ground_to_sat,
@@ -202,3 +203,15 @@ class TestZeroShiftOrbit:
     def test_bad_bracket_rejected(self, leo_scenario):
         with pytest.raises(DomainError):
             find_zero_shift_orbit(leo_scenario, 2.0 * EARTH.r_A, 1.5 * EARTH.r_A)
+
+
+def test_inconsistent_result_is_numerical_error():
+    # a typed error, so a sweep records the point instead of aborting
+    with pytest.raises(NumericalError):
+        ShiftResult(f=DD(1.0), delta=DD(1e-10), method=ShiftMethod.CLOSED_FORM)
+
+
+def test_radius_inside_2m_is_refused_by_the_geometry_check():
+    s = earth_link(2.0 * P.M_geom)
+    with pytest.raises(DomainError, match=r"^receiver orbit: radius .* does not exceed 2M"):
+        shift_ground_to_sat(s)
