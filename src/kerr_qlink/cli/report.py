@@ -15,14 +15,12 @@ byte-identical files (modulo the optional timestamp header line).
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
 from ..ddouble import DD
-from ..errors import ConfigError, DomainError, HigherOrderRegimeError, KerrQlinkError
+from ..errors import DomainError, HigherOrderRegimeError, KerrQlinkError
 from ..metrology import (
     bound_angular_velocity,
     bound_schwarzschild_radius,
@@ -37,8 +35,6 @@ from ..shift import LinkScheme, shift
 from ..units import CONSTANTS
 from ..wavepacket import overlap_analytic
 from .scenario import ScenarioConfig, SweepSpec
-
-THREADS_ENV = "KERR_QLINK_THREADS"
 
 
 @dataclass
@@ -244,8 +240,7 @@ def _csv_escape(text: str) -> str:
     return text
 
 
-def _sweep_row(args: tuple[int, float, ScenarioConfig]) -> str:
-    index, value, cfg = args
+def _sweep_row(index: int, value: float, cfg: ScenarioConfig) -> str:
     cells: list[str]
     try:
         rep = assemble_report(cfg)
@@ -265,33 +260,18 @@ def _sweep_row(args: tuple[int, float, ScenarioConfig]) -> str:
     return ",".join(cells)
 
 
-def default_thread_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        if n < 1:
-            raise ConfigError(f"{THREADS_ENV} must be >= 1")
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
 def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
               no_timestamp: bool = False,
               threads: Optional[int] = None) -> int:
     """Write one CSV row per sweep point; returns the number of rows.
 
-    Points evaluate in parallel but assemble in sweep order, so the output is
-    identical for any thread count.  Per-point domain failures leave their
-    value cells empty and carry the message in the error column.
+    Points evaluate in sweep order in the calling thread.  Per-point domain
+    failures leave their value cells empty and carry the message in the error
+    column.  ``threads`` is accepted and ignored; it remains for callers
+    written when the sweep ran on a thread pool.
     """
-    values = spec.values()
-    configs = [(i, v, spec.apply(cfg, v)) for i, v in enumerate(values)]
-    workers = threads if threads else default_thread_count()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(_sweep_row, configs))
+    rows = [_sweep_row(i, v, spec.apply(cfg, v))
+            for i, v in enumerate(spec.values())]
     lines = []
     if not no_timestamp:
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

@@ -51,10 +51,12 @@ class ScenarioConfig:
                 and self.receiver_radius_m <= self.emitter_radius_m:
             raise ConfigError("sat-to-sat scenarios need receiver above emitter")
         for name in ("ground_omega_rad_s", "peak_frequency_hz", "bandwidth_hz",
-                     "probes", "squeezing", "planet_mass_kg",
-                     "planet_spin_parameter_m"):
+                     "squeezing", "planet_mass_kg", "planet_spin_parameter_m"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
+        # the Cramer-Rao bound holds for N >= 1 repetitions (see cramer_rao)
+        if self.probes < 1.0:
+            raise ConfigError("probes must be at least 1")
         return self
 
     # -- physics views ------------------------------------------------------

@@ -9,6 +9,13 @@ partly below double-precision epsilon relative to the unit.
 The error-free transformations (two_sum, two_prod via Dekker splitting) and
 the add/mul/div/sqrt algorithms follow the classic Dekker/Bailey double-double
 constructions.  No FMA is assumed.
+
+The DD methods write those transformations out inline on the operands' limbs
+instead of calling them and building a DD for every intermediate.  They run
+the same IEEE operations in the same order, so every bit of the result,
+signed zeros included, is that of the composed form; what goes is the
+interpreter's call and allocation overhead, most of a scalar operation's
+cost.  tests/test_ddouble.py keeps the composed form as the reference.
 """
 
 from __future__ import annotations
@@ -74,19 +81,41 @@ class DD:
     @staticmethod
     def sum2(a: float, b: float) -> "DD":
         """Exact a + b of two doubles."""
-        return DD(*two_sum(a, b))
+        s = a + b
+        bb = s - a
+        # int operands give int limbs; float() rounds them as DD() does
+        return _dd(float(s), float((a - (s - bb)) + (b - bb)))
 
     @staticmethod
     def product(a: float, b: float) -> "DD":
         """Exact a * b of two doubles."""
-        return DD(*two_prod(a, b))
+        p = a * b
+        t = _SPLITTER * a
+        ahi = t - (t - a)
+        alo = a - ahi
+        t = _SPLITTER * b
+        bhi = t - (t - b)
+        blo = b - bhi
+        # p is an int when both operands are; the error term is always a float
+        return _dd(float(p), ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo)
 
     @staticmethod
     def quotient(a: float, b: float) -> "DD":
         """a / b of two doubles, accurate to double-double precision."""
         q = a / b
-        p, e = two_prod(q, b)
-        return DD(*quick_two_sum(q, ((a - p) - e) / b))
+        # two_prod(q, b)
+        p = q * b
+        t = _SPLITTER * q
+        qhi = t - (t - q)
+        qlo = q - qhi
+        t = _SPLITTER * b
+        bhi = t - (t - b)
+        blo = b - bhi
+        e = ((qhi * bhi - p) + qhi * blo + qlo * bhi) + qlo * blo
+        # quick_two_sum(q, ((a - p) - e) / b)
+        r = ((a - p) - e) / b
+        s = q + r
+        return _dd(s, r - (s - q))
 
     @staticmethod
     def from_decimal(d: Decimal) -> "DD":
@@ -113,44 +142,153 @@ class DD:
         return f"DD({self.hi!r}, {self.lo!r})"
 
     # -- arithmetic --------------------------------------------------------
+    #
+    # A float or int operand enters as (float(x), 0.0).  Operations on such a
+    # zero lo limb stay in: they can decide the sign of a zero result limb.
 
     def __add__(self, other) -> "DD":
-        o = DD.of(other)
-        s, e = two_sum(self.hi, o.hi)
-        t, f = two_sum(self.lo, o.lo)
+        if isinstance(other, DD):
+            bh, bl = other.hi, other.lo
+        else:
+            bh, bl = float(other), 0.0
+        ah, al = self.hi, self.lo
+        # two_sum on both limb pairs, then two renormalising quick_two_sums
+        s = ah + bh
+        bb = s - ah
+        e = (ah - (s - bb)) + (bh - bb)
+        t = al + bl
+        bb = t - al
+        f = (al - (t - bb)) + (bl - bb)
         e += t
-        s, e = quick_two_sum(s, e)
+        t = s + e
+        e = e - (t - s)
         e += f
-        return DD(*quick_two_sum(s, e))
+        s = t + e
+        return _dd(s, e - (s - t))
 
     __radd__ = __add__
 
     def __neg__(self) -> "DD":
-        return DD(-self.hi, -self.lo)
+        return _dd(-self.hi, -self.lo)
 
     def __sub__(self, other) -> "DD":
-        return self.__add__(-DD.of(other))
+        # self + (-other), the negation taken limb by limb
+        if isinstance(other, DD):
+            bh, bl = -other.hi, -other.lo
+        else:
+            bh, bl = -float(other), -0.0
+        ah, al = self.hi, self.lo
+        s = ah + bh
+        bb = s - ah
+        e = (ah - (s - bb)) + (bh - bb)
+        t = al + bl
+        bb = t - al
+        f = (al - (t - bb)) + (bl - bb)
+        e += t
+        t = s + e
+        e = e - (t - s)
+        e += f
+        s = t + e
+        return _dd(s, e - (s - t))
 
     def __rsub__(self, other) -> "DD":
         return DD.of(other).__sub__(self)
 
     def __mul__(self, other) -> "DD":
-        o = DD.of(other)
-        p, e = two_prod(self.hi, o.hi)
-        e += self.hi * o.lo + self.lo * o.hi
-        return DD(*quick_two_sum(p, e))
+        if isinstance(other, DD):
+            bh, bl = other.hi, other.lo
+        else:
+            bh, bl = float(other), 0.0
+        ah = self.hi
+        # two_prod(ah, bh), then the cross terms, then quick_two_sum
+        p = ah * bh
+        t = _SPLITTER * ah
+        ahh = t - (t - ah)
+        ahl = ah - ahh
+        t = _SPLITTER * bh
+        bhh = t - (t - bh)
+        bhl = bh - bhh
+        e = ((ahh * bhh - p) + ahh * bhl + ahl * bhh) + ahl * bhl
+        e += ah * bl + self.lo * bh
+        s = p + e
+        return _dd(s, e - (s - p))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "DD":
-        o = DD.of(other)
-        q1 = self.hi / o.hi
-        r = self - o * q1
-        q2 = r.hi / o.hi
-        r = r - o * q2
-        q3 = r.hi / o.hi
-        s, e = quick_two_sum(q1, q2)
-        return DD(s, e).__add__(DD(q3))
+        if isinstance(other, DD):
+            bh, bl = other.hi, other.lo
+        else:
+            bh, bl = float(other), 0.0
+        ah, al = self.hi, self.lo
+        # long division by the divisor's hi limb: q1 + q2 + q3, each
+        # remainder being r - b * q (a DD x double product, then a DD
+        # subtraction); the divisor's split is shared by both products
+        t = _SPLITTER * bh
+        bhh = t - (t - bh)
+        bhl = bh - bhh
+
+        q1 = ah / bh
+        p = bh * q1
+        t = _SPLITTER * q1
+        qh = t - (t - q1)
+        ql = q1 - qh
+        e = ((bhh * qh - p) + bhh * ql + bhl * qh) + bhl * ql
+        e += bh * 0.0 + bl * q1
+        mh = p + e
+        ml = e - (mh - p)
+        nh, nl = -mh, -ml
+        s = ah + nh
+        bb = s - ah
+        e = (ah - (s - bb)) + (nh - bb)
+        t = al + nl
+        bb = t - al
+        f = (al - (t - bb)) + (nl - bb)
+        e += t
+        t = s + e
+        e = e - (t - s)
+        e += f
+        rh = t + e
+        rl = e - (rh - t)
+
+        q2 = rh / bh
+        p = bh * q2
+        t = _SPLITTER * q2
+        qh = t - (t - q2)
+        ql = q2 - qh
+        e = ((bhh * qh - p) + bhh * ql + bhl * qh) + bhl * ql
+        e += bh * 0.0 + bl * q2
+        mh = p + e
+        ml = e - (mh - p)
+        nh, nl = -mh, -ml
+        s = rh + nh
+        bb = s - rh
+        e = (rh - (s - bb)) + (nh - bb)
+        t = rl + nl
+        bb = t - rl
+        f = (rl - (t - bb)) + (nl - bb)
+        e += t
+        t = s + e
+        e = e - (t - s)
+        e += f
+        # only the hi limb of the second remainder is used
+        q3 = (t + e) / bh
+
+        # quick_two_sum(q1, q2) + (q3, 0.0)
+        ah = q1 + q2
+        al = q2 - (ah - q1)
+        s = ah + q3
+        bb = s - ah
+        e = (ah - (s - bb)) + (q3 - bb)
+        t = al + 0.0
+        bb = t - al
+        f = (al - (t - bb)) + (0.0 - bb)
+        e += t
+        t = s + e
+        e = e - (t - s)
+        e += f
+        s = t + e
+        return _dd(s, e - (s - t))
 
     def __rtruediv__(self, other) -> "DD":
         return DD.of(other).__truediv__(self)
@@ -163,8 +301,9 @@ class DD:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __abs__(self) -> "DD":
@@ -172,15 +311,37 @@ class DD:
 
     def sqrt(self) -> "DD":
         """Square root, accurate to double-double precision."""
-        if self.hi == 0.0 and self.lo == 0.0:
-            return DD(0.0)
-        if self.hi < 0.0:
+        hi, lo = self.hi, self.lo
+        if hi == 0.0 and lo == 0.0:
+            return _dd(0.0, 0.0)
+        if hi < 0.0:
             raise DomainError("square root of a negative compensated value")
-        x = 1.0 / math.sqrt(self.hi)
-        ax = self.hi * x
-        err = self - DD.product(ax, ax)
-        s, e = two_sum(ax, err.hi * (x * 0.5))
-        return DD(*quick_two_sum(s, e))
+        x = 1.0 / math.sqrt(hi)
+        ax = hi * x
+        # hi limb of self - two_prod(ax, ax)
+        p = ax * ax
+        t = _SPLITTER * ax
+        h = t - (t - ax)
+        l = ax - h
+        nh = -p
+        nl = -(((h * h - p) + h * l + l * h) + l * l)
+        s = hi + nh
+        bb = s - hi
+        e = (hi - (s - bb)) + (nh - bb)
+        t = lo + nl
+        bb = t - lo
+        f = (lo - (t - bb)) + (nl - bb)
+        e += t
+        t = s + e
+        e = e - (t - s)
+        e += f
+        # two_sum(ax, err_hi * (x * 0.5)), then quick_two_sum
+        b = (t + e) * (x * 0.5)
+        s = ax + b
+        bb = s - ax
+        e = (ax - (s - bb)) + (b - bb)
+        t = s + e
+        return _dd(t, e - (t - s))
 
     # -- comparisons -------------------------------------------------------
 
@@ -223,6 +384,17 @@ class DD:
         if self.lo < 0.0:
             return -1
         return 0
+
+
+_new = object.__new__
+
+
+def _dd(hi: float, lo: float) -> DD:
+    """A DD from two float limbs, without __init__'s float() coercion."""
+    x = _new(DD)
+    x.hi = hi
+    x.lo = lo
+    return x
 
 
 ONE = DD(1.0)

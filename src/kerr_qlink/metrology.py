@@ -48,7 +48,13 @@ class MetrologyConfig:
     omega2: float = 7e14  # Hz
 
     def __post_init__(self):
-        for name in ("probes", "sigma", "omega1", "omega2"):
+        for name in ("probes", "squeezing", "sigma", "omega1", "omega2"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"MetrologyConfig.{name} must be finite")
+        # the Cramer-Rao bound holds for N >= 1 repetitions (see cramer_rao)
+        if self.probes < 1.0:
+            raise DomainError("MetrologyConfig.probes must be at least 1")
+        for name in ("sigma", "omega1", "omega2"):
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"MetrologyConfig.{name} must be positive")
         if self.squeezing < 0.0:

@@ -205,13 +205,9 @@ class TestSweep:
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         assert run_sweep(cfg, spec, str(out1), no_timestamp=True) == 41
-        os.environ["KERR_QLINK_THREADS"] = "1"
-        try:
-            assert run_sweep(cfg, spec, str(out2), no_timestamp=True) == 41
-        finally:
-            del os.environ["KERR_QLINK_THREADS"]
+        assert run_sweep(cfg, spec, str(out2), no_timestamp=True) == 41
         a, b = out1.read_bytes(), out2.read_bytes()
-        assert a == b  # byte-identical across thread counts
+        assert a == b  # byte-identical across runs
 
         lines = out1.read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
@@ -271,14 +267,6 @@ class TestSweep:
         # lifting the emitter toward the receiver weakens the shift
         assert all(m < 0 for m in mass_terms)
         assert abs(mass_terms[-1]) < abs(mass_terms[0])
-
-    def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch):
-        from kerr_qlink.errors import ConfigError as CE
-        monkeypatch.setenv("KERR_QLINK_THREADS", "lots")
-        cfg = PRESETS["earth-leo"]
-        spec = SweepSpec("s", 1.0, 2.0, 2)
-        with pytest.raises(CE):
-            run_sweep(cfg, spec, str(tmp_path / "x.csv"), no_timestamp=True)
 
     def test_squeezing_sweep_scales_bound(self, tmp_path):
         cfg = PRESETS["earth-leo"]
@@ -365,6 +353,7 @@ class TestCliEntry:
         ("earth-leo", "receiver_radius_m = nan\n"),
         ("earth-leo", "receiver_radius_m = inf\n"),
         ("earth-leo", "probes = nan\n"),
+        ("earth-leo", "probes = 0.5\n"),  # Cramer-Rao needs N >= 1
         ("leo-geo-sat", "receiver_radius_m = 8.378e6\n"),  # equal radii
     ])
     def test_unevaluable_config_is_config_error(self, tmp_path, capsys,
@@ -384,6 +373,24 @@ class TestLeanReportPath:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_sweep_runs_in_the_calling_thread_without_numpy(self, tmp_path):
+        # numpy or scipy on the sweep path would raise its peak memory; the
+        # sweep evaluates its rows in order, starting no thread
+        src = os.path.dirname(os.path.dirname(kerr_qlink.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import sys, threading\n"
+            "from kerr_qlink.cli import PRESETS, SweepSpec, run_sweep\n"
+            "before = threading.active_count()\n"
+            "spec = SweepSpec('r_B', 7.0e6, 4.2e7, 5, 'log')\n"
+            f"rows = run_sweep(PRESETS['earth-leo'], spec, {str(tmp_path / 's.csv')!r},"
+            " no_timestamp=True)\n"
+            "print(rows, threading.active_count() - before,"
+            " sorted({'scipy', 'numpy'} & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "5 0 []"
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_report_assembles_the_shift_once(self, monkeypatch, preset):

@@ -1,10 +1,11 @@
 """Double-double arithmetic against exact rationals."""
 
 import math
+import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kerr_qlink.ddouble import DD, quick_two_sum, two_prod, two_sum
@@ -166,3 +167,194 @@ def test_accuracy_on_catastrophic_cancellation():
     assert math.isclose(x.to_float(), h * h, rel_tol=1e-12)
     naive = (1.0 + h) ** 2 - 1.0 - 2.0 * h
     assert abs(naive - h * h) > 1e-3 * h * h  # the float route really is noise
+
+
+# -- the fused operators against the composed algorithms ---------------------
+#
+# The reference below is the operator set written with the module's error-free
+# transformations, one call per step, building a DD for every intermediate.
+# The DD methods inline those steps; they must reproduce every bit, signed
+# zeros included.
+
+def _ref(x):
+    return x if isinstance(x, DD) else DD(float(x), 0.0)
+
+
+def ref_add(a, b):
+    a, b = _ref(a), _ref(b)
+    s, e = two_sum(a.hi, b.hi)
+    t, f = two_sum(a.lo, b.lo)
+    e += t
+    s, e = quick_two_sum(s, e)
+    e += f
+    return DD(*quick_two_sum(s, e))
+
+
+def ref_neg(a):
+    return DD(-a.hi, -a.lo)
+
+
+def ref_sub(a, b):
+    return ref_add(a, ref_neg(_ref(b)))
+
+
+def ref_mul(a, b):
+    a, b = _ref(a), _ref(b)
+    p, e = two_prod(a.hi, b.hi)
+    e += a.hi * b.lo + a.lo * b.hi
+    return DD(*quick_two_sum(p, e))
+
+
+def ref_div(a, b):
+    a, b = _ref(a), _ref(b)
+    q1 = a.hi / b.hi
+    r = ref_sub(a, ref_mul(b, q1))
+    q2 = r.hi / b.hi
+    r = ref_sub(r, ref_mul(b, q2))
+    q3 = r.hi / b.hi
+    s, e = quick_two_sum(q1, q2)
+    return ref_add(DD(s, e), DD(q3))
+
+
+def ref_sqrt(a):
+    if a.hi == 0.0 and a.lo == 0.0:
+        return DD(0.0)
+    x = 1.0 / math.sqrt(a.hi)
+    ax = a.hi * x
+    err = ref_sub(a, DD(*two_prod(ax, ax)))
+    s, e = two_sum(ax, err.hi * (x * 0.5))
+    return DD(*quick_two_sum(s, e))
+
+
+def ref_pow(a, n):
+    # square-and-multiply including the final, unused squaring
+    out = DD(1.0)
+    base = a
+    while n:
+        if n & 1:
+            out = ref_mul(out, base)
+        base = ref_mul(base, base)
+        n >>= 1
+    return out
+
+
+def ref_quotient(a, b):
+    q = a / b
+    p, e = two_prod(q, b)
+    return DD(*quick_two_sum(q, ((a - p) - e) / b))
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def assert_same(got: DD, want: DD):
+    assert type(got.hi) is float and type(got.lo) is float
+    assert (bits(got.hi), bits(got.lo)) == (bits(want.hi), bits(want.lo)), \
+        f"{got!r} != {want!r}"
+
+
+# doubles across the exponent range the pipeline uses, with signed zeros and
+# small integers (exact products and sums) mixed in
+edge_double = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 3.0, 0.5, 1e-300]),
+    st.integers(-2 ** 26, 2 ** 26).map(float),
+    st.floats(min_value=-1e40, max_value=1e40, allow_nan=False,
+              allow_infinity=False),
+    banded,
+)
+
+
+@st.composite
+def normalised(draw):
+    """A DD in canonical form: (hi, lo) = quick_two_sum of two doubles, or a
+    double with a signed-zero lo limb."""
+    a = draw(edge_double)
+    kind = draw(st.sampled_from(["sum", "prod", "zero", "negzero"]))
+    if kind == "zero":
+        return DD(a, 0.0)
+    if kind == "negzero":
+        return DD(a, -0.0)
+    b = draw(edge_double)
+    if kind == "prod":
+        return DD(*two_prod(a, b))
+    return DD(*two_sum(a, b))
+
+
+operand = st.one_of(normalised(), edge_double,
+                    st.integers(-2 ** 40, 2 ** 40))
+
+
+def finite_dd(x: DD) -> bool:
+    return math.isfinite(x.hi) and math.isfinite(x.lo)
+
+
+@given(normalised(), operand)
+@settings(max_examples=1500)
+# random limbs rarely reach these: the last renormalisation of the sum moves
+# bits here (e + f crosses half an ulp of the leading limb)
+@example(DD(1.4999999999999996, 1.1102230246251565e-16),
+         DD(1.5, -3.0814879110195774e-32))
+@example(DD(1.4999999999999996, 1.1102230246251565e-16),
+         DD(-1.5, 3.0814879110195774e-32))
+@example(DD(1.0, 8.326672684688674e-17), DD(0.75, 4.622231866529366e-33))
+def test_fused_operators_match_composed_algorithms(x, y):
+    for got, want in ((lambda: x + y, lambda: ref_add(x, y)),
+                      (lambda: y + x, lambda: ref_add(x, y)),
+                      (lambda: x - y, lambda: ref_sub(x, y)),
+                      (lambda: y - x, lambda: ref_sub(y, x)),
+                      (lambda: x * y, lambda: ref_mul(x, y)),
+                      (lambda: y * x, lambda: ref_mul(x, y)),
+                      (lambda: x / y, lambda: ref_div(x, y)),
+                      (lambda: y / x, lambda: ref_div(y, x)),
+                      (lambda: -x, lambda: ref_neg(x))):
+        try:
+            want_value = want()
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                got()
+            continue
+        assert_same(got(), want_value)
+
+
+@given(normalised())
+@settings(max_examples=500)
+def test_fused_sqrt_matches_composed_algorithm(x):
+    if x.hi < 0.0:
+        with pytest.raises(DomainError):
+            x.sqrt()
+        return
+    try:
+        want = ref_sqrt(x)
+    except ZeroDivisionError:  # hi == 0 with a nonzero lo limb
+        with pytest.raises(ZeroDivisionError):
+            x.sqrt()
+        return
+    assert_same(x.sqrt(), want)
+
+
+@given(edge_double | st.integers(-2 ** 40, 2 ** 40),
+       edge_double | st.integers(-2 ** 40, 2 ** 40))
+@settings(max_examples=800)
+def test_fused_constructors_match_composed_algorithms(a, b):
+    assert_same(DD.sum2(a, b), DD(*two_sum(a, b)))
+    assert_same(DD.product(a, b), DD(*two_prod(a, b)))
+    if b == 0:
+        with pytest.raises(ZeroDivisionError):
+            DD.quotient(a, b)
+    else:
+        assert_same(DD.quotient(a, b), ref_quotient(a, b))
+
+
+@given(normalised(), st.integers(0, 9))
+@settings(max_examples=300)
+def test_pow_matches_square_and_multiply(x, n):
+    assert_same(x ** n, ref_pow(x, n))
+
+
+def test_bit_comparison_sees_signed_zeros():
+    with pytest.raises(AssertionError):
+        assert_same(DD(0.0, 0.0), DD(0.0, -0.0))
+    got = DD.product(-1.0, 0.0)
+    assert math.copysign(1.0, got.hi) == -1.0
+    assert_same(got, DD(*two_prod(-1.0, 0.0)))

@@ -211,6 +211,21 @@ def test_config_validation():
         MetrologyConfig(squeezing=-0.1)
 
 
+def test_config_refuses_fewer_than_one_probe():
+    # cramer_rao refuses N < 1, so the config that feeds it does too
+    with pytest.raises(DomainError):
+        MetrologyConfig(probes=0.5)
+    assert MetrologyConfig(probes=1.0).probes == 1.0
+
+
+@pytest.mark.parametrize("field", ["probes", "squeezing", "sigma", "omega1",
+                                   "omega2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_refuses_non_finite_fields(field, value):
+    with pytest.raises(DomainError):
+        MetrologyConfig(**{field: value})
+
+
 def test_qfi_numeric_limit_needs_three_rungs():
     with pytest.raises(DomainError):
         qfi_numeric_limit(CFG, rungs=2)
