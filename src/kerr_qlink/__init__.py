@@ -44,8 +44,6 @@ from .metrology import (
     regime_check,
 )
 from .perturb import (
-    ParameterError,
-    ParamTarget,
     ShiftDecomposition,
     decompose_ground,
     decompose_sats,

@@ -112,6 +112,8 @@ class SweepSpec:
         if self.variable not in SWEEP_VARIABLES:
             raise ConfigError(
                 f"sweep variable must be one of {', '.join(SWEEP_VARIABLES)}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ConfigError("sweep bounds must be finite")
         if not self.lo < self.hi:
             raise ConfigError("sweep needs lo < hi")
         if self.points < 2:

@@ -60,8 +60,8 @@ class DD:
     """Immutable double-double number.
 
     Construct with already-normalised parts (internal use), or via
-    ``DD.of``, ``DD.sum2``, ``DD.product``, ``DD.quotient``,
-    ``DD.from_decimal``.  All operators accept DD, float or int operands.
+    ``DD.of``, ``DD.sum2``, ``DD.product``, ``DD.quotient``.  All operators
+    accept DD, float or int operands.
     """
 
     __slots__ = ("hi", "lo")
@@ -116,11 +116,6 @@ class DD:
         r = ((a - p) - e) / b
         s = q + r
         return _dd(s, r - (s - q))
-
-    @staticmethod
-    def from_decimal(d: Decimal) -> "DD":
-        hi = float(d)
-        return DD(*quick_two_sum(hi, float(d - Decimal(hi))))
 
     # -- conversions -------------------------------------------------------
 
@@ -398,4 +393,3 @@ def _dd(hi: float, lo: float) -> DD:
 
 
 ONE = DD(1.0)
-ZERO = DD(0.0)

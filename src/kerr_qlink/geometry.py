@@ -11,6 +11,7 @@ propagation happens in the equatorial plane.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .ddouble import DD, ONE
@@ -41,6 +42,11 @@ class Worldline:
     direction: int = +1
 
     def __post_init__(self):
+        if not math.isfinite(self.r):
+            raise DomainError(f"Worldline.r must be finite, got {self.r}")
+        if not math.isfinite(float(self.omega_geom)):
+            raise DomainError(
+                f"Worldline.omega_geom must be finite, got {self.omega_geom!r}")
         if self.r <= 0.0:
             raise DomainError("worldline radius must be positive")
         if self.direction not in (+1, -1):
@@ -105,7 +111,7 @@ def metric_at(p: SpacetimeParams, r: float) -> MetricAt:
     rr = DD.product(r, r)
     delta = ONE - x + aa / rr
     g_phiphi = rr + aa + aa * x
-    g_tphi = -(DD.quotient(p.M_geom * 2.0, r) * p.a)
+    g_tphi = -(x * p.a)
     return MetricAt(r=r, dev_tt=x, g_rr=ONE / delta, g_phiphi=g_phiphi,
                     g_tphi=g_tphi, Delta=delta)
 
@@ -138,7 +144,7 @@ def ground_station_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, 
 
 def three_m_over_r(p: SpacetimeParams, r: float) -> DD:
     """3M/r with the 3*M product captured exactly (3M is not a float)."""
-    return DD.product(3.0, p.M_geom) / DD.of(r)
+    return DD.product(3.0, p.M_geom) / r
 
 
 def orbit_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, DD, DD]:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .ddouble import DD, ONE
 from .errors import DomainError, NumericalError, RegimeError
 from .perturb import (
-    ParamTarget,
     ShiftDecomposition,
     error_angular_velocity,
     error_schwarzschild_radius,
@@ -79,7 +78,6 @@ class RegimeStatus:
 class PrecisionBound:
     """Cramer-Rao lower bound on a spacetime parameter."""
 
-    target: ParamTarget
     delta_delta_min: float
     relative_bound: float
 
@@ -185,18 +183,15 @@ def bound_schwarzschild_radius(cfg: MetrologyConfig,
                                dec: ShiftDecomposition) -> PrecisionBound:
     """Optimal relative bound on the Schwarzschild radius for this link."""
     floor = shift_uncertainty_floor(cfg)
-    err = error_schwarzschild_radius(dec, floor)
-    return PrecisionBound(err.target, floor, err.relative_error)
+    return PrecisionBound(floor, error_schwarzschild_radius(dec, floor))
 
 
-def bound_angular_velocity(cfg: MetrologyConfig, dec: ShiftDecomposition,
-                           target: ParamTarget = ParamTarget.EQUATORIAL_ANGULAR_VELOCITY
-                           ) -> PrecisionBound:
+def bound_angular_velocity(cfg: MetrologyConfig,
+                           dec: ShiftDecomposition) -> PrecisionBound:
     """Optimal relative bound on the equatorial angular velocity (equivalently,
     for orbit-to-orbit links, on the spin parameter)."""
     floor = shift_uncertainty_floor(cfg)
-    err = error_angular_velocity(dec, floor, target)
-    return PrecisionBound(err.target, floor, err.relative_error)
+    return PrecisionBound(floor, error_angular_velocity(dec, floor))
 
 
 def orders_vs_state_of_the_art(relative_bound: float) -> int:

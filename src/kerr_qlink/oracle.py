@@ -2,7 +2,8 @@
 
 Three unrelated ways to reproduce the fast path's numbers:
 
-* ``eval_exact`` -- every closed form re-evaluated in arbitrary-precision
+* ``shift_exact_*``, ``gamma_exact_*``, ``kappa_exact`` and
+  ``delta_exact_*`` -- every closed form re-evaluated in arbitrary-precision
   decimal arithmetic (stdlib Decimal, round-half-even), completely independent
   of the compensated float pipeline;
 * ``extract_series_coefficient`` -- perturbative coefficients of delta pulled
@@ -19,6 +20,7 @@ magnitude slower than the pipeline it checks.
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
@@ -29,29 +31,6 @@ from .units import CONSTANTS, PhysicalConstants
 _D = Decimal
 
 MIN_DIGITS = 50
-
-
-@dataclass(frozen=True)
-class BigReal:
-    """Arbitrary-precision decimal result with its working precision."""
-
-    value: Decimal
-    digits: int
-
-    def to_float(self) -> float:
-        return float(self.value)
-
-    def to_dd(self) -> DD:
-        return DD.from_decimal(self.value)
-
-
-class ExactExpr(enum.Enum):
-    GROUND_SHIFT = "ground-shift"
-    SAT_SHIFT = "sat-shift"
-    SCHW_SHIFT = "schwarzschild-shift"
-    GAMMA_GROUND = "gamma-ground"
-    GAMMA_ORBIT = "gamma-orbit"
-    KAPPA = "kappa"
 
 
 def _omega_orbit(M: Decimal, r: Decimal) -> Decimal:
@@ -83,103 +62,102 @@ def _ground_shift(M, a, r_A, w, r_B, eps) -> Decimal:
     return pref * (arg_a / arg_b).sqrt()
 
 
-def _sat_shift(M, a, r_C, r_B, eta, eps) -> Decimal:
-    arg_c = _gamma_orbit_arg(M, a, r_C, eta)
-    arg_b = _gamma_orbit_arg(M, a, r_B, eps)
-    _require_positive(arg_c, "the emitter-orbit normalization argument")
-    _require_positive(arg_b, "the receiver-orbit normalization argument")
-    x_c = 2 * M / r_C
-    x_b = 2 * M / r_B
-    pref = (1 + eps * a * _omega_orbit(M, r_B) / (1 - x_b)) \
-        / (1 + eta * a * _omega_orbit(M, r_C) / (1 - x_c))
-    return pref * (arg_c / arg_b).sqrt()
+@contextmanager
+def _exact(digits: int, *values: float):
+    """Working context of every exact form: refuses fewer than MIN_DIGITS,
+    sets the precision and yields the inputs (floats, and the +-1 direction
+    flags) as exact Decimals, so the oracle sees literally the same numbers
+    as the pipeline.
 
-
-def _schw_shift(M, r_A, r_B) -> Decimal:
-    num = 1 - 2 * M / r_A
-    den = 1 - 3 * M / r_B
-    _require_positive(num, "the emitter factor")
-    _require_positive(den, "the receiver factor")
-    return (num / den).sqrt()
-
-
-def _kappa(M, a, r) -> Decimal:
-    one_minus_x = 1 - 2 * M / r
-    _require_positive(one_minus_x, "1 - 2M/r")
-    return 1 + (a * a / (r * r)) * (1 + 2 * M / r) \
-        + 4 * M * M * a * a / (r ** 4 * one_minus_x)
-
-
-def eval_exact(expr: ExactExpr, inputs: dict, digits: int = MIN_DIGITS,
-               k: PhysicalConstants = CONSTANTS) -> BigReal:
-    """Evaluate one closed form in decimal arithmetic at the given precision.
-
-    ``inputs`` carries floats keyed by name; every float converts to Decimal
-    exactly, so the oracle sees literally the same numbers as the pipeline.
-    Required keys per expression:
-
-    * GROUND_SHIFT: M, a, r_A, omega_A_si, r_B, eps
-    * SAT_SHIFT:    M, a, r_C, r_B, eta, eps
-    * SCHW_SHIFT:   M, r_A, r_B
-    * GAMMA_GROUND: M, a, r, omega_si
-    * GAMMA_ORBIT:  M, a, r, eps
-    * KAPPA:        M, a, r
-
-    The result is reliable to about ``digits - 10`` significant digits; the
+    A result is reliable to about ``digits - 10`` significant digits; the
     remaining digits are guard digits for rounding inside the evaluation.
     """
     if digits < MIN_DIGITS:
         raise DomainError(f"oracle precision must be at least {MIN_DIGITS} digits")
     with localcontext() as ctx:
         ctx.prec = digits
-        g = {key: _D(val) for key, val in inputs.items()
-             if key not in ("eps", "eta")}
-        eps = int(inputs.get("eps", +1))
-        eta = int(inputs.get("eta", +1))
-        if expr is ExactExpr.GROUND_SHIFT:
-            w = g["omega_A_si"] / _D(k.c)
-            value = _ground_shift(g["M"], g["a"], g["r_A"], w, g["r_B"], eps)
-        elif expr is ExactExpr.SAT_SHIFT:
-            value = _sat_shift(g["M"], g["a"], g["r_C"], g["r_B"], eta, eps)
-        elif expr is ExactExpr.SCHW_SHIFT:
-            value = _schw_shift(g["M"], g["r_A"], g["r_B"])
-        elif expr is ExactExpr.GAMMA_GROUND:
-            w = g["omega_si"] / _D(k.c)
-            arg = _gamma_ground_arg(g["M"], g["a"], g["r"], w)
-            _require_positive(arg, "the ground-station normalization argument")
-            value = 1 / arg.sqrt()
-        elif expr is ExactExpr.GAMMA_ORBIT:
-            arg = _gamma_orbit_arg(g["M"], g["a"], g["r"], eps)
-            _require_positive(arg, "the orbit normalization argument")
-            value = 1 / arg.sqrt()
-        elif expr is ExactExpr.KAPPA:
-            value = _kappa(g["M"], g["a"], g["r"])
-        else:  # pragma: no cover - exhaustive enum
-            raise DomainError(f"unknown expression {expr}")
-        return BigReal(+value, digits)
+        yield [_D(v) for v in values]
+
+
+def shift_exact_ground(M: float, a: float, r_A: float, omega_A_si: float,
+                       r_B: float, eps: int = +1, digits: int = MIN_DIGITS,
+                       k: PhysicalConstants = CONSTANTS) -> Decimal:
+    """Shift f from a ground station at r_A spinning at omega_A_si (rad/s) to
+    an orbit at r_B."""
+    with _exact(digits, M, a, r_A, omega_A_si, r_B, k.c, eps) as inputs:
+        M, a, r_A, w, r_B, c, eps = inputs
+        return _ground_shift(M, a, r_A, w / c, r_B, eps)
+
+
+def shift_exact_sats(M: float, a: float, r_C: float, r_B: float,
+                     eta: int = +1, eps: int = +1,
+                     digits: int = MIN_DIGITS) -> Decimal:
+    """Shift f from an orbit at r_C (direction eta) to one at r_B (eps)."""
+    with _exact(digits, M, a, r_C, r_B, eta, eps) as (M, a, r_C, r_B, eta, eps):
+        arg_c = _gamma_orbit_arg(M, a, r_C, eta)
+        arg_b = _gamma_orbit_arg(M, a, r_B, eps)
+        _require_positive(arg_c, "the emitter-orbit normalization argument")
+        _require_positive(arg_b, "the receiver-orbit normalization argument")
+        x_c = 2 * M / r_C
+        x_b = 2 * M / r_B
+        pref = (1 + eps * a * _omega_orbit(M, r_B) / (1 - x_b)) \
+            / (1 + eta * a * _omega_orbit(M, r_C) / (1 - x_c))
+        return pref * (arg_c / arg_b).sqrt()
+
+
+def shift_exact_schwarzschild(M: float, r_A: float, r_B: float,
+                              digits: int = MIN_DIGITS) -> Decimal:
+    """Non-rotating limit f = sqrt((1 - 2M/r_A)/(1 - 3M/r_B))."""
+    with _exact(digits, M, r_A, r_B) as (M, r_A, r_B):
+        num = 1 - 2 * M / r_A
+        den = 1 - 3 * M / r_B
+        _require_positive(num, "the emitter factor")
+        _require_positive(den, "the receiver factor")
+        return (num / den).sqrt()
+
+
+def gamma_exact_ground(M: float, a: float, r: float, omega_si: float,
+                       digits: int = MIN_DIGITS,
+                       k: PhysicalConstants = CONSTANTS) -> Decimal:
+    """Normalization gamma of a ground station at r spinning at omega_si."""
+    with _exact(digits, M, a, r, omega_si, k.c) as (M, a, r, w, c):
+        arg = _gamma_ground_arg(M, a, r, w / c)
+        _require_positive(arg, "the ground-station normalization argument")
+        return 1 / arg.sqrt()
+
+
+def gamma_exact_orbit(M: float, a: float, r: float, eps: int = +1,
+                      digits: int = MIN_DIGITS) -> Decimal:
+    """Normalization gamma of a circular orbit at r in direction eps."""
+    with _exact(digits, M, a, r, eps) as (M, a, r, eps):
+        arg = _gamma_orbit_arg(M, a, r, eps)
+        _require_positive(arg, "the orbit normalization argument")
+        return 1 / arg.sqrt()
+
+
+def kappa_exact(M: float, a: float, r: float, digits: int = MIN_DIGITS) -> Decimal:
+    """Squared-radial-component factor kappa of a radial photon at r."""
+    with _exact(digits, M, a, r) as (M, a, r):
+        one_minus_x = 1 - 2 * M / r
+        _require_positive(one_minus_x, "1 - 2M/r")
+        return 1 + (a * a / (r * r)) * (1 + 2 * M / r) \
+            + 4 * M * M * a * a / (r ** 4 * one_minus_x)
 
 
 def delta_exact_ground(M: float, a: float, r_A: float, omega_A_si: float,
                        r_B: float, eps: int = +1, digits: int = MIN_DIGITS,
                        k: PhysicalConstants = CONSTANTS) -> Decimal:
     """delta = f - 1 for the ground link, in decimal arithmetic."""
-    f = eval_exact(ExactExpr.GROUND_SHIFT,
-                   dict(M=M, a=a, r_A=r_A, omega_A_si=omega_A_si, r_B=r_B, eps=eps),
-                   digits, k)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return f.value - 1
+    with _exact(digits):
+        return shift_exact_ground(M, a, r_A, omega_A_si, r_B, eps, digits, k) - 1
 
 
 def delta_exact_sats(M: float, a: float, r_C: float, r_B: float,
                      eta: int = +1, eps: int = +1,
                      digits: int = MIN_DIGITS) -> Decimal:
     """delta = f - 1 for the orbit-to-orbit link, in decimal arithmetic."""
-    f = eval_exact(ExactExpr.SAT_SHIFT,
-                   dict(M=M, a=a, r_C=r_C, r_B=r_B, eta=eta, eps=eps), digits)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return f.value - 1
+    with _exact(digits):
+        return shift_exact_sats(M, a, r_C, r_B, eta, eps, digits) - 1
 
 
 class SeriesParam(enum.Enum):
@@ -263,17 +241,6 @@ class TraceSample:
     rdot_dev: float
     energy_dev: float
 
-    @property
-    def tdot(self) -> float:
-        return 1.0 + self.tdot_dev
-
-    @property
-    def rdot(self) -> float:
-        return 1.0 + self.rdot_dev
-
-    @property
-    def energy_check(self) -> float:
-        return 1.0 + self.energy_dev
 
 
 @dataclass(frozen=True)
@@ -418,9 +385,9 @@ def integrate_schwarzschild_radial(M_geom: float, r_A: float, r_B: float,
     one = DD(1.0)
     x_a_dd = DD.quotient(2.0 * M, r_A) if M else DD(0.0)
     x_b_dd = DD.quotient(2.0 * M, r_B) if M else DD(0.0)
-    y_b_dd = (DD.product(3.0, M) / DD.of(r_B)) if M else DD(0.0)
+    y_b_dd = (DD.product(3.0, M) / r_B) if M else DD(0.0)
     gamma_a = one / (one - x_a_dd).sqrt()
     gamma_b = one / (one - y_b_dd).sqrt()
-    num = gamma_b * (one - x_b_dd) * (one + DD.of(q_end))
-    den = gamma_a * (one - x_a_dd) * (one + DD.of(q0))
+    num = gamma_b * (one - x_b_dd) * (one + q_end)
+    den = gamma_a * (one - x_a_dd) * (one + q0)
     return RadialGeodesicResult(trace=trace, f_numeric=num / den)

@@ -116,7 +116,7 @@ def _assemble(pn: DD, pd: DD, dev_emit: DD, dev_recv: DD, emit_name: str,
 def _ground_parts(p: SpacetimeParams, station: Worldline) -> tuple[DD, DD]:
     """(prefactor denominator term pd, emitter-side deviation) for a station."""
     x = DD.quotient(2.0 * p.M_geom, station.r)
-    wg = DD.of(station.omega_geom)
+    wg = station.omega_geom
     aw = wg * p.a
     dev = wg * wg * (DD.product(station.r, station.r) + DD.product(p.a, p.a)) \
         + x * (ONE - aw) ** 2
@@ -172,7 +172,7 @@ def shift_schwarzschild(M_geom: float, r_A: float, r_B: float) -> ShiftResult:
     if M_geom > 0.0 and r_B <= 3.0 * M_geom:
         raise DomainError(f"receiver radius {r_B} m does not exceed 3M")
     dev_emit = DD.quotient(2.0 * M_geom, r_A) if M_geom else DD(0.0)
-    dev_recv = (DD.product(3.0, M_geom) / DD.of(r_B)) if M_geom else DD(0.0)
+    dev_recv = (DD.product(3.0, M_geom) / r_B) if M_geom else DD(0.0)
     return _assemble(DD(0.0), DD(0.0), dev_emit, dev_recv,
                      "the emitter factor", "the receiver factor",
                      ShiftMethod.SCHWARZSCHILD_LIMIT)
@@ -210,8 +210,13 @@ def shift_via_contraction(s: LinkScenario) -> ShiftResult:
     return ShiftResult(f=f, delta=f - ONE, method=ShiftMethod.CONTRACTION)
 
 
-def find_zero_shift_orbit(s: LinkScenario, r_lo: float, r_hi: float,
-                          target: float = 1e-18, max_iter: int = 200) -> float:
+# |delta| below which a bisection midpoint is taken as the zero-shift radius
+ZERO_SHIFT_TOLERANCE = 1e-18
+# halving a float bracket exhausts its resolution long before this
+_MAX_BISECTIONS = 200
+
+
+def find_zero_shift_orbit(s: LinkScenario, r_lo: float, r_hi: float) -> float:
     """Receiver radius at which delta vanishes, by bisection on the
     compensated delta.
 
@@ -237,21 +242,22 @@ def find_zero_shift_orbit(s: LinkScenario, r_lo: float, r_hi: float,
             f"(delta = {d_lo.to_float():.3e} and {d_hi.to_float():.3e})"
         )
     lo, hi = r_lo, r_hi
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # float resolution exhausted
             break
         d_mid = delta_at(mid)
         sg = d_mid.sign()
-        if sg == 0 or abs(d_mid.to_float()) < target:
+        if sg == 0 or abs(d_mid.to_float()) < ZERO_SHIFT_TOLERANCE:
             return mid
         if sg == d_lo.sign():
             lo = mid
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
-    if abs(delta_at(mid).to_float()) < target:
+    if abs(delta_at(mid).to_float()) < ZERO_SHIFT_TOLERANCE:
         return mid
     raise NoRootInBracketError(
-        f"bisection exhausted float resolution without reaching |delta| < {target}"
+        "bisection exhausted float resolution without reaching "
+        f"|delta| < {ZERO_SHIFT_TOLERANCE}"
     )

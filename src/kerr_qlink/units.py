@@ -8,6 +8,7 @@ boundary: omega_geometric = omega_SI / c, in 1/m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -65,6 +66,10 @@ class SpacetimeParams:
     a: float  # spin parameter J/M, m
 
     def __post_init__(self):
+        for name in ("M_geom", "a"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(
+                    f"SpacetimeParams.{name} must be finite, got {getattr(self, name)}")
         if self.M_geom <= 0.0:
             raise DomainError("geometric mass must be positive")
         if self.a < 0.0:

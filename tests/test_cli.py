@@ -113,6 +113,10 @@ class TestSweepSpec:
             SweepSpec("r_B", 1.0, 2.0, 1)
         with pytest.raises(ConfigError):
             SweepSpec("r_B", -1.0, 2.0, 5, "log")
+        with pytest.raises(ConfigError, match="finite"):
+            SweepSpec("r_B", 8e6, float("inf"), 3)
+        with pytest.raises(ConfigError, match="finite"):
+            SweepSpec("r_B", -float("inf"), 8e6, 3)
 
     def test_apply_r_c_needs_sat_scheme(self):
         spec = SweepSpec("r_C", 7e6, 8e6, 3)
@@ -362,6 +366,21 @@ class TestCliEntry:
         path.write_text(overlay)
         assert main(["report", "--preset", preset, "--config", str(path)]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("bounds", [
+        "sweep_lo = 8e6\nsweep_hi = inf\n",
+        "sweep_lo = -inf\nsweep_hi = 8e6\n",
+    ])
+    def test_non_finite_sweep_bound_is_config_error(self, tmp_path, capsys,
+                                                    bounds):
+        path = tmp_path / "bad.cfg"
+        path.write_text("sweep_variable = r_B\n" + bounds + "sweep_points = 3\n")
+        out = tmp_path / "rows.csv"
+        code = main(["sweep", "--preset", "earth-leo", "--config", str(path),
+                     "--out", str(out), "--no-timestamp"])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
 
 class TestLeanReportPath:

@@ -136,13 +136,6 @@ def test_abs_and_neg():
     assert (-x).lo == -1e-17
 
 
-def test_from_decimal_round_trip():
-    from decimal import Decimal
-    d = Decimal("1.00000000000000000000000001")
-    x = DD.from_decimal(d)
-    assert abs(float(x.to_decimal() - d)) < 1e-33
-
-
 def test_to_decimal_resolves_lo_limb_near_one():
     # the ambient 28-digit context must not truncate the lo limb of a value
     # whose hi part is order one

@@ -1,5 +1,7 @@
 """Metric components, four-velocities, the radial photon and contractions."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +73,18 @@ class TestWorldline:
     def test_direction_validated(self):
         with pytest.raises(DomainError):
             Worldline.circular_orbit(leo_radius(), 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_radius_refused(self, bad):
+        with pytest.raises(DomainError, match="Worldline.r must be finite"):
+            Worldline.circular_orbit(bad)
+        with pytest.raises(DomainError, match="Worldline.r must be finite"):
+            Worldline.ground_station(bad, EARTH.omega_A)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spin_rate_refused(self, bad):
+        with pytest.raises(DomainError, match="Worldline.omega_geom must be finite"):
+            Worldline.ground_station(EARTH.r_A, bad)
 
     def test_orbit_omega_recomputed(self):
         w = orbit_angular_velocity(P, geo_radius())

@@ -23,7 +23,6 @@ from kerr_qlink.metrology import (
     regime_check,
     shift_uncertainty_floor,
 )
-from kerr_qlink.perturb import ParamTarget
 from kerr_qlink.units import geo_radius, leo_radius
 
 CFG = MetrologyConfig()
@@ -150,7 +149,6 @@ class TestBounds:
         assert leo.relative_bound == pytest.approx(expected.BOUND_RS_LEO, rel=1e-12)
         assert geo.relative_bound == pytest.approx(expected.BOUND_RS_GEO, rel=1e-12)
         assert sats.relative_bound == pytest.approx(expected.BOUND_RS_SATS, rel=1e-12)
-        assert leo.target is ParamTarget.SCHWARZSCHILD_RADIUS
 
     def test_angular_velocity_ground(self):
         dec = earth_decomposition(leo_radius())
@@ -160,7 +158,7 @@ class TestBounds:
 
     def test_angular_velocity_sats_beyond_unity(self):
         dec = sats_decomposition(leo_radius(), geo_radius())
-        bound = bound_angular_velocity(CFG, dec, ParamTarget.KERR_PARAMETER)
+        bound = bound_angular_velocity(CFG, dec)
         assert bound.relative_bound == pytest.approx(
             expected.BOUND_OMEGA_SATS, rel=1e-12)
         assert bound.relative_bound > 1.0

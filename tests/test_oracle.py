@@ -1,28 +1,36 @@
 """Arbitrary-precision oracle: exact evaluation, series extraction, geodesics."""
 
 import random
-from decimal import Decimal
+import struct
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expected
 from conftest import earth_decomposition
 from kerr_qlink.errors import DomainError
 from kerr_qlink.geometry import Worldline
 from kerr_qlink.oracle import (
-    BigReal,
-    ExactExpr,
     SeriesParam,
     delta_exact_ground,
     delta_exact_sats,
-    eval_exact,
     extract_series_coefficient,
+    gamma_exact_ground,
+    gamma_exact_orbit,
     integrate_schwarzschild_radial,
+    kappa_exact,
+    shift_exact_ground,
+    shift_exact_sats,
+    shift_exact_schwarzschild,
 )
 from kerr_qlink.shift import (
     LinkScenario,
     LinkScheme,
+    shift,
     shift_ground_to_sat,
+    shift_sat_to_sat,
     shift_schwarzschild,
 )
 from kerr_qlink.units import CONSTANTS, EARTH, SpacetimeParams, geo_radius, leo_radius
@@ -45,9 +53,8 @@ class TestEvalExact:
 
     def test_kappa_identity_full_precision(self):
         # kappa (1 - 2M/r) - Delta vanishes to the working precision
-        from decimal import localcontext
         r = leo_radius()
-        kappa = eval_exact(ExactExpr.KAPPA, dict(M=P.M_geom, a=P.a, r=r), 60).value
+        kappa = kappa_exact(P.M_geom, P.a, r, 60)
         with localcontext() as ctx:
             ctx.prec = 60
             M, a, rr = Decimal(P.M_geom), Decimal(P.a), Decimal(r)
@@ -56,35 +63,22 @@ class TestEvalExact:
         assert abs(float(residual)) < 1e-45
 
     def test_flat_limit_is_exactly_one(self):
-        f = eval_exact(ExactExpr.GROUND_SHIFT,
-                       dict(M=0.0, a=0.0, r_A=EARTH.r_A, omega_A_si=0.0,
-                            r_B=leo_radius(), eps=1), 50)
-        assert f.value == 1
+        f = shift_exact_ground(0.0, 0.0, EARTH.r_A, 0.0, leo_radius(), 1, 50)
+        assert f == 1
 
     def test_gamma_ground(self):
-        g = eval_exact(ExactExpr.GAMMA_GROUND,
-                       dict(M=P.M_geom, a=P.a, r=EARTH.r_A,
-                            omega_si=EARTH.omega_A), 50)
-        assert float(g.value - 1) == pytest.approx(expected.GAMMA_A_MINUS_1, rel=1e-10)
+        g = gamma_exact_ground(P.M_geom, P.a, EARTH.r_A, EARTH.omega_A, 50)
+        assert float(g - 1) == pytest.approx(expected.GAMMA_A_MINUS_1, rel=1e-10)
 
     def test_gamma_orbit_direction_split(self):
-        plus = eval_exact(ExactExpr.GAMMA_ORBIT,
-                          dict(M=P.M_geom, a=P.a, r=geo_radius(), eps=1), 50)
-        minus = eval_exact(ExactExpr.GAMMA_ORBIT,
-                           dict(M=P.M_geom, a=P.a, r=geo_radius(), eps=-1), 50)
-        assert float(plus.value - minus.value) == pytest.approx(
+        plus = gamma_exact_orbit(P.M_geom, P.a, geo_radius(), 1, 50)
+        minus = gamma_exact_orbit(P.M_geom, P.a, geo_radius(), -1, 50)
+        assert float(plus - minus) == pytest.approx(
             expected.GAMMA_B_DIRECTION_SPLIT_GEO, rel=1e-10)
 
     def test_precision_floor_enforced(self):
         with pytest.raises(DomainError):
-            eval_exact(ExactExpr.KAPPA, dict(M=P.M_geom, a=P.a, r=leo_radius()), 40)
-
-    def test_returns_bigreal(self):
-        out = eval_exact(ExactExpr.SCHW_SHIFT,
-                         dict(M=P.M_geom, r_A=EARTH.r_A, r_B=leo_radius()), 50)
-        assert isinstance(out, BigReal)
-        assert out.digits == 50
-        assert out.to_dd().to_float() == pytest.approx(out.to_float(), rel=1e-15)
+            kappa_exact(P.M_geom, P.a, leo_radius(), 40)
 
     def test_sat_shift_matches_frozen(self):
         d = delta_exact_sats(P.M_geom, P.a, leo_radius(), geo_radius(), 1, 1, 50)
@@ -93,8 +87,7 @@ class TestEvalExact:
     def test_schwarzschild_pipeline_against_oracle(self):
         for r_b in (leo_radius(), geo_radius(), 1.5 * EARTH.r_A):
             mine = shift_schwarzschild(P.M_geom, EARTH.r_A, r_b).f.to_decimal()
-            ref = eval_exact(ExactExpr.SCHW_SHIFT,
-                             dict(M=P.M_geom, r_A=EARTH.r_A, r_B=r_b), 50).value
+            ref = shift_exact_schwarzschild(P.M_geom, EARTH.r_A, r_b, 50)
             assert abs(float(mine - ref)) <= 1e-28
 
     def test_orbit_normalization_against_oracle(self):
@@ -102,9 +95,7 @@ class TestEvalExact:
         for eps in (+1, -1):
             gamma, _, _ = orbit_normalization(
                 P, Worldline.circular_orbit(leo_radius(), eps))
-            ref = eval_exact(ExactExpr.GAMMA_ORBIT,
-                             dict(M=P.M_geom, a=P.a, r=leo_radius(), eps=eps),
-                             50).value
+            ref = gamma_exact_orbit(P.M_geom, P.a, leo_radius(), eps, 50)
             assert abs(float(gamma.to_decimal() - ref)) <= 1e-28
 
 
@@ -133,6 +124,65 @@ class TestPipelineAgreement:
             mine = shift_ground_to_sat(s).delta.to_decimal()
             ref = delta_exact_ground(m, a, r_a, w, r_b, eps, 50)
             assert abs(float(mine - ref)) <= 1e-28
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(0.0, 1.0).map(lambda u: lo * (hi / lo) ** u)
+
+
+def _zero_or_log_uniform(earth_value: float):
+    return st.one_of(st.just(0.0), _log_uniform(1e-3 * earth_value, 10.0 * earth_value))
+
+
+_masses = _log_uniform(0.1 * P.M_geom, 10.0 * P.M_geom)
+_spins = _zero_or_log_uniform(P.a)
+_directions = st.sampled_from((+1, -1))
+
+
+def _bits(r) -> bytes:
+    return struct.pack("4d", r.f.hi, r.f.lo, r.delta.hi, r.delta.lo)
+
+
+def _assert_within_oracle(r, f_ref: Decimal, delta_ref: Decimal):
+    with localcontext() as ctx:
+        ctx.prec = 120  # holds hi + lo exactly
+        assert abs(r.delta.to_decimal() - delta_ref) <= Decimal("1e-28")
+        assert abs(r.f.to_decimal() - f_ref) <= Decimal("1e-28")
+
+
+class TestWideDomainAgainstOracle:
+    """Both link schemes over the whole CLI-reachable domain, not just around
+    Earth: 0.1-10x Earth's mass, spin and spin rate each zero or spread over
+    four decades, radii over decades and both orbit directions."""
+
+    @given(m=_masses, a=_spins, w=_zero_or_log_uniform(EARTH.omega_A),
+           r_a=_log_uniform(1e6, 1e7), ratio=_log_uniform(1.001, 1e3),
+           eps=_directions)
+    @settings(max_examples=200)
+    def test_ground_link(self, m, a, w, r_a, ratio, eps):
+        r_b = r_a * ratio
+        s = LinkScenario(LinkScheme.GROUND_TO_SAT,
+                         Worldline.ground_station(r_a, w),
+                         Worldline.circular_orbit(r_b, eps),
+                         SpacetimeParams(m, a))
+        r = shift(s)
+        assert _bits(r) == _bits(shift_ground_to_sat(s))
+        _assert_within_oracle(r, shift_exact_ground(m, a, r_a, w, r_b, eps, 50),
+                              delta_exact_ground(m, a, r_a, w, r_b, eps, 50))
+
+    @given(m=_masses, a=_spins, r_c=_log_uniform(1e6, 1e8),
+           ratio=_log_uniform(1.0 + 1e-6, 1e3), eta=_directions, eps=_directions)
+    @settings(max_examples=200)
+    def test_sat_link(self, m, a, r_c, ratio, eta, eps):
+        r_b = r_c * ratio
+        s = LinkScenario(LinkScheme.SAT_TO_SAT,
+                         Worldline.circular_orbit(r_c, eta),
+                         Worldline.circular_orbit(r_b, eps),
+                         SpacetimeParams(m, a))
+        r = shift(s)
+        assert _bits(r) == _bits(shift_sat_to_sat(s))
+        _assert_within_oracle(r, shift_exact_sats(m, a, r_c, r_b, eta, eps, 50),
+                              delta_exact_sats(m, a, r_c, r_b, eta, eps, 50))
 
 
 class TestSeriesExtraction:

@@ -92,6 +92,16 @@ class TestSpacetimeParams:
         with pytest.raises(DomainError):
             SpacetimeParams(1.0, -0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mass_refused(self, bad):
+        with pytest.raises(DomainError, match="SpacetimeParams.M_geom must be finite"):
+            SpacetimeParams(bad, 3.26)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_spin_refused(self, bad):
+        with pytest.raises(DomainError, match="SpacetimeParams.a must be finite"):
+            SpacetimeParams(expected.M_GEOM, bad)
+
     def test_angular_momentum(self):
         p = SpacetimeParams(2.0, 3.0)
         assert p.J_geom == 6.0
