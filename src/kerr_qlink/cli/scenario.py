@@ -45,8 +45,9 @@ class ScenarioConfig:
             raise ConfigError("receiver_radius_m must be set to a positive value")
         if self.emitter_radius_m <= 0.0:
             raise ConfigError("emitter_radius_m must be positive")
-        if self.emitter_direction not in (-1, +1) or self.receiver_direction not in (-1, +1):
-            raise ConfigError("direction flags must be +1 or -1")
+        for name in sorted(_INT_KEYS):
+            if type(getattr(self, name)) is not int or getattr(self, name) not in (-1, +1):
+                raise ConfigError(f"{name} must be the int +1 or -1")
         if self.scheme is LinkScheme.SAT_TO_SAT \
                 and self.receiver_radius_m <= self.emitter_radius_m:
             raise ConfigError("sat-to-sat scenarios need receiver above emitter")

@@ -49,8 +49,10 @@ class Worldline:
                 f"Worldline.omega_geom must be finite, got {self.omega_geom!r}")
         if self.r <= 0.0:
             raise DomainError("worldline radius must be positive")
-        if self.direction not in (+1, -1):
-            raise DomainError(f"direction must be +1 or -1, got {self.direction}")
+        # by type too: True == 1 and 1.0 == 1 would otherwise pass as signs
+        if type(self.direction) is not int or self.direction not in (+1, -1):
+            raise DomainError(
+                f"Worldline.direction must be the int +1 or -1, got {self.direction!r}")
         if self.kind is WorldlineKind.CIRCULAR_ORBIT and self.omega_geom.sign() != 0:
             raise DomainError("circular orbits must not store an angular velocity")
 

@@ -22,8 +22,10 @@ class PhysicalConstants:
     c: float = 2.99792458e8  # m/s
 
     def __post_init__(self):
-        if self.G <= 0.0 or self.c <= 0.0:
-            raise DomainError("physical constants must be strictly positive")
+        for name in ("G", "c"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"PhysicalConstants.{name} must be finite and "
+                                  f"positive, got {getattr(self, name)}")
 
 
 CONSTANTS = PhysicalConstants()
@@ -31,8 +33,8 @@ CONSTANTS = PhysicalConstants()
 
 def geometric_mass(mass_kg: float, k: PhysicalConstants = CONSTANTS) -> float:
     """Convert a mass in kg to its geometric length G*m/c^2 in meters."""
-    if mass_kg <= 0.0:
-        raise DomainError(f"mass must be positive, got {mass_kg}")
+    if not 0.0 < mass_kg < math.inf:
+        raise DomainError(f"mass_kg must be finite and positive, got {mass_kg}")
     return k.G * mass_kg / (k.c * k.c)
 
 
@@ -102,8 +104,9 @@ class EarthModel:
 
     def __post_init__(self):
         for name in ("mass_kg", "r_A", "omega_A", "a_m", "inertia"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"EarthModel.{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"EarthModel.{name} must be finite and "
+                                  f"positive, got {getattr(self, name)}")
         implied = kerr_parameter_from_inertia(self.inertia, self.omega_A, self.mass_kg)
         if abs(implied - self.a_m) > 0.01 * self.a_m:
             raise DomainError(

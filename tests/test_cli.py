@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -310,6 +311,16 @@ class TestCliEntry:
         path.write_text("nonsense = 1\n")
         assert main(["report", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("field", ["emitter_direction", "receiver_direction"])
+    @pytest.mark.parametrize("bad", [True, 1.0, -1.0])
+    def test_library_config_direction_must_be_an_int(self, monkeypatch, capsys,
+                                                      field, bad):
+        # a config built in code skips the parser's int conversion
+        cfg = replace(PRESETS["leo-geo-sat"], **{field: bad})
+        monkeypatch.setitem(PRESETS, "typed", cfg)
+        assert main(["report", "--preset", "typed"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_physics_error_exit_code(self, tmp_path, capsys):
         # a receiver inside 2M is a physics domain error, not a config error
         path = tmp_path / "deep.cfg"
@@ -410,6 +421,19 @@ class TestLeanReportPath:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "5 0 []"
+
+    def test_verify_full_loads_neither_scipy_nor_numpy(self):
+        # the overlap quadrature cross-check is written with the stdlib
+        src = os.path.dirname(os.path.dirname(kerr_qlink.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys\n"
+                "from kerr_qlink.cli.main import main\n"
+                "code = main(['verify', 'full'])\n"
+                "print(code, sorted({'scipy', 'numpy'} & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        lines = proc.stdout.strip().splitlines()
+        assert lines[-2:] == ["27/28 checks passed", "4 []"]
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_report_assembles_the_shift_once(self, monkeypatch, preset):

@@ -74,6 +74,12 @@ class TestWorldline:
         with pytest.raises(DomainError):
             Worldline.circular_orbit(leo_radius(), 2)
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0, -1.0])
+    def test_direction_must_be_an_int(self, bad):
+        # equal by value to +-1 (or 0), but not an int sign
+        with pytest.raises(DomainError, match="Worldline.direction"):
+            Worldline.circular_orbit(leo_radius(), bad)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_radius_refused(self, bad):
         with pytest.raises(DomainError, match="Worldline.r must be finite"):

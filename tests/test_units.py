@@ -47,6 +47,11 @@ class TestGeometricMass:
         with pytest.raises(DomainError):
             geometric_mass(-1e20)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mass_refused(self, bad):
+        with pytest.raises(DomainError, match="mass_kg must be finite"):
+            geometric_mass(bad)
+
     @given(st.floats(min_value=1e10, max_value=1e35))
     def test_linearity(self, mass):
         assert geometric_mass(2.0 * mass) == pytest.approx(
@@ -116,6 +121,12 @@ class TestEarthModel:
         with pytest.raises(DomainError):
             EarthModel(r_A=-1.0)
 
+    @pytest.mark.parametrize("field", ["mass_kg", "r_A", "omega_A", "a_m", "inertia"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_fields_refused(self, field, bad):
+        with pytest.raises(DomainError, match=f"EarthModel.{field} must be finite"):
+            EarthModel(**{field: bad})
+
     def test_preset_radii(self):
         assert leo_radius() == EARTH.r_A + 2.000e6
         assert geo_radius() == EARTH.r_A + 3.5784e7
@@ -169,3 +180,10 @@ def test_constants_immutable_and_positive():
         CONSTANTS.c = 1.0
     with pytest.raises(DomainError):
         PhysicalConstants(G=-1.0)
+
+
+@pytest.mark.parametrize("field", ["G", "c"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_constants_refused(field, bad):
+    with pytest.raises(DomainError, match=f"PhysicalConstants.{field} must be finite"):
+        PhysicalConstants(**{field: bad})

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import expected
 from kerr_qlink.ddouble import DD
-from kerr_qlink.errors import DomainError
+from kerr_qlink.errors import DomainError, NumericalError
 from kerr_qlink.wavepacket import (
     GaussianWavepacket,
     overlap_analytic,
@@ -149,14 +149,39 @@ class TestOverlapNumeric:
         assert mid - 12.0 * sbar > 0.0
         assert mid / sbar > 1e8
 
-    def test_moderate_width_mismatch(self):
-        # widths differing by 2x, peaks 1 sigma apart: closed two-Gaussian form
-        a = GaussianWavepacket.of(1e9, 2e3)
-        b = GaussianWavepacket.of(1e9 + 1e3, 1e3)
-        s1, s2, d = 2e3, 1e3, 1e3
-        want = math.sqrt(2 * s1 * s2 / (s1 ** 2 + s2 ** 2)) \
-            * math.exp(-d ** 2 / (4 * (s1 ** 2 + s2 ** 2)))
-        assert overlap_numeric(a, b).theta == pytest.approx(want, rel=1e-10)
+    @pytest.mark.parametrize("p1, s1, p2, s2", [
+        (1e9, 2e3, 1e9 + 1e3, 1e3),
+        (10.0, 2.0, 11.0, 2.0),
+        (5.0, 1.0, 5.0, 1.0),
+        (1.0, 1.0, 2.0, 1.5),
+        (7e14 + 2e7, 1e6, 7e14, 1e6),
+    ], ids=["width-mismatch", "cut-10-11", "cut-5-5", "cut-1-2", "disjoint"])
+    def test_closed_form_with_zero_frequency_cut(self, p1, s1, p2, s2):
+        # the product of the amplitudes is one Gaussian of width tau about
+        # mu, integrated over W >= 0; the cut at zero frequency lies inside
+        # the 12-sigma window and binds in the three "cut" cases, and the
+        # disjoint packets (theta = e^-50) need a relative error estimate
+        S = s1 ** 2 + s2 ** 2
+        tau = math.sqrt(2 * s1 ** 2 * s2 ** 2 / S)
+        mu = (p1 * s2 ** 2 + p2 * s1 ** 2) / S
+        want = (2 * math.pi * s1 * s2) ** -0.5 * math.exp(-(p1 - p2) ** 2 / (4 * S)) \
+            * tau * math.sqrt(math.pi / 2) * math.erfc(-mu / (tau * math.sqrt(2)))
+        got = overlap_numeric(GaussianWavepacket.of(p1, s1),
+                              GaussianWavepacket.of(p2, s2))
+        assert got.theta == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_narrow_spike_is_resolved_or_refused(self):
+        # a 1 kHz packet against a 1 GHz one: the integrand is a spike about
+        # 2e-6 wide in the 24-unit window, and a rule that misses it must say
+        # so rather than return 0
+        s1, s2 = 1e3, 1e9
+        want = math.sqrt(2 * s1 * s2 / (s1 ** 2 + s2 ** 2))
+        try:
+            theta = overlap_numeric(GaussianWavepacket.of(7e14, s1),
+                                    GaussianWavepacket.of(7e14, s2)).theta
+        except NumericalError:
+            return
+        assert abs(theta - want) <= 1e-9
 
 
 def test_packet_validation():
