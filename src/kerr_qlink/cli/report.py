@@ -22,17 +22,21 @@ from typing import Optional
 from ..ddouble import DD
 from ..errors import DomainError, HigherOrderRegimeError, KerrQlinkError
 from ..metrology import (
-    bound_angular_velocity,
-    bound_schwarzschild_radius,
     orders_vs_state_of_the_art,
     qber,
     qfi,
     regime_check,
     shift_uncertainty_floor,
 )
-from ..perturb import decompose_ground, decompose_sats
-from ..shift import LinkScheme, shift
-from ..units import CONSTANTS
+from ..perturb import (
+    _decompose_ground,
+    decompose_sats,
+    delta_rotation_term_ground,
+    error_angular_velocity,
+    error_schwarzschild_radius,
+)
+from ..shift import LinkScheme, _closed_form, _emitter_terms, _receiver_terms
+from ..units import CONSTANTS, SpacetimeParams
 from ..wavepacket import overlap_analytic
 from .scenario import ScenarioConfig, SweepSpec
 
@@ -125,8 +129,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _ratios_block(cfg: ScenarioConfig) -> dict:
-    p = cfg.spacetime()
+def _ratios_block(cfg: ScenarioConfig, p: SpacetimeParams) -> dict:
     out = {
         "M/r_emitter": p.M_geom / cfg.emitter_radius_m,
         "M/r_receiver": p.M_geom / cfg.receiver_radius_m,
@@ -139,74 +142,135 @@ def _ratios_block(cfg: ScenarioConfig) -> dict:
     return out
 
 
+# The pipeline's stages.  Each reads only the config fields of its key in
+# _Pipeline.report.
+
+def _emitter_stage(p: SpacetimeParams, cfg: ScenarioConfig):
+    """Checked emitter terms, and the rotation term of a ground station."""
+    terms = _emitter_terms(p, cfg.emitter())
+    if cfg.scheme is LinkScheme.GROUND_TO_SAT:
+        return terms, delta_rotation_term_ground(cfg.emitter_radius_m,
+                                                 cfg.ground_omega_rad_s)
+    return terms, None
+
+
+def _receiver_stage(p: SpacetimeParams, cfg: ScenarioConfig):
+    return _receiver_terms(p, cfg.receiver())
+
+
+def _link_stage(p: SpacetimeParams, cfg: ScenarioConfig, emitter, receiver_terms):
+    """The shift and its decomposition."""
+    emitter_terms, d_rot = emitter
+    result = _closed_form(cfg.scheme, emitter_terms, receiver_terms)
+    if cfg.scheme is LinkScheme.GROUND_TO_SAT:
+        dec = _decompose_ground(p, cfg.emitter_radius_m, cfg.receiver_radius_m,
+                                result.delta, d_rot)
+    else:
+        dec = decompose_sats(p, cfg.emitter_radius_m, cfg.receiver_radius_m,
+                             result.delta)
+    return result, dec
+
+
+def _metrology_stage(cfg: ScenarioConfig):
+    m = cfg.metrology()
+    return m, qfi(m), shift_uncertainty_floor(m), cfg.packet()
+
+
+class _Pipeline:
+    """The report pipeline as stages that each remember their last key and
+    result.
+
+    A stage runs again only when its key, the config fields it reads, differs
+    from the previous call's, so a sweep computes what its swept variable
+    does not touch once.  A stage that raises leaves its last result in place.
+    """
+
+    def __init__(self):
+        self._last: dict[str, tuple] = {}
+
+    def _stage(self, name: str, key: tuple, build, *args):
+        last = self._last.get(name)
+        if last is None or last[0] != key:
+            last = self._last[name] = (key, build(*args))
+        return last[1]
+
+    def report(self, cfg: ScenarioConfig) -> Report:
+        cfg = cfg.validate()
+        p = self._stage("spacetime", (cfg.planet_mass_kg,
+                                      cfg.planet_spin_parameter_m), cfg.spacetime)
+        if cfg.scheme is LinkScheme.GROUND_TO_SAT:
+            emitter_key = (p, cfg.scheme, cfg.emitter_radius_m,
+                           cfg.ground_omega_rad_s)
+        else:
+            emitter_key = (p, cfg.scheme, cfg.emitter_radius_m,
+                           cfg.emitter_direction)
+        receiver_key = (p, cfg.receiver_radius_m, cfg.receiver_direction)
+        emitter = self._stage("emitter", emitter_key, _emitter_stage, p, cfg)
+        receiver_terms = self._stage("receiver", receiver_key, _receiver_stage,
+                                     p, cfg)
+        result, dec = self._stage("link", (emitter_key, receiver_key),
+                                  _link_stage, p, cfg, emitter, receiver_terms)
+        m, qfi_value, floor, packet = self._stage(
+            "metrology", (cfg.probes, cfg.squeezing, cfg.bandwidth_hz,
+                          cfg.peak_frequency_hz), _metrology_stage, cfg)
+
+        delta_f = result.delta.to_float()
+        overlap = overlap_analytic(packet, delta_f)
+        notes: list[str] = []
+        if 0.0 < abs(dec.delta_rot.to_float()) < 2.3e-16:
+            notes.append(
+                "rotation term sits below double epsilon of the unit shift "
+                "ratio; its digits are carried by the compensated pipeline")
+
+        bound_rs = bound_omega = None
+        orders = None
+        try:
+            bound_rs = error_schwarzschild_radius(dec, floor)
+        except HigherOrderRegimeError as exc:
+            notes.append(str(exc))
+        try:
+            bound_omega = error_angular_velocity(dec, floor)
+            orders = orders_vs_state_of_the_art(bound_omega)
+        except DomainError as exc:
+            notes.append(str(exc))
+
+        status = regime_check(delta_f, m)
+        qber_value = None
+        if status:
+            qber_value = qber(delta_f, m)
+        else:
+            notes.append(f"QBER refused: {status.reason}")
+
+        return Report(
+            scheme=cfg.scheme.value,
+            emitter_radius_m=cfg.emitter_radius_m,
+            receiver_radius_m=cfg.receiver_radius_m,
+            ratios=_ratios_block(cfg, p),
+            f=result.f,
+            delta=result.delta,
+            delta_S=dec.delta_S.to_float(),
+            delta_rot=dec.delta_rot.to_float(),
+            delta_c=dec.delta_c.to_float(),
+            theta=overlap.theta,
+            fidelity=overlap.fidelity,
+            qfi_value=qfi_value,
+            delta_delta_min=floor,
+            bound_schwarzschild_rel=bound_rs,
+            bound_omega_rel=bound_omega,
+            omega_orders_vs_reference=orders,
+            qber_value=qber_value,
+            regime="valid" if status else f"invalid: {status.reason}",
+            notes=notes,
+        )
+
+
 def assemble_report(cfg: ScenarioConfig) -> Report:
-    """Run the full pipeline for one scenario.
+    """Run the full pipeline for one scenario: a fresh pipeline's one call.
 
     Raises DomainError when the scenario itself is unphysical; per-quantity
     refusals are recorded in the report instead of raised.
     """
-    cfg = cfg.validate()
-    link = cfg.link()
-    result = shift(link)
-    delta_f = result.delta.to_float()
-
-    if cfg.scheme is LinkScheme.GROUND_TO_SAT:
-        dec = decompose_ground(link.params, cfg.emitter_radius_m,
-                               cfg.ground_omega_rad_s, cfg.receiver_radius_m,
-                               result.delta)
-    else:
-        dec = decompose_sats(link.params, cfg.emitter_radius_m,
-                             cfg.receiver_radius_m, result.delta)
-
-    overlap = overlap_analytic(cfg.packet(), delta_f)
-    m = cfg.metrology()
-    notes: list[str] = []
-    if 0.0 < abs(dec.delta_rot.to_float()) < 2.3e-16:
-        notes.append(
-            "rotation term sits below double epsilon of the unit shift ratio; "
-            "its digits are carried by the compensated pipeline")
-
-    bound_rs = bound_omega = None
-    orders = None
-    try:
-        bound_rs = bound_schwarzschild_radius(m, dec).relative_bound
-    except HigherOrderRegimeError as exc:
-        notes.append(str(exc))
-    try:
-        b = bound_angular_velocity(m, dec)
-        bound_omega = b.relative_bound
-        orders = orders_vs_state_of_the_art(bound_omega)
-    except DomainError as exc:
-        notes.append(str(exc))
-
-    status = regime_check(delta_f, m)
-    qber_value = None
-    if status:
-        qber_value = qber(delta_f, m)
-    else:
-        notes.append(f"QBER refused: {status.reason}")
-
-    return Report(
-        scheme=cfg.scheme.value,
-        emitter_radius_m=cfg.emitter_radius_m,
-        receiver_radius_m=cfg.receiver_radius_m,
-        ratios=_ratios_block(cfg),
-        f=result.f,
-        delta=result.delta,
-        delta_S=dec.delta_S.to_float(),
-        delta_rot=dec.delta_rot.to_float(),
-        delta_c=dec.delta_c.to_float(),
-        theta=overlap.theta,
-        fidelity=overlap.fidelity,
-        qfi_value=qfi(m),
-        delta_delta_min=shift_uncertainty_floor(m),
-        bound_schwarzschild_rel=bound_rs,
-        bound_omega_rel=bound_omega,
-        omega_orders_vs_reference=orders,
-        qber_value=qber_value,
-        regime="valid" if status else f"invalid: {status.reason}",
-        notes=notes,
-    )
+    return _Pipeline().report(cfg)
 
 
 def run_report(cfg: ScenarioConfig, out_path: Optional[str] = None) -> str:
@@ -240,10 +304,11 @@ def _csv_escape(text: str) -> str:
     return text
 
 
-def _sweep_row(index: int, value: float, cfg: ScenarioConfig) -> str:
+def _sweep_row(pipeline: _Pipeline, index: int, value: float,
+               cfg: ScenarioConfig) -> str:
     cells: list[str]
     try:
-        rep = assemble_report(cfg)
+        rep = pipeline.report(cfg)
         cells = [
             str(index), _fmt(value),
             _fmt(rep.f.hi), _fmt(rep.f.lo),
@@ -265,12 +330,17 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
               threads: Optional[int] = None) -> int:
     """Write one CSV row per sweep point; returns the number of rows.
 
-    Points evaluate in sweep order in the calling thread.  Per-point domain
-    failures leave their value cells empty and carry the message in the error
-    column.  ``threads`` is accepted and ignored; it remains for callers
-    written when the sweep ran on a thread pool.
+    All points share one pipeline, so what the swept variable does not touch
+    (the emitter for a receiver sweep, the whole shift for a squeezing,
+    probe-count or bandwidth sweep) is computed once; each point's config is
+    still validated on its own.  Points evaluate in sweep order in the
+    calling thread.  Per-point domain failures leave their value cells empty
+    and carry the message in the error column.  ``threads`` is accepted and
+    ignored; it remains for callers written when the sweep ran on a thread
+    pool.
     """
-    rows = [_sweep_row(i, v, spec.apply(cfg, v))
+    pipeline = _Pipeline()
+    rows = [_sweep_row(pipeline, i, v, spec.apply(cfg, v))
             for i, v in enumerate(spec.values())]
     lines = []
     if not no_timestamp:

@@ -66,16 +66,20 @@ class ScenarioConfig:
         return SpacetimeParams(geometric_mass(self.planet_mass_kg),
                                self.planet_spin_parameter_m)
 
-    def link(self) -> LinkScenario:
+    def emitter(self) -> Worldline:
         if self.scheme is LinkScheme.GROUND_TO_SAT:
-            emitter = Worldline.ground_station(self.emitter_radius_m,
-                                               self.ground_omega_rad_s, CONSTANTS)
-        else:
-            emitter = Worldline.circular_orbit(self.emitter_radius_m,
-                                               self.emitter_direction)
-        receiver = Worldline.circular_orbit(self.receiver_radius_m,
-                                            self.receiver_direction)
-        return LinkScenario(self.scheme, emitter, receiver, self.spacetime())
+            return Worldline.ground_station(self.emitter_radius_m,
+                                            self.ground_omega_rad_s, CONSTANTS)
+        return Worldline.circular_orbit(self.emitter_radius_m,
+                                        self.emitter_direction)
+
+    def receiver(self) -> Worldline:
+        return Worldline.circular_orbit(self.receiver_radius_m,
+                                        self.receiver_direction)
+
+    def link(self) -> LinkScenario:
+        return LinkScenario(self.scheme, self.emitter(), self.receiver(),
+                            self.spacetime())
 
     def metrology(self) -> MetrologyConfig:
         return MetrologyConfig(probes=self.probes, squeezing=self.squeezing,

@@ -79,10 +79,17 @@ def decompose_ground(p: SpacetimeParams, r_A: float, omega_si: float,
                      k: PhysicalConstants = CONSTANTS) -> ShiftDecomposition:
     """Split the exact ground-to-orbit delta of a station at r_A spinning at
     omega_si (rad/s) and a receiver orbit at r_B."""
+    return _decompose_ground(p, r_A, r_B, delta,
+                             delta_rotation_term_ground(r_A, omega_si, k))
+
+
+def _decompose_ground(p: SpacetimeParams, r_A: float, r_B: float, delta: DD,
+                      d_rot: DD) -> ShiftDecomposition:
+    """decompose_ground given its rotation term, which depends on the station
+    alone."""
     if r_B <= r_A:
         raise DomainError(f"receiver radius {r_B} must exceed the surface radius {r_A}")
     d_s = delta_mass_term_ground(p, r_A, r_B)
-    d_rot = delta_rotation_term_ground(r_A, omega_si, k)
     return ShiftDecomposition(LinkScheme.GROUND_TO_SAT, d_s, d_rot,
                               delta - d_s - d_rot)
 

@@ -133,34 +133,50 @@ def _orbit_parts(p: SpacetimeParams, orbit: Worldline) -> tuple[DD, DD]:
     return pref, dev
 
 
+def _emitter_terms(p: SpacetimeParams, emitter: Worldline) -> tuple[DD, DD]:
+    """(prefactor term, deviation) of the emitter, once it is checked to lie
+    outside 2M."""
+    if emitter.kind is WorldlineKind.GROUND_STATION:
+        _check_outside_mass_scale(p, emitter.r, "ground station")
+        return _ground_parts(p, emitter)
+    _check_outside_mass_scale(p, emitter.r, "emitter orbit")
+    return _orbit_parts(p, emitter)
+
+
+def _receiver_terms(p: SpacetimeParams, receiver: Worldline) -> tuple[DD, DD]:
+    """(prefactor term, deviation) of the receiver orbit, once it is checked
+    to lie outside 2M."""
+    _check_outside_mass_scale(p, receiver.r, "receiver orbit")
+    return _orbit_parts(p, receiver)
+
+
+def _closed_form(scheme: LinkScheme, emitter_terms: tuple[DD, DD],
+                 receiver_terms: tuple[DD, DD]) -> ShiftResult:
+    """Closed-form shift from the two endpoints' terms."""
+    pd, dev_emit = emitter_terms
+    pn, dev_recv = receiver_terms
+    if scheme is LinkScheme.GROUND_TO_SAT:
+        emit_name = "the ground-station normalization"
+    else:
+        emit_name = "the emitter-orbit normalization"
+    return _assemble(pn, pd, dev_emit, dev_recv, emit_name,
+                     "the receiver-orbit normalization", ShiftMethod.CLOSED_FORM)
+
+
 def shift_ground_to_sat(s: LinkScenario) -> ShiftResult:
     """Shift for a radial photon from a spinning ground station to an orbit."""
     if s.scheme is not LinkScheme.GROUND_TO_SAT:
         raise DomainError("shift_ground_to_sat needs a ground-to-sat scenario")
-    p = s.params
-    _check_outside_mass_scale(p, s.emitter.r, "ground station")
-    _check_outside_mass_scale(p, s.receiver.r, "receiver orbit")
-    pd, dev_emit = _ground_parts(p, s.emitter)
-    pn, dev_recv = _orbit_parts(p, s.receiver)
-    return _assemble(pn, pd, dev_emit, dev_recv,
-                     "the ground-station normalization",
-                     "the receiver-orbit normalization",
-                     ShiftMethod.CLOSED_FORM)
+    return _closed_form(s.scheme, _emitter_terms(s.params, s.emitter),
+                        _receiver_terms(s.params, s.receiver))
 
 
 def shift_sat_to_sat(s: LinkScenario) -> ShiftResult:
     """Shift for a radial photon between two circular orbits (emitter below)."""
     if s.scheme is not LinkScheme.SAT_TO_SAT:
         raise DomainError("shift_sat_to_sat needs a sat-to-sat scenario")
-    p = s.params
-    _check_outside_mass_scale(p, s.emitter.r, "emitter orbit")
-    _check_outside_mass_scale(p, s.receiver.r, "receiver orbit")
-    pd, dev_emit = _orbit_parts(p, s.emitter)
-    pn, dev_recv = _orbit_parts(p, s.receiver)
-    return _assemble(pn, pd, dev_emit, dev_recv,
-                     "the emitter-orbit normalization",
-                     "the receiver-orbit normalization",
-                     ShiftMethod.CLOSED_FORM)
+    return _closed_form(s.scheme, _emitter_terms(s.params, s.emitter),
+                        _receiver_terms(s.params, s.receiver))
 
 
 def shift_schwarzschild(M_geom: float, r_A: float, r_B: float) -> ShiftResult:

@@ -49,6 +49,10 @@ def kerr_parameter_from_inertia(
     In SI terms a = I*omega/(M*c); equivalently a = 2*I_geom*omega_geom/r_S
     with every factor in geometric units.
     """
+    for name, value in (("inertia", inertia), ("omega", omega),
+                        ("mass_kg", mass_kg)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if inertia <= 0.0 or mass_kg <= 0.0:
         raise DomainError("moment of inertia and mass must be positive")
     if omega < 0.0:

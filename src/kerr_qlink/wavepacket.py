@@ -94,7 +94,7 @@ def overlap_analytic(sent: GaussianWavepacket, delta: float) -> OverlapResult:
     return OverlapResult(theta=theta, fidelity=theta * theta, deficit=deficit)
 
 
-# Half-width of the quadrature window in units of the combined width.
+# Half-width of the quadrature window in units of the product's width.
 _WINDOW_SIGMAS = 12.0
 # Tanh-sinh nodes run over |t| <= _T_MAX, where the weights are below 1e-35;
 # the step halves from 1 down to 2**-_MAX_LEVEL.
@@ -107,10 +107,13 @@ def overlap_numeric(received: GaussianWavepacket,
                     reference: GaussianWavepacket) -> OverlapResult:
     """Overlap by tanh-sinh quadrature of the two amplitudes.
 
-    The integration runs in coordinates centred between the peaks and scaled
-    by the combined width, with the peak separation taken as a compensated
-    difference, so the integrand only ever sees well-conditioned quantities.
-    Integration covers [max(0, mid - 12 sbar), mid + 12 sbar].
+    The product of the two amplitudes is itself a Gaussian in W, centred at
+    mu = (p1 s2^2 + p2 s1^2) / S and of width tau = sqrt(2) s1 s2 / sqrt(S),
+    with S = s1^2 + s2^2.  The integration runs in coordinates centred at mu
+    and scaled by tau, with mu's offsets from the peaks taken from their
+    compensated separation, so the integrand only ever sees
+    well-conditioned quantities and spans the window however far apart the
+    two widths are.  Integration covers [max(0, mu - 12 tau), mu + 12 tau].
 
     The rule is the trapezoid rule in t after x = c + d tanh(pi/2 sinh t)
     maps the window onto the real line (Takahashi & Mori 1974).  Its error
@@ -118,26 +121,28 @@ def overlap_numeric(received: GaussianWavepacket,
     leaves the integrand large at the lower end.  The step halves from 1,
     reusing every node; the error estimate is the difference of the last two
     levels, which must fall to 1e-13 of theta (at most 1, so this bounds the
-    absolute error too) by step 2**-12, or NumericalError is raised.  An
-    integrand much narrower than the nodes' spacing, as for widths 200x
-    apart, does not settle and is refused.
+    absolute error too) by step 2**-12, or NumericalError is raised.
     """
     s1 = received.width.to_float()
     s2 = reference.width.to_float()
     if s1 <= 0.0 or s2 <= 0.0:
         raise DomainError("wavepacket widths must be positive")
     sep = (received.peak - reference.peak).to_float()  # exact peak offset
-    mid = 0.5 * (received.peak.to_float() + reference.peak.to_float())
     sbar = math.hypot(s1, s2)
+    tau = math.sqrt(2.0) * s1 * (s2 / sbar)
+    # mu - p1 and mu - p2
+    off1 = -sep * (s1 / sbar) ** 2
+    off2 = sep * (s2 / sbar) ** 2
+    mu = reference.peak.to_float() + off2
     norm = (2.0 * math.pi * s1 * s2) ** -0.5
 
     def integrand(x: float) -> float:
-        w = sbar * x  # frequency offset from the midpoint
-        z1 = (w - 0.5 * sep) / (2.0 * s1)
-        z2 = (w + 0.5 * sep) / (2.0 * s2)
+        w = tau * x  # frequency offset from mu
+        z1 = (w + off1) / (2.0 * s1)
+        z2 = (w + off2) / (2.0 * s2)
         return math.exp(-z1 * z1 - z2 * z2)
 
-    x_lo = max(-_WINDOW_SIGMAS, -mid / sbar)
+    x_lo = max(-_WINDOW_SIGMAS, -mu / tau)
     c = 0.5 * (_WINDOW_SIGMAS + x_lo)
     d = 0.5 * (_WINDOW_SIGMAS - x_lo)
 
@@ -147,7 +152,7 @@ def overlap_numeric(received: GaussianWavepacket,
         dx = d * math.tanh(u)
         return math.cosh(t) / math.cosh(u) ** 2 * (integrand(c - dx) + integrand(c + dx))
 
-    scale = 0.5 * math.pi * d * norm * sbar  # Jacobian dW = sbar dx
+    scale = 0.5 * math.pi * d * norm * tau  # Jacobian dW = tau dx
     total = integrand(c) + math.fsum(pair(k) for k in range(1, _T_MAX + 1))
     theta = scale * total
     for level in range(1, _MAX_LEVEL + 1):

@@ -5,25 +5,46 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import expected
 import kerr_qlink
+from kerr_qlink.cli import report as report_module
 from kerr_qlink.cli.main import main
-from kerr_qlink.cli.report import CSV_COLUMNS, assemble_report, run_sweep
+from kerr_qlink.cli.report import CSV_COLUMNS, Report, assemble_report, run_sweep
 from kerr_qlink.cli.scenario import (
     PRESETS,
+    SWEEP_VARIABLES,
     ScenarioConfig,
     SweepSpec,
     build_config,
     parse_config_text,
 )
 from kerr_qlink.cli.selfcheck import CHECKS, run_verify
-from kerr_qlink.errors import ConfigError
-from kerr_qlink.shift import LinkScheme
-from kerr_qlink.units import geo_radius, leo_radius
+from kerr_qlink.errors import (
+    ConfigError,
+    DomainError,
+    HigherOrderRegimeError,
+    KerrQlinkError,
+)
+from kerr_qlink.metrology import (
+    bound_angular_velocity,
+    bound_schwarzschild_radius,
+    orders_vs_state_of_the_art,
+    qber,
+    qfi,
+    regime_check,
+    shift_uncertainty_floor,
+)
+from kerr_qlink.perturb import decompose_ground, decompose_sats
+from kerr_qlink.shift import LinkScheme, shift
+from kerr_qlink.units import CONSTANTS, geo_radius, leo_radius
+from kerr_qlink.wavepacket import overlap_analytic
 
 
 class TestConfigParsing:
@@ -286,6 +307,238 @@ class TestSweep:
             got = float(row[col])
             want = float(rows[0][col]) * math.sinh(1.0) / math.sinh(s)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+# The reference for the sweep plan: the whole report pipeline evaluated
+# afresh for one point through the public functions, with no stage shared
+# between points, and the CSV row formatted from it.
+
+def _reference_report(cfg: ScenarioConfig) -> Report:
+    cfg = cfg.validate()
+    link = cfg.link()
+    result = shift(link)
+    delta_f = result.delta.to_float()
+    if cfg.scheme is LinkScheme.GROUND_TO_SAT:
+        dec = decompose_ground(link.params, cfg.emitter_radius_m,
+                               cfg.ground_omega_rad_s, cfg.receiver_radius_m,
+                               result.delta)
+    else:
+        dec = decompose_sats(link.params, cfg.emitter_radius_m,
+                             cfg.receiver_radius_m, result.delta)
+    overlap = overlap_analytic(cfg.packet(), delta_f)
+    m = cfg.metrology()
+    notes = []
+    if 0.0 < abs(dec.delta_rot.to_float()) < 2.3e-16:
+        notes.append(
+            "rotation term sits below double epsilon of the unit shift ratio; "
+            "its digits are carried by the compensated pipeline")
+    bound_rs = bound_omega = orders = None
+    try:
+        bound_rs = bound_schwarzschild_radius(m, dec).relative_bound
+    except HigherOrderRegimeError as exc:
+        notes.append(str(exc))
+    try:
+        bound_omega = bound_angular_velocity(m, dec).relative_bound
+        orders = orders_vs_state_of_the_art(bound_omega)
+    except DomainError as exc:
+        notes.append(str(exc))
+    status = regime_check(delta_f, m)
+    qber_value = None
+    if status:
+        qber_value = qber(delta_f, m)
+    else:
+        notes.append(f"QBER refused: {status.reason}")
+    p = cfg.spacetime()
+    ratios = {
+        "M/r_emitter": p.M_geom / cfg.emitter_radius_m,
+        "M/r_receiver": p.M_geom / cfg.receiver_radius_m,
+        "a/r_emitter": p.a / cfg.emitter_radius_m,
+        "a/r_receiver": p.a / cfg.receiver_radius_m,
+    }
+    if cfg.scheme is LinkScheme.GROUND_TO_SAT:
+        ratios["r_emitter*omega/c"] = (
+            cfg.emitter_radius_m * cfg.ground_omega_rad_s / CONSTANTS.c)
+    return Report(
+        scheme=cfg.scheme.value, emitter_radius_m=cfg.emitter_radius_m,
+        receiver_radius_m=cfg.receiver_radius_m, ratios=ratios,
+        f=result.f, delta=result.delta,
+        delta_S=dec.delta_S.to_float(), delta_rot=dec.delta_rot.to_float(),
+        delta_c=dec.delta_c.to_float(),
+        theta=overlap.theta, fidelity=overlap.fidelity,
+        qfi_value=qfi(m), delta_delta_min=shift_uncertainty_floor(m),
+        bound_schwarzschild_rel=bound_rs, bound_omega_rel=bound_omega,
+        omega_orders_vs_reference=orders, qber_value=qber_value,
+        regime="valid" if status else f"invalid: {status.reason}",
+        notes=notes,
+    )
+
+
+def _reference_escape(text: str) -> str:
+    if any(ch in text for ch in ",\"\n"):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _reference_row(index: int, value: float, cfg: ScenarioConfig) -> str:
+    def fmt(x):
+        return "" if x is None else format(x, ".17e")
+
+    try:
+        rep = _reference_report(cfg)
+    except KerrQlinkError as exc:
+        cells = [str(index), fmt(value)] + [""] * (len(CSV_COLUMNS) - 3) \
+            + [_reference_escape(f"{type(exc).__name__}: {exc}")]
+        return ",".join(cells)
+    values = (value, rep.f.hi, rep.f.lo, rep.delta.hi, rep.delta.lo,
+              rep.delta_S, rep.delta_rot, rep.delta_c, rep.theta,
+              rep.qfi_value, rep.delta_delta_min, rep.bound_schwarzschild_rel,
+              rep.bound_omega_rel, rep.qber_value)
+    cells = [str(index), *map(fmt, values), rep.regime,
+             _reference_escape("; ".join(rep.notes))]
+    return ",".join(cells)
+
+
+def _outcome(evaluate, cfg: ScenarioConfig) -> str:
+    """Report text and JSON, or the refusal, of one evaluation."""
+    try:
+        rep = evaluate(cfg)
+    except KerrQlinkError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return rep.render_text() + json.dumps(rep.as_dict(), sort_keys=True)
+
+
+@st.composite
+def _sweeps(draw):
+    """(config, sweep) pairs whose ranges cross the domain edges: r_B through
+    the emitter radius and the delta_S zero near 1.5 r_A, r_C through the
+    receiver radius, and s, N and sigma through invalid values and out of the
+    QBER regime."""
+    variable = draw(st.sampled_from(SWEEP_VARIABLES))
+    preset = "leo-geo-sat" if variable == "r_C" else draw(st.sampled_from(sorted(PRESETS)))
+    cfg = replace(PRESETS[preset],
+                  emitter_direction=draw(st.sampled_from((1, -1))),
+                  receiver_direction=draw(st.sampled_from((1, -1))))
+    scale = draw(st.sampled_from(("linear", "log")))
+    log = scale == "log"
+    if variable == "r_B":
+        lo = cfg.emitter_radius_m * draw(st.floats(0.5, 1.6))
+        hi = lo * draw(st.floats(1.01, 8.0))
+    elif variable == "r_C":
+        lo = cfg.receiver_radius_m * draw(st.floats(0.1, 1.1))
+        hi = lo * draw(st.floats(1.01, 5.0))
+    elif variable == "s":
+        lo = draw(st.floats(0.05 if log else -1.0, 3.0))
+        hi = lo + draw(st.floats(0.1, 3.0))
+    elif variable == "N":
+        lo = 10.0 ** draw(st.floats(-2.0, 8.0))
+        hi = lo * 10.0 ** draw(st.floats(0.5, 8.0))
+    else:
+        lo = 10.0 ** draw(st.floats(1.0, 10.0))
+        hi = lo * 10.0 ** draw(st.floats(0.5, 6.0))
+    return cfg, SweepSpec(variable, lo, hi, draw(st.integers(2, 9)), scale)
+
+
+# one change per config field, and changes that make a stage raise
+_CHANGES = {
+    "scheme": lambda c: {"scheme": LinkScheme.SAT_TO_SAT
+                         if c.scheme is LinkScheme.GROUND_TO_SAT
+                         else LinkScheme.GROUND_TO_SAT},
+    "emitter_radius_m": lambda c: {"emitter_radius_m": c.emitter_radius_m * 1.01},
+    "receiver_radius_m": lambda c: {"receiver_radius_m": c.receiver_radius_m * 1.01},
+    "emitter_direction": lambda c: {"emitter_direction": -1},
+    "receiver_direction": lambda c: {"receiver_direction": -1},
+    "ground_omega_rad_s": lambda c: {"ground_omega_rad_s": c.ground_omega_rad_s * 2.0},
+    "peak_frequency_hz": lambda c: {"peak_frequency_hz": c.peak_frequency_hz * 1.5},
+    "bandwidth_hz": lambda c: {"bandwidth_hz": c.bandwidth_hz * 3.0},
+    "probes": lambda c: {"probes": c.probes * 100.0},
+    "squeezing": lambda c: {"squeezing": c.squeezing + 1.0},
+    "planet_mass_kg": lambda c: {"planet_mass_kg": c.planet_mass_kg * 1.01},
+    "planet_spin_parameter_m": lambda c: {
+        "planet_spin_parameter_m": c.planet_spin_parameter_m * 2.0},
+    "emitter-inside-2M": lambda c: {"emitter_radius_m": 1e-3},
+    "receiver-inside-2M": lambda c: {"receiver_radius_m": 2e-3},
+    "receiver-below-station": lambda c: {"receiver_radius_m": c.emitter_radius_m * 0.9},
+}
+
+
+class TestSweepPlan:
+    @settings(max_examples=120)
+    @given(_sweeps())
+    @example((PRESETS["earth-leo"], SweepSpec("r_B", 9566999.9, 9567000.1, 9)))
+    @example((PRESETS["leo-geo-sat"], SweepSpec("r_C", 5.162e6, 4.4162e7, 9)))
+    def test_rows_match_the_per_point_reference(self, tmp_path_factory, sweep):
+        cfg, spec = sweep
+        out = tmp_path_factory.mktemp("plan") / "rows.csv"
+        n = run_sweep(cfg, spec, str(out), no_timestamp=True)
+        rows = out.read_bytes().decode("utf-8").split("\n")
+        want = [_reference_row(i, v, spec.apply(cfg, v))
+                for i, v in enumerate(spec.values())]
+        assert n == len(want)
+        assert rows == [",".join(CSV_COLUMNS), *want, ""]
+
+    @pytest.mark.parametrize("preset", ["earth-leo", "leo-geo-sat"])
+    @pytest.mark.parametrize("change", sorted(_CHANGES))
+    def test_no_stage_goes_stale(self, preset, change):
+        # configs A, B, A through one pipeline: B differs from A in one field
+        # only, so a stage key missing that field would hand B A's result
+        a = PRESETS[preset]
+        b = replace(a, **_CHANGES[change](a))
+        pipeline = report_module._Pipeline()
+        for cfg in (a, b, a):
+            assert _outcome(pipeline.report, cfg) == _outcome(_reference_report, cfg)
+
+
+class TestSweepPlanStages:
+    """Each invariant stage runs once per sweep."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        # the package re-exports the function shift, which hides the module
+        shift_module = importlib.import_module("kerr_qlink.shift")
+        counts = Counter()
+
+        perturb_module = importlib.import_module("kerr_qlink.perturb")
+
+        def counting(owner, name, original):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            # raising=False: a binding the code does not look up counts 0
+            monkeypatch.setattr(owner, name, counted, raising=False)
+
+        for name in ("_ground_parts", "_orbit_parts", "_assemble"):
+            counting(shift_module, name, getattr(shift_module, name))
+        counting(report_module, "delta_rotation_term_ground",
+                 perturb_module.delta_rotation_term_ground)
+        for name in ("qfi", "shift_uncertainty_floor"):
+            counting(report_module, name, getattr(report_module, name))
+        return counts
+
+    def test_receiver_sweep_builds_the_station_once(self, counts, tmp_path):
+        spec = SweepSpec("r_B", 7.0e6, 4.2e7, 9, "log")
+        run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
+        assert counts == {"_ground_parts": 1, "delta_rotation_term_ground": 1,
+                          "_orbit_parts": 9, "_assemble": 9,
+                          "qfi": 1, "shift_uncertainty_floor": 1}
+
+    def test_squeezing_sweep_evaluates_the_shift_once(self, counts, tmp_path):
+        spec = SweepSpec("s", 0.5, 4.0, 9)
+        run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "s.csv"))
+        assert counts == {"_ground_parts": 1, "delta_rotation_term_ground": 1,
+                          "_orbit_parts": 1, "_assemble": 1,
+                          "qfi": 9, "shift_uncertainty_floor": 9}
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_report_runs_each_stage_once(self, counts, preset):
+        assemble_report(PRESETS[preset])
+        if PRESETS[preset].scheme is LinkScheme.GROUND_TO_SAT:
+            assert counts == {"_ground_parts": 1, "delta_rotation_term_ground": 1,
+                              "_orbit_parts": 1, "_assemble": 1,
+                              "qfi": 1, "shift_uncertainty_floor": 1}
+        else:  # both ends are orbits
+            assert counts == {"_orbit_parts": 2, "_assemble": 1,
+                              "qfi": 1, "shift_uncertainty_floor": 1}
 
 
 class TestCliEntry:

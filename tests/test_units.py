@@ -72,6 +72,18 @@ class TestKerrParameter:
         with pytest.raises(DomainError):
             kerr_parameter_from_inertia(EARTH.inertia, EARTH.omega_A, 0.0)
 
+    @pytest.mark.parametrize("name, args", [
+        ("inertia", (math.nan, 7.29e-5, 5.97e24)),
+        ("inertia", (math.inf, 7.29e-5, 5.97e24)),
+        ("omega", (8e37, math.nan, 5.97e24)),
+        ("omega", (8e37, math.inf, 5.97e24)),
+        ("mass_kg", (8e37, 7.29e-5, math.nan)),
+        ("mass_kg", (8e37, 7.29e-5, math.inf)),
+    ])
+    def test_non_finite_input_refused(self, name, args):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            kerr_parameter_from_inertia(*args)
+
     def test_geometric_identity(self):
         # a = 2 I_geom omega_geom / r_S with I_geom = I G / c^2
         k = CONSTANTS

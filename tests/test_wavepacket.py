@@ -141,13 +141,14 @@ class TestOverlapNumeric:
 
     def test_zero_frequency_cut_never_binds_for_narrow_packets(self):
         # the physical lower integration limit is 0, but for peak/width ~ 7e8
-        # the window max(0, mid - 12 sbar) starts at mid - 12 sbar; the tail
-        # below zero frequency is bounded by exp(-(peak/width)^2/8), far under
-        # any tolerance used here
-        mid = PACKET.peak.to_float()
-        sbar = math.hypot(PACKET.width.to_float(), PACKET.width.to_float())
-        assert mid - 12.0 * sbar > 0.0
-        assert mid / sbar > 1e8
+        # the window max(0, mu - 12 tau) starts at mu - 12 tau; the tail
+        # below zero frequency is bounded by exp(-(peak/width)^2/2), far under
+        # any tolerance used here.  Two equal packets have mu = peak and
+        # tau = width.
+        mu = PACKET.peak.to_float()
+        tau = PACKET.width.to_float()
+        assert mu - 12.0 * tau > 0.0
+        assert mu / tau > 1e8
 
     @pytest.mark.parametrize("p1, s1, p2, s2", [
         (1e9, 2e3, 1e9 + 1e3, 1e3),
@@ -155,12 +156,19 @@ class TestOverlapNumeric:
         (5.0, 1.0, 5.0, 1.0),
         (1.0, 1.0, 2.0, 1.5),
         (7e14 + 2e7, 1e6, 7e14, 1e6),
-    ], ids=["width-mismatch", "cut-10-11", "cut-5-5", "cut-1-2", "disjoint"])
+        (7e14, 1e6, 7e14, 2e8),
+        (7e14, 1e6, 7e14, 1e9),
+        (7e14, 1e6, 7e14, 1e10),
+        (7e14, 1e6, 7e14, 1e12),
+    ], ids=["width-mismatch", "cut-10-11", "cut-5-5", "cut-1-2", "disjoint",
+            "ratio-200", "ratio-1e3", "ratio-1e4", "ratio-1e6"])
     def test_closed_form_with_zero_frequency_cut(self, p1, s1, p2, s2):
         # the product of the amplitudes is one Gaussian of width tau about
         # mu, integrated over W >= 0; the cut at zero frequency lies inside
-        # the 12-sigma window and binds in the three "cut" cases, and the
-        # disjoint packets (theta = e^-50) need a relative error estimate
+        # the 12-sigma window and binds in the three "cut" cases, the
+        # disjoint packets (theta = e^-50) need a relative error estimate,
+        # and the "ratio" cases have a product far narrower than the wider
+        # packet
         S = s1 ** 2 + s2 ** 2
         tau = math.sqrt(2 * s1 ** 2 * s2 ** 2 / S)
         mu = (p1 * s2 ** 2 + p2 * s1 ** 2) / S
