@@ -1,8 +1,9 @@
 """Byte-for-byte comparison of CLI output against committed golden files.
 
-Covers report text and JSON for every preset, and reproducible
-(--no-timestamp) sweep CSVs over each sweep variable, including ranges that
-cross domain edges so that error rows are pinned too.
+Covers report text and JSON for every preset, reproducible (--no-timestamp)
+sweep CSVs over each sweep variable, including ranges that cross domain edges
+so that error rows are pinned too, and the console output of `verify full` and
+of `zero-orbit` on every preset, a refused bracket included.
 
 Regenerate the files (only when an output change is intended and explained):
 
@@ -40,6 +41,17 @@ SWEEPS = {
     "sweep_sigma": ("earth-geo", "sigma", 1e3, 1e12, 40, "log"),
 }
 
+# name -> (argv, exit code); the golden file holds stdout, then stderr
+COMMANDS = {
+    # the oracle, series, geodesic, constants and bisection paths; one check
+    # fails on purpose (the published residual bound)
+    "verify_full": (["verify", "full"], 4),
+    "zero-orbit_earth-leo": (["zero-orbit", "--preset", "earth-leo"], 0),
+    "zero-orbit_earth-geo": (["zero-orbit", "--preset", "earth-geo"], 0),
+    # no sign change of delta in the bracket: NoRootInBracketError
+    "zero-orbit_leo-geo-sat": (["zero-orbit", "--preset", "leo-geo-sat"], 3),
+}
+
 
 def _report(preset, tmp_dir):
     """(text, json) of `report --preset <preset> --out <json>`."""
@@ -67,6 +79,15 @@ def _sweep(name, tmp_dir):
         return fh.read()
 
 
+def _command(name):
+    argv, code = COMMANDS[name]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc == code
+    return out.getvalue() + err.getvalue()
+
+
 def _outputs(tmp_dir):
     """Golden file name -> current output text."""
     out = {}
@@ -76,6 +97,8 @@ def _outputs(tmp_dir):
         out[f"report_{preset}.json"] = js
     for name in SWEEPS:
         out[f"{name}.csv"] = _sweep(name, tmp_dir)
+    for name in COMMANDS:
+        out[f"{name}.txt"] = _command(name)
     return out
 
 
@@ -92,7 +115,7 @@ def current(tmp_path_factory):
 @pytest.mark.parametrize(
     "name",
     [f"report_{p}.{ext}" for p in PRESET_NAMES for ext in ("txt", "json")]
-    + [f"{s}.csv" for s in SWEEPS])
+    + [f"{s}.csv" for s in SWEEPS] + [f"{c}.txt" for c in COMMANDS])
 def test_output_matches_golden_bytes(current, name):
     assert current[name] == _read_golden(name)
 
