@@ -53,7 +53,6 @@ from .perturb import (
 from .shift import (
     LinkScenario,
     LinkScheme,
-    ShiftMethod,
     ShiftResult,
     find_zero_shift_orbit,
     shift,
@@ -63,11 +62,9 @@ from .shift import (
     shift_via_contraction,
 )
 from .units import (
-    CONSTANTS,
     EARTH,
     DimensionlessParams,
     EarthModel,
-    PhysicalConstants,
     SpacetimeParams,
     dimensionless_params,
     geo_radius,

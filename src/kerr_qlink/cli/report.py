@@ -22,8 +22,8 @@ from typing import Optional
 from ..ddouble import DD
 from ..errors import DomainError, HigherOrderRegimeError, KerrQlinkError
 from ..metrology import (
+    _qber_in_regime,
     orders_vs_state_of_the_art,
-    qber,
     qfi,
     regime_check,
     shift_uncertainty_floor,
@@ -36,7 +36,7 @@ from ..perturb import (
     error_schwarzschild_radius,
 )
 from ..shift import LinkScheme, _closed_form, _emitter_terms, _receiver_terms
-from ..units import CONSTANTS, SpacetimeParams
+from ..units import C, SpacetimeParams
 from ..wavepacket import overlap_analytic
 from .scenario import ScenarioConfig, SweepSpec
 
@@ -138,7 +138,7 @@ def _ratios_block(cfg: ScenarioConfig, p: SpacetimeParams) -> dict:
     }
     if cfg.scheme is LinkScheme.GROUND_TO_SAT:
         out["r_emitter*omega/c"] = (
-            cfg.emitter_radius_m * cfg.ground_omega_rad_s / CONSTANTS.c)
+            cfg.emitter_radius_m * cfg.ground_omega_rad_s / C)
     return out
 
 
@@ -237,7 +237,7 @@ class _Pipeline:
         status = regime_check(delta_f, m)
         qber_value = None
         if status:
-            qber_value = qber(delta_f, m)
+            qber_value = _qber_in_regime(delta_f, m)
         else:
             notes.append(f"QBER refused: {status.reason}")
 

@@ -16,7 +16,7 @@ from ..errors import ConfigError
 from ..geometry import Worldline
 from ..metrology import MetrologyConfig
 from ..shift import LinkScenario, LinkScheme
-from ..units import CONSTANTS, EARTH, SpacetimeParams, geo_radius, geometric_mass, leo_radius
+from ..units import EARTH, SpacetimeParams, geo_radius, geometric_mass, leo_radius
 from ..wavepacket import GaussianWavepacket
 
 
@@ -69,7 +69,7 @@ class ScenarioConfig:
     def emitter(self) -> Worldline:
         if self.scheme is LinkScheme.GROUND_TO_SAT:
             return Worldline.ground_station(self.emitter_radius_m,
-                                            self.ground_omega_rad_s, CONSTANTS)
+                                            self.ground_omega_rad_s)
         return Worldline.circular_orbit(self.emitter_radius_m,
                                         self.emitter_direction)
 

@@ -42,8 +42,9 @@ from ..shift import (
     shift_via_contraction,
 )
 from ..units import (
-    CONSTANTS,
+    C,
     EARTH,
+    G,
     SpacetimeParams,
     dimensionless_params,
     geo_radius,
@@ -121,10 +122,9 @@ def _check_spin_identity(digits: int):
     a1 = kerr_parameter_from_inertia(EARTH.inertia, EARTH.omega_A, EARTH.mass_kg)
     # same quantity through geometric quantities: a = 2 I_geom omega_geom / r_S,
     # with I_geom = I G/c^2 (kg m^2 -> m^3) and omega_geom = omega/c
-    k = CONSTANTS
-    i_geom = EARTH.inertia * k.G / k.c ** 2
+    i_geom = EARTH.inertia * G / C ** 2
     r_s = 2.0 * geometric_mass(EARTH.mass_kg)
-    a2 = 2.0 * i_geom * (EARTH.omega_A / k.c) / r_s
+    a2 = 2.0 * i_geom * (EARTH.omega_A / C) / r_s
     rel = abs(a1 / a2 - 1.0)
     return rel <= 1e-12, f"two routes to the spin parameter agree to {rel:.1e}"
 
@@ -342,7 +342,7 @@ def _check_series_rotation(digits: int):
     coef = extract_series_coefficient(
         SeriesParam.OMEGA_A, 2, M=p.M_geom, a=p.a, r_A=EARTH.r_A,
         omega_A_si=EARTH.omega_A, r_B=leo_radius(), digits=max(80, digits))
-    analytic = -0.5 * (EARTH.r_A / CONSTANTS.c) ** 2
+    analytic = -0.5 * (EARTH.r_A / C) ** 2
     rel = abs(coef / analytic - 1.0)
     return rel <= 1e-4, f"omega^2 Taylor coefficient vs rotation term: {rel:.1e}"
 
@@ -360,7 +360,7 @@ def _check_geodesic(digits: int):
     p = EARTH.spacetime()
     worst = 0.0
     for r_B in (leo_radius(), geo_radius()):
-        res = integrate_schwarzschild_radial(p.M_geom, EARTH.r_A, r_B, 1e-13)
+        res = integrate_schwarzschild_radial(p.M_geom, EARTH.r_A, r_B)
         closed = shift_schwarzschild(p.M_geom, EARTH.r_A, r_B)
         dev = abs((res.f_numeric - closed.f).to_float()) \
             / abs(closed.delta.to_float())
@@ -373,7 +373,7 @@ def _check_geodesic(digits: int):
 
 
 def _check_geodesic_flat(digits: int):
-    res = integrate_schwarzschild_radial(0.0, EARTH.r_A, leo_radius(), 1e-13)
+    res = integrate_schwarzschild_radial(0.0, EARTH.r_A, leo_radius())
     err = abs(res.f_numeric.to_float() - 1.0)
     return err <= 1e-13, f"flat-spacetime integration returns f = 1 + {err:.1e}"
 

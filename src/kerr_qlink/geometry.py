@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .ddouble import DD, ONE
 from .errors import DomainError
-from .units import CONSTANTS, PhysicalConstants, SpacetimeParams
+from .units import C, SpacetimeParams
 
 
 class WorldlineKind(enum.Enum):
@@ -57,12 +57,10 @@ class Worldline:
             raise DomainError("circular orbits must not store an angular velocity")
 
     @staticmethod
-    def ground_station(
-        r: float, omega_si: float, k: PhysicalConstants = CONSTANTS
-    ) -> "Worldline":
+    def ground_station(r: float, omega_si: float) -> "Worldline":
         """Ground station at radius r spinning at omega_si rad/s (SI)."""
         return Worldline(WorldlineKind.GROUND_STATION, r,
-                         DD.quotient(omega_si, k.c), +1)
+                         DD.quotient(omega_si, C), +1)
 
     @staticmethod
     def circular_orbit(r: float, direction: int = +1) -> "Worldline":

@@ -58,6 +58,17 @@ class MetrologyConfig:
                 raise DomainError(f"MetrologyConfig.{name} must be positive")
         if self.squeezing < 0.0:
             raise DomainError("MetrologyConfig.squeezing must be non-negative")
+        # the information N H of all probes and the floor must come out as
+        # the positive floats they stand for; an unsqueezed probe has none
+        try:
+            total, floor = self.probes * qfi(self), shift_uncertainty_floor(self)
+        except (OverflowError, ZeroDivisionError):
+            total = floor = math.nan
+        if not (total == 0.0 if self.squeezing == 0.0
+                else 0.0 < total < math.inf and 0.0 < floor < math.inf):
+            raise DomainError(
+                "MetrologyConfig: the Fisher information N H or the shift floor "
+                "of these probes overflows or underflows double precision")
 
     @property
     def mean_square_peak(self) -> float:
@@ -87,18 +98,17 @@ class PrecisionBound:
 REGIME_MARGIN = 10.0
 
 
-def regime_check(delta: float, cfg: MetrologyConfig,
-                 margin: float = REGIME_MARGIN) -> RegimeStatus:
+def regime_check(delta: float, cfg: MetrologyConfig) -> RegimeStatus:
     """Classify whether |delta| << (W^2/8 sigma^2) delta^2 << 1 holds."""
     if delta == 0.0:
         return RegimeStatus(False, "degenerate: delta = 0")
     mid = cfg.mean_square_peak * delta * delta / (8.0 * cfg.sigma * cfg.sigma)
-    if not margin * abs(delta) < mid:
+    if not REGIME_MARGIN * abs(delta) < mid:
         return RegimeStatus(
             False,
             f"|delta| = {abs(delta):.3e} not well below (W^2/8 sigma^2) delta^2 = {mid:.3e}",
         )
-    if not margin * mid < 1.0:
+    if not REGIME_MARGIN * mid < 1.0:
         return RegimeStatus(
             False,
             f"(W^2/8 sigma^2) delta^2 = {mid:.3e} not well below 1",
@@ -127,15 +137,19 @@ def qfi(cfg: MetrologyConfig) -> float:
     return (cfg.omega1 ** 2 + cfg.omega2 ** 2) / cfg.sigma ** 2 * sh * sh
 
 
-def qfi_numeric_limit(cfg: MetrologyConfig, step: float = 2e-12,
-                      rungs: int = 3, rtol: float = 1e-8) -> float:
+# The largest step of qfi_numeric_limit's ladder, and the relative agreement
+# its two Richardson estimates must reach.
+QFI_LIMIT_STEP = 2e-12
+QFI_LIMIT_RTOL = 1e-8
+
+
+def qfi_numeric_limit(cfg: MetrologyConfig) -> float:
     """QFI as the numeric limit 8 (1 - sqrt(F)) / d_delta^2, d_delta -> 0.
 
-    Evaluated in compensated arithmetic with Richardson extrapolation over a
-    halving ladder of step sizes; the limit error of each rung is O(step^2).
+    Evaluated in compensated arithmetic at the steps h, h/2 and h/4, whose
+    limit errors are O(h^2); one Richardson level on each adjacent pair
+    removes that error, and the two refined estimates must agree.
     """
-    if rungs < 3:
-        raise DomainError("the Richardson ladder needs at least three rungs")
     sh = math.sinh(cfg.squeezing)
     coef = DD.of(cfg.omega1 ** 2 + cfg.omega2 ** 2) / (4.0 * cfg.sigma ** 2) \
         * (sh * sh)
@@ -147,12 +161,10 @@ def qfi_numeric_limit(cfg: MetrologyConfig, step: float = 2e-12,
             raise DomainError("qfi_numeric_limit step too large for the expansion")
         return 8.0 * (ONE - fid.sqrt()) / hh
 
-    ladder = [estimate(step / 2 ** i) for i in range(rungs)]
-    # one Richardson level removes the O(h^2) error
-    refined = [(4.0 * ladder[i + 1] - ladder[i]) / 3.0 for i in range(rungs - 1)]
-    best = refined[-1].to_float()
-    prev = refined[0].to_float() if len(refined) > 1 else ladder[-1].to_float()
-    if not math.isfinite(best) or abs(best - prev) > rtol * abs(best):
+    e0, e1, e2 = (estimate(QFI_LIMIT_STEP / 2 ** i) for i in range(3))
+    prev = ((4.0 * e1 - e0) / 3.0).to_float()
+    best = ((4.0 * e2 - e1) / 3.0).to_float()
+    if not math.isfinite(best) or abs(best - prev) > QFI_LIMIT_RTOL * abs(best):
         raise NumericalError("Richardson ladder for the QFI limit did not converge")
     return best
 
@@ -208,4 +220,9 @@ def qber(delta: float, cfg: MetrologyConfig) -> float:
     status = regime_check(delta, cfg)
     if not status:
         raise RegimeError(f"QBER formula outside its regime: {status.reason}")
+    return _qber_in_regime(delta, cfg)
+
+
+def _qber_in_regime(delta: float, cfg: MetrologyConfig) -> float:
+    """qber for a (delta, cfg) the caller has already found in its regime."""
     return delta * delta * cfg.mean_square_peak / (8.0 * cfg.sigma * cfg.sigma)

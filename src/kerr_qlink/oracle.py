@@ -26,7 +26,7 @@ from decimal import Decimal, localcontext
 
 from .ddouble import DD
 from .errors import DomainError, NumericalError
-from .units import CONSTANTS, PhysicalConstants
+from .units import C
 
 _D = Decimal
 
@@ -80,11 +80,11 @@ def _exact(digits: int, *values: float):
 
 
 def shift_exact_ground(M: float, a: float, r_A: float, omega_A_si: float,
-                       r_B: float, eps: int = +1, digits: int = MIN_DIGITS,
-                       k: PhysicalConstants = CONSTANTS) -> Decimal:
+                       r_B: float, eps: int = +1,
+                       digits: int = MIN_DIGITS) -> Decimal:
     """Shift f from a ground station at r_A spinning at omega_A_si (rad/s) to
     an orbit at r_B."""
-    with _exact(digits, M, a, r_A, omega_A_si, r_B, k.c, eps) as inputs:
+    with _exact(digits, M, a, r_A, omega_A_si, r_B, C, eps) as inputs:
         M, a, r_A, w, r_B, c, eps = inputs
         return _ground_shift(M, a, r_A, w / c, r_B, eps)
 
@@ -117,10 +117,9 @@ def shift_exact_schwarzschild(M: float, r_A: float, r_B: float,
 
 
 def gamma_exact_ground(M: float, a: float, r: float, omega_si: float,
-                       digits: int = MIN_DIGITS,
-                       k: PhysicalConstants = CONSTANTS) -> Decimal:
+                       digits: int = MIN_DIGITS) -> Decimal:
     """Normalization gamma of a ground station at r spinning at omega_si."""
-    with _exact(digits, M, a, r, omega_si, k.c) as (M, a, r, w, c):
+    with _exact(digits, M, a, r, omega_si, C) as (M, a, r, w, c):
         arg = _gamma_ground_arg(M, a, r, w / c)
         _require_positive(arg, "the ground-station normalization argument")
         return 1 / arg.sqrt()
@@ -145,11 +144,11 @@ def kappa_exact(M: float, a: float, r: float, digits: int = MIN_DIGITS) -> Decim
 
 
 def delta_exact_ground(M: float, a: float, r_A: float, omega_A_si: float,
-                       r_B: float, eps: int = +1, digits: int = MIN_DIGITS,
-                       k: PhysicalConstants = CONSTANTS) -> Decimal:
+                       r_B: float, eps: int = +1,
+                       digits: int = MIN_DIGITS) -> Decimal:
     """delta = f - 1 for the ground link, in decimal arithmetic."""
     with _exact(digits):
-        return shift_exact_ground(M, a, r_A, omega_A_si, r_B, eps, digits, k) - 1
+        return shift_exact_ground(M, a, r_A, omega_A_si, r_B, eps, digits) - 1
 
 
 def delta_exact_sats(M: float, a: float, r_C: float, r_B: float,
@@ -158,6 +157,10 @@ def delta_exact_sats(M: float, a: float, r_C: float, r_B: float,
     """delta = f - 1 for the orbit-to-orbit link, in decimal arithmetic."""
     with _exact(digits):
         return shift_exact_sats(M, a, r_C, r_B, eta, eps, digits) - 1
+
+
+# Central-difference step of the series extraction, relative to the parameter.
+SERIES_REL_STEP = _D("0.001")
 
 
 class SeriesParam(enum.Enum):
@@ -169,8 +172,7 @@ class SeriesParam(enum.Enum):
 def extract_series_coefficient(param: SeriesParam, order: int, *,
                                M: float, a: float, r_A: float,
                                omega_A_si: float, r_B: float, eps: int = +1,
-                               digits: int = 80, rel_step: float = 1e-3,
-                               k: PhysicalConstants = CONSTANTS) -> float:
+                               digits: int = 80) -> float:
     """Taylor coefficient of delta with respect to one spacetime parameter.
 
     Central differences on the exact decimal delta with one Richardson level
@@ -192,12 +194,12 @@ def extract_series_coefficient(param: SeriesParam, order: int, *,
         }[param]
         if base == 0:
             raise DomainError("cannot take a relative step around zero")
-        h0 = base * _D(repr(rel_step))
+        h0 = base * SERIES_REL_STEP
 
         def delta_of(p: Decimal) -> Decimal:
             mm = p / 2 if param is SeriesParam.R_S else _D(M)
             aa = p if param is SeriesParam.SPIN else _D(a)
-            ww = (p if param is SeriesParam.OMEGA_A else _D(omega_A_si)) / _D(k.c)
+            ww = (p if param is SeriesParam.OMEGA_A else _D(omega_A_si)) / _D(C)
             return _ground_shift(mm, aa, _D(r_A), ww, _D(r_B), eps) - 1
 
         def stencil(h: Decimal) -> Decimal:
@@ -278,9 +280,12 @@ def _energy_dev(M: float, r: float, q: float) -> float:
     return q - x * (1.0 + q)
 
 
-def integrate_schwarzschild_radial(M_geom: float, r_A: float, r_B: float,
-                                   tol: float = 1e-13
-                                   ) -> RadialGeodesicResult:
+# Error budget of the radial geodesic integration.
+GEODESIC_TOLERANCE = 1e-13
+
+
+def integrate_schwarzschild_radial(M_geom: float, r_A: float,
+                                   r_B: float) -> RadialGeodesicResult:
     """Integrate an outgoing radial null geodesic from r_A to r_B (a = 0) and
     rebuild the shift between a static emitter and a circular-orbit receiver.
 
@@ -296,8 +301,6 @@ def integrate_schwarzschild_radial(M_geom: float, r_A: float, r_B: float,
         raise DomainError("both radii must exceed 3M")
     if not r_B > r_A:
         raise DomainError("outgoing integration needs r_B > r_A")
-    if tol < 1e-13:
-        raise DomainError("tolerance below 1e-13 is not supported")
 
     M = M_geom
     x_a = 2.0 * M / r_A
@@ -341,11 +344,11 @@ def integrate_schwarzschild_radial(M_geom: float, r_A: float, r_B: float,
         return y5, err
 
     def error_ratio(err, h_try):
-        # budget tol spread over the whole span: meters for r, absolute for
+        # the budget spread over the whole span: meters for r, absolute for
         # the tangent deviations q and s
         frac = h_try / span
-        allow_r = tol * h_try + 1e-300
-        allow_dev = tol * frac + 1e-300
+        allow_r = GEODESIC_TOLERANCE * h_try + 1e-300
+        allow_dev = GEODESIC_TOLERANCE * frac + 1e-300
         return max(err[1] / allow_r, err[2] / allow_dev, err[3] / allow_dev)
 
     steps = 0

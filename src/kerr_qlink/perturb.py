@@ -25,7 +25,7 @@ from .errors import DomainError, HigherOrderRegimeError
 # this binding to check that tracing rebinds names imported into other
 # modules; drop it once that test points at another module.
 from .shift import LinkScheme, shift_ground_to_sat  # noqa: F401
-from .units import CONSTANTS, PhysicalConstants, SpacetimeParams
+from .units import C, SpacetimeParams
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,9 @@ def delta_mass_term_ground(p: SpacetimeParams, r_A: float, r_B: float) -> DD:
     return DD.quotient(p.r_S, 4.0 * r_A) * (ONE - 2.0 * lr) / (ONE + lr)
 
 
-def delta_rotation_term_ground(r_A: float, omega_si: float,
-                               k: PhysicalConstants = CONSTANTS) -> DD:
+def delta_rotation_term_ground(r_A: float, omega_si: float) -> DD:
     """Leading special-relativistic spin term -(r_A omega/c)^2 / 2."""
-    v = DD.product(r_A, omega_si) / k.c
+    v = DD.product(r_A, omega_si) / C
     return -0.5 * (v * v)
 
 
@@ -75,12 +74,11 @@ def delta_rotation_term_sats(p: SpacetimeParams, r_C: float, r_B: float) -> DD:
 
 
 def decompose_ground(p: SpacetimeParams, r_A: float, omega_si: float,
-                     r_B: float, delta: DD,
-                     k: PhysicalConstants = CONSTANTS) -> ShiftDecomposition:
+                     r_B: float, delta: DD) -> ShiftDecomposition:
     """Split the exact ground-to-orbit delta of a station at r_A spinning at
     omega_si (rad/s) and a receiver orbit at r_B."""
     return _decompose_ground(p, r_A, r_B, delta,
-                             delta_rotation_term_ground(r_A, omega_si, k))
+                             delta_rotation_term_ground(r_A, omega_si))
 
 
 def _decompose_ground(p: SpacetimeParams, r_A: float, r_B: float, delta: DD,

@@ -47,12 +47,6 @@ class LinkScheme(enum.Enum):
     SAT_TO_SAT = "sat-to-sat"
 
 
-class ShiftMethod(enum.Enum):
-    CLOSED_FORM = "closed-form"
-    CONTRACTION = "contraction"
-    SCHWARZSCHILD_LIMIT = "schwarzschild-limit"
-
-
 @dataclass(frozen=True)
 class LinkScenario:
     """Emitter/receiver pairing for one photon link."""
@@ -90,7 +84,6 @@ class ShiftResult:
 
     f: DD
     delta: DD
-    method: ShiftMethod
 
     def __post_init__(self):
         check = (self.f - ONE) - self.delta
@@ -99,7 +92,7 @@ class ShiftResult:
 
 
 def _assemble(pn: DD, pd: DD, dev_emit: DD, dev_recv: DD, emit_name: str,
-              recv_name: str, method: ShiftMethod) -> ShiftResult:
+              recv_name: str) -> ShiftResult:
     arg_emit = ONE - dev_emit
     arg_recv = ONE - dev_recv
     if arg_emit.sign() <= 0:
@@ -110,7 +103,7 @@ def _assemble(pn: DD, pd: DD, dev_emit: DD, dev_recv: DD, emit_name: str,
     u2 = (dev_recv - dev_emit) / arg_recv
     w = u2 / (ONE + (ONE + u2).sqrt())
     delta = u1 + w + u1 * w
-    return ShiftResult(f=ONE + delta, delta=delta, method=method)
+    return ShiftResult(f=ONE + delta, delta=delta)
 
 
 def _ground_parts(p: SpacetimeParams, station: Worldline) -> tuple[DD, DD]:
@@ -160,7 +153,7 @@ def _closed_form(scheme: LinkScheme, emitter_terms: tuple[DD, DD],
     else:
         emit_name = "the emitter-orbit normalization"
     return _assemble(pn, pd, dev_emit, dev_recv, emit_name,
-                     "the receiver-orbit normalization", ShiftMethod.CLOSED_FORM)
+                     "the receiver-orbit normalization")
 
 
 def shift_ground_to_sat(s: LinkScenario) -> ShiftResult:
@@ -190,8 +183,7 @@ def shift_schwarzschild(M_geom: float, r_A: float, r_B: float) -> ShiftResult:
     dev_emit = DD.quotient(2.0 * M_geom, r_A) if M_geom else DD(0.0)
     dev_recv = (DD.product(3.0, M_geom) / r_B) if M_geom else DD(0.0)
     return _assemble(DD(0.0), DD(0.0), dev_emit, dev_recv,
-                     "the emitter factor", "the receiver factor",
-                     ShiftMethod.SCHWARZSCHILD_LIMIT)
+                     "the emitter factor", "the receiver factor")
 
 
 def shift(s: LinkScenario) -> ShiftResult:
@@ -223,7 +215,7 @@ def shift_via_contraction(s: LinkScenario) -> ShiftResult:
     u_emit = _endpoint_velocity(p, s.emitter)
     u_recv = _endpoint_velocity(p, s.receiver)
     f = contract(g_recv, k_recv, u_recv) / contract(g_emit, k_emit, u_emit)
-    return ShiftResult(f=f, delta=f - ONE, method=ShiftMethod.CONTRACTION)
+    return ShiftResult(f=f, delta=f - ONE)
 
 
 # |delta| below which a bisection midpoint is taken as the zero-shift radius

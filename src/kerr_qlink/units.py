@@ -14,36 +14,20 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Gravitational constant and speed of light used for unit conversion."""
-
-    G: float = 6.674e-11  # m^3 kg^-1 s^-2
-    c: float = 2.99792458e8  # m/s
-
-    def __post_init__(self):
-        for name in ("G", "c"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"PhysicalConstants.{name} must be finite and "
-                                  f"positive, got {getattr(self, name)}")
+# The one gravitational constant and speed of light behind every conversion.
+G = 6.674e-11  # m^3 kg^-1 s^-2
+C = 2.99792458e8  # m/s
 
 
-CONSTANTS = PhysicalConstants()
-
-
-def geometric_mass(mass_kg: float, k: PhysicalConstants = CONSTANTS) -> float:
+def geometric_mass(mass_kg: float) -> float:
     """Convert a mass in kg to its geometric length G*m/c^2 in meters."""
     if not 0.0 < mass_kg < math.inf:
         raise DomainError(f"mass_kg must be finite and positive, got {mass_kg}")
-    return k.G * mass_kg / (k.c * k.c)
+    return G * mass_kg / (C * C)
 
 
-def kerr_parameter_from_inertia(
-    inertia: float,
-    omega: float,
-    mass_kg: float,
-    k: PhysicalConstants = CONSTANTS,
-) -> float:
+def kerr_parameter_from_inertia(inertia: float, omega: float,
+                                mass_kg: float) -> float:
     """Spin parameter a = J/M in meters from a moment of inertia.
 
     In SI terms a = I*omega/(M*c); equivalently a = 2*I_geom*omega_geom/r_S
@@ -57,7 +41,7 @@ def kerr_parameter_from_inertia(
         raise DomainError("moment of inertia and mass must be positive")
     if omega < 0.0:
         raise DomainError("angular velocity must be non-negative")
-    return inertia * omega / (mass_kg * k.c)
+    return inertia * omega / (mass_kg * C)
 
 
 @dataclass(frozen=True)
@@ -118,8 +102,8 @@ class EarthModel:
                 f"I*omega/(M*c) = {implied:.4f} m vs a = {self.a_m} m"
             )
 
-    def spacetime(self, k: PhysicalConstants = CONSTANTS) -> SpacetimeParams:
-        return SpacetimeParams(geometric_mass(self.mass_kg, k), self.a_m)
+    def spacetime(self) -> SpacetimeParams:
+        return SpacetimeParams(geometric_mass(self.mass_kg), self.a_m)
 
 
 EARTH = EarthModel()
@@ -129,12 +113,12 @@ LEO_ALTITUDE_M = 2.000e6
 GEO_ALTITUDE_M = 3.5784e7
 
 
-def leo_radius(earth: EarthModel = EARTH) -> float:
-    return earth.r_A + LEO_ALTITUDE_M
+def leo_radius() -> float:
+    return EARTH.r_A + LEO_ALTITUDE_M
 
 
-def geo_radius(earth: EarthModel = EARTH) -> float:
-    return earth.r_A + GEO_ALTITUDE_M
+def geo_radius() -> float:
+    return EARTH.r_A + GEO_ALTITUDE_M
 
 
 @dataclass(frozen=True)
@@ -154,19 +138,15 @@ class DimensionlessParams:
                 raise DomainError(f"DimensionlessParams.{name} = {v} not in (0, 1)")
 
 
-def dimensionless_params(
-    earth: EarthModel,
-    r_B: float,
-    k: PhysicalConstants = CONSTANTS,
-) -> DimensionlessParams:
+def dimensionless_params(earth: EarthModel, r_B: float) -> DimensionlessParams:
     """Populate the five ratios for a ground station at r_A and an orbit at r_B."""
     if r_B <= earth.r_A:
         raise DomainError(f"orbit radius {r_B} must exceed the surface radius {earth.r_A}")
-    m = geometric_mass(earth.mass_kg, k)
+    m = geometric_mass(earth.mass_kg)
     return DimensionlessParams(
         m_over_rA=m / earth.r_A,
         m_over_rB=m / r_B,
         a_over_rA=earth.a_m / earth.r_A,
         a_over_rB=earth.a_m / r_B,
-        rA_omegaA=earth.r_A * earth.omega_A / k.c,
+        rA_omegaA=earth.r_A * earth.omega_A / C,
     )

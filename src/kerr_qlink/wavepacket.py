@@ -86,7 +86,11 @@ def overlap_analytic(sent: GaussianWavepacket, delta: float) -> OverlapResult:
     denom = 1.0 + fp * fp  # 2 + 2 delta + delta^2
     peak_b = fp * sent.peak.to_float()
     width_b = fp * sent.width.to_float()
-    exponent = (delta * peak_b) ** 2 / (4.0 * denom * width_b * width_b)
+    try:
+        exponent = (delta * peak_b) ** 2 / (4.0 * denom * width_b * width_b)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError("packet overlap exponent overflows or underflows "
+                          "double precision") from None
     pref_sq = 2.0 * fp / denom
     theta = math.sqrt(pref_sq) * math.exp(-exponent)
     # 1 - theta^2 = (1 - pref^2) + pref^2 (1 - e^{-2 exponent}), all positive

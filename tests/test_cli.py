@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,7 +44,7 @@ from kerr_qlink.metrology import (
 )
 from kerr_qlink.perturb import decompose_ground, decompose_sats
 from kerr_qlink.shift import LinkScheme, shift
-from kerr_qlink.units import CONSTANTS, geo_radius, leo_radius
+from kerr_qlink.units import C, geo_radius, leo_radius
 from kerr_qlink.wavepacket import overlap_analytic
 
 
@@ -146,6 +147,20 @@ class TestSweepSpec:
             spec.apply(PRESETS["earth-leo"], 7.5e6)
 
 
+# probe counts, squeezings, bandwidths and frequencies across the double range
+_LOG_UNIFORM = st.floats(min_value=-300.0, max_value=300.0).map(
+    lambda e: 10.0 ** e)
+
+
+def _floats(tree) -> list:
+    """Every float in a JSON-like tree of dicts and lists."""
+    if isinstance(tree, dict):
+        return [x for v in tree.values() for x in _floats(v)]
+    if isinstance(tree, list):
+        return [x for v in tree for x in _floats(v)]
+    return [tree] if isinstance(tree, float) else []
+
+
 class TestReport:
     def test_earth_leo_contents(self):
         rep = assemble_report(PRESETS["earth-leo"])
@@ -217,6 +232,29 @@ class TestReport:
         data = json.loads(out.read_text())
         assert data["delta"]["hi"] == pytest.approx(9.7442547847861e-11, rel=1e-10)
         assert data["regime"] == "valid"
+
+    # the repro cases: a square, a sinh and the information of all N probes
+    # overflow, a squared bandwidth underflows
+    @example(preset="earth-leo", probes=1e10, squeezing=2.0,
+             bandwidth_hz=1e6, peak_frequency_hz=1e200)
+    @example(preset="earth-leo", probes=1e10, squeezing=800.0,
+             bandwidth_hz=1e6, peak_frequency_hz=7e14)
+    @example(preset="earth-leo", probes=1e10, squeezing=334.0,
+             bandwidth_hz=1e6, peak_frequency_hz=7e14)
+    @example(preset="earth-leo", probes=1e10, squeezing=2.0,
+             bandwidth_hz=1e-300, peak_frequency_hz=7e14)
+    @given(preset=st.sampled_from(sorted(PRESETS)),
+           probes=_LOG_UNIFORM, squeezing=_LOG_UNIFORM,
+           bandwidth_hz=_LOG_UNIFORM, peak_frequency_hz=_LOG_UNIFORM)
+    @settings(max_examples=300)
+    def test_metrology_inputs_give_finite_numbers_or_a_refusal(
+            self, preset, **metrology):
+        try:
+            rep = assemble_report(replace(PRESETS[preset], **metrology))
+        except KerrQlinkError:
+            return
+        values = _floats(rep.as_dict())
+        assert values and all(math.isfinite(x) for x in values)
 
 
 class TestSweep:
@@ -357,7 +395,7 @@ def _reference_report(cfg: ScenarioConfig) -> Report:
     }
     if cfg.scheme is LinkScheme.GROUND_TO_SAT:
         ratios["r_emitter*omega/c"] = (
-            cfg.emitter_radius_m * cfg.ground_omega_rad_s / CONSTANTS.c)
+            cfg.emitter_radius_m * cfg.ground_omega_rad_s / C)
     return Report(
         scheme=cfg.scheme.value, emitter_radius_m=cfg.emitter_radius_m,
         receiver_radius_m=cfg.receiver_radius_m, ratios=ratios,
@@ -541,6 +579,36 @@ class TestSweepPlanStages:
                               "qfi": 1, "shift_uncertainty_floor": 1}
 
 
+class TestRegimeClassifiedOnce:
+    """A report or sweep point classifies its regime once, whichever module
+    looks the classifier up."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        metrology_module = importlib.import_module("kerr_qlink.metrology")
+        original = metrology_module.regime_check
+        calls = []
+
+        def counted(delta, cfg):
+            calls.append(delta)
+            return original(delta, cfg)
+
+        for owner in (metrology_module, report_module):
+            monkeypatch.setattr(owner, "regime_check", counted)
+        return calls
+
+    def test_sweep_classifies_each_point_once(self, calls, tmp_path):
+        spec = SweepSpec("r_B", 7.0e6, 4.2e7, 9, "log")
+        run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
+        assert len(calls) == 9
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_report_classifies_once(self, calls, preset):
+        rep = assemble_report(PRESETS[preset])
+        assert rep.regime == "valid" and rep.qber_value is not None
+        assert len(calls) == 1
+
+
 class TestCliEntry:
     def test_report_preset(self, capsys):
         assert main(["report", "--preset", "earth-leo"]) == 0
@@ -630,6 +698,33 @@ class TestCliEntry:
         path.write_text(overlay)
         assert main(["report", "--preset", preset, "--config", str(path)]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("overlay", [
+        "peak_frequency_hz = 1e200\n",
+        "squeezing = 800\n",
+        "bandwidth_hz = 1e-300\n",
+    ])
+    def test_unrepresentable_metrology_is_domain_error(self, tmp_path, capsys,
+                                                       overlay):
+        path = tmp_path / "huge.cfg"
+        path.write_text(overlay)
+        assert main(["report", "--preset", "earth-leo", "--config", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("DomainError: MetrologyConfig")
+
+    def test_unrepresentable_points_become_error_rows(self, tmp_path, capsys):
+        path = tmp_path / "s.cfg"
+        path.write_text("sweep_variable = s\nsweep_lo = 1\nsweep_hi = 1000\n"
+                        "sweep_points = 4\n")
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--preset", "earth-leo", "--config", str(path),
+                     "--out", str(out), "--no-timestamp"])
+        assert code == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        regime, error = CSV_COLUMNS.index("regime"), CSV_COLUMNS.index("error")
+        assert rows[0][regime] == "valid"
+        assert all(r[error].startswith("DomainError: ") for r in rows[1:])
 
     @pytest.mark.parametrize("bounds", [
         "sweep_lo = 8e6\nsweep_hi = inf\n",

@@ -224,9 +224,17 @@ def test_config_refuses_non_finite_fields(field, value):
         MetrologyConfig(**{field: value})
 
 
-def test_qfi_numeric_limit_needs_three_rungs():
-    with pytest.raises(DomainError):
-        qfi_numeric_limit(CFG, rungs=2)
+@pytest.mark.parametrize("fields", [
+    {"omega1": 1e200},  # the squared frequency overflows
+    {"squeezing": 800.0},  # sinh(s) overflows
+    {"squeezing": 334.0},  # N H overflows, so 1/sqrt(N H) reads 0
+    {"sigma": 1e-300},  # the squared bandwidth underflows to zero
+    {"probes": 1e300},  # the floor's N (omega1^2 + omega2^2) overflows
+    {"squeezing": 1e-300},  # sinh^2(s) underflows: no information left
+])
+def test_config_refuses_information_outside_the_double_range(fields):
+    with pytest.raises(DomainError, match="overflows or underflows"):
+        MetrologyConfig(**fields)
 
 
 def test_mean_square_peak_mixes_modes():

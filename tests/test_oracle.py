@@ -33,7 +33,7 @@ from kerr_qlink.shift import (
     shift_sat_to_sat,
     shift_schwarzschild,
 )
-from kerr_qlink.units import CONSTANTS, EARTH, SpacetimeParams, geo_radius, leo_radius
+from kerr_qlink.units import C, EARTH, SpacetimeParams, geo_radius, leo_radius
 
 P = EARTH.spacetime()
 
@@ -198,7 +198,7 @@ class TestSeriesExtraction:
         coef = extract_series_coefficient(
             SeriesParam.OMEGA_A, 2, M=P.M_geom, a=P.a, r_A=EARTH.r_A,
             omega_A_si=EARTH.omega_A, r_B=leo_radius(), digits=80)
-        analytic = -0.5 * (EARTH.r_A / CONSTANTS.c) ** 2
+        analytic = -0.5 * (EARTH.r_A / C) ** 2
         assert coef == pytest.approx(analytic, rel=1e-4)
 
     def test_spin_slope_bounded_by_residual_scale(self):
@@ -230,7 +230,7 @@ class TestSeriesExtraction:
 class TestGeodesicIntegration:
     def test_leo_and_geo_against_closed_form(self):
         for r_b in (leo_radius(), geo_radius()):
-            res = integrate_schwarzschild_radial(P.M_geom, EARTH.r_A, r_b, 1e-13)
+            res = integrate_schwarzschild_radial(P.M_geom, EARTH.r_A, r_b)
             closed = shift_schwarzschild(P.M_geom, EARTH.r_A, r_b)
             # error measured against the deviation scale f - 1
             dev_err = abs((res.f_numeric - closed.f).to_float()) \
@@ -239,7 +239,7 @@ class TestGeodesicIntegration:
             assert abs(res.f_numeric.to_float() / closed.f.to_float() - 1.0) <= 1e-12
 
     def test_energy_conserved_and_photon_stays_radial(self):
-        res = integrate_schwarzschild_radial(P.M_geom, EARTH.r_A, geo_radius(), 1e-13)
+        res = integrate_schwarzschild_radial(P.M_geom, EARTH.r_A, geo_radius())
         assert res.trace.energy_drift <= 1e-13
         assert res.trace.phidot_max == 0.0
         assert len(res.trace.samples) >= 5
@@ -251,20 +251,18 @@ class TestGeodesicIntegration:
 
     def test_zero_shift_radius(self):
         res = integrate_schwarzschild_radial(P.M_geom, EARTH.r_A,
-                                             1.5 * EARTH.r_A, 1e-13)
+                                             1.5 * EARTH.r_A)
         closed = shift_schwarzschild(P.M_geom, EARTH.r_A, 1.5 * EARTH.r_A)
         assert abs(closed.delta.to_float()) < 1e-18
         assert abs(res.f_numeric.to_float() - 1.0) < 1e-15
 
     def test_flat_spacetime(self):
-        res = integrate_schwarzschild_radial(0.0, EARTH.r_A, leo_radius(), 1e-13)
+        res = integrate_schwarzschild_radial(0.0, EARTH.r_A, leo_radius())
         assert res.f_numeric.to_float() == 1.0
 
     def test_guards(self):
         with pytest.raises(DomainError):
             integrate_schwarzschild_radial(P.M_geom, leo_radius(), EARTH.r_A)
-        with pytest.raises(DomainError):
-            integrate_schwarzschild_radial(P.M_geom, EARTH.r_A, leo_radius(), 1e-14)
         with pytest.raises(DomainError):
             integrate_schwarzschild_radial(1.0, 2.5, 10.0)  # emitter below 3M
 
@@ -279,8 +277,7 @@ def test_literal_first_power_spin_term_is_unphysical():
     real normalization; the quadratic form is also what the rotation term
     -(r_A omega/c)^2 / 2 linearises to.
     """
-    k = CONSTANTS
-    w = EARTH.omega_A / k.c
+    w = EARTH.omega_A / C
     aw = P.a * w
     literal = 1.0 - (2.0 * P.M_geom / EARTH.r_A) * (1.0 - aw) ** 2 \
         - (P.a ** 2 + EARTH.r_A ** 2) * w

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 import expected
 from kerr_qlink.errors import DomainError
 from kerr_qlink.units import (
-    CONSTANTS,
+    C,
     EARTH,
+    G,
     DimensionlessParams,
     EarthModel,
-    PhysicalConstants,
     SpacetimeParams,
     dimensionless_params,
     geo_radius,
@@ -38,8 +38,7 @@ class TestGeometricMass:
         assert sig3(m) == 4.43e-3
 
     def test_definition(self):
-        k = CONSTANTS
-        assert geometric_mass(1.0) == k.G / k.c ** 2
+        assert geometric_mass(1.0) == G / C ** 2
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -86,10 +85,9 @@ class TestKerrParameter:
 
     def test_geometric_identity(self):
         # a = 2 I_geom omega_geom / r_S with I_geom = I G / c^2
-        k = CONSTANTS
         a1 = kerr_parameter_from_inertia(EARTH.inertia, EARTH.omega_A, EARTH.mass_kg)
-        i_geom = EARTH.inertia * k.G / k.c ** 2
-        a2 = 2.0 * i_geom * (EARTH.omega_A / k.c) / (2.0 * geometric_mass(EARTH.mass_kg))
+        i_geom = EARTH.inertia * G / C ** 2
+        a2 = 2.0 * i_geom * (EARTH.omega_A / C) / (2.0 * geometric_mass(EARTH.mass_kg))
         assert a1 == pytest.approx(a2, rel=1e-12)
 
 
@@ -186,16 +184,3 @@ class TestDimensionlessParams:
         assert scaled.m_over_rA == pytest.approx(base.m_over_rA, rel=1e-12)
         assert scaled.a_over_rB == pytest.approx(base.a_over_rB, rel=1e-12)
 
-
-def test_constants_immutable_and_positive():
-    with pytest.raises(Exception):
-        CONSTANTS.c = 1.0
-    with pytest.raises(DomainError):
-        PhysicalConstants(G=-1.0)
-
-
-@pytest.mark.parametrize("field", ["G", "c"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_non_finite_constants_refused(field, bad):
-    with pytest.raises(DomainError, match=f"PhysicalConstants.{field} must be finite"):
-        PhysicalConstants(**{field: bad})

@@ -85,6 +85,14 @@ class TestOverlapAnalytic:
         with pytest.raises(DomainError):
             overlap_analytic(PACKET, -1.0)
 
+    @pytest.mark.parametrize("peak, width", [
+        (1e200, 1e6),  # the squared peak offset overflows
+        (7e14, 1e-200),  # the squared width underflows to zero
+    ])
+    def test_unrepresentable_exponent_refused(self, peak, width):
+        with pytest.raises(DomainError, match="exponent"):
+            overlap_analytic(GaussianWavepacket.of(peak, width), 1e-10)
+
     @given(st.floats(min_value=-0.9, max_value=2.0))
     @settings(max_examples=300)
     def test_theta_in_unit_interval(self, delta):
