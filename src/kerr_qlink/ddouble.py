@@ -7,8 +7,11 @@ deltas of size 1e-10 .. 1e-23 sitting on top of numbers of order one, i.e.
 partly below double-precision epsilon relative to the unit.
 
 The error-free transformations (two_sum, two_prod via Dekker splitting) and
-the add/mul/div/sqrt algorithms follow the classic Dekker/Bailey double-double
-constructions.  No FMA is assumed.
+the add/mul/sqrt algorithms follow the classic Dekker/Bailey double-double
+constructions.  Division is DWDivDW2 of Joldes, Muller & Popescu, "Tight and
+rigorous error bounds for basic building blocks of double-word arithmetic"
+(ACM TOMS 44(2), 2017), with relative error below 15u^2 + 56u^3, u = 2^-53.
+No FMA is assumed.
 
 The DD methods write those transformations out inline on the operands' limbs
 instead of calling them and building a DD for every intermediate.  They run
@@ -215,75 +218,28 @@ class DD:
             bh, bl = other.hi, other.lo
         else:
             bh, bl = float(other), 0.0
-        ah, al = self.hi, self.lo
-        # long division by the divisor's hi limb: q1 + q2 + q3, each
-        # remainder being r - b * q (a DD x double product, then a DD
-        # subtraction); the divisor's split is shared by both products
+        ah = self.hi
+        # DWDivDW2: th = ah / bh, r = b * th (DWTimesFP1), then one
+        # correction (a - r) / bh; two_prod(bh, th) first
+        th = ah / bh
+        ch = bh * th
         t = _SPLITTER * bh
         bhh = t - (t - bh)
         bhl = bh - bhh
-
-        q1 = ah / bh
-        p = bh * q1
-        t = _SPLITTER * q1
-        qh = t - (t - q1)
-        ql = q1 - qh
-        e = ((bhh * qh - p) + bhh * ql + bhl * qh) + bhl * ql
-        e += bh * 0.0 + bl * q1
-        mh = p + e
-        ml = e - (mh - p)
-        nh, nl = -mh, -ml
-        s = ah + nh
-        bb = s - ah
-        e = (ah - (s - bb)) + (nh - bb)
-        t = al + nl
-        bb = t - al
-        f = (al - (t - bb)) + (nl - bb)
-        e += t
-        t = s + e
-        e = e - (t - s)
-        e += f
-        rh = t + e
-        rl = e - (rh - t)
-
-        q2 = rh / bh
-        p = bh * q2
-        t = _SPLITTER * q2
-        qh = t - (t - q2)
-        ql = q2 - qh
-        e = ((bhh * qh - p) + bhh * ql + bhl * qh) + bhl * ql
-        e += bh * 0.0 + bl * q2
-        mh = p + e
-        ml = e - (mh - p)
-        nh, nl = -mh, -ml
-        s = rh + nh
-        bb = s - rh
-        e = (rh - (s - bb)) + (nh - bb)
-        t = rl + nl
-        bb = t - rl
-        f = (rl - (t - bb)) + (nl - bb)
-        e += t
-        t = s + e
-        e = e - (t - s)
-        e += f
-        # only the hi limb of the second remainder is used
-        q3 = (t + e) / bh
-
-        # quick_two_sum(q1, q2) + (q3, 0.0)
-        ah = q1 + q2
-        al = q2 - (ah - q1)
-        s = ah + q3
-        bb = s - ah
-        e = (ah - (s - bb)) + (q3 - bb)
-        t = al + 0.0
-        bb = t - al
-        f = (al - (t - bb)) + (0.0 - bb)
-        e += t
-        t = s + e
-        e = e - (t - s)
-        e += f
-        s = t + e
-        return _dd(s, e - (s - t))
+        t = _SPLITTER * th
+        thh = t - (t - th)
+        thl = th - thh
+        cl = ((bhh * thh - ch) + bhh * thl + bhl * thh) + bhl * thl
+        # quick_two_sum(ch, bl * th), then quick_two_sum(sh, tl + cl)
+        t = bl * th
+        sh = ch + t
+        t = (t - (sh - ch)) + cl
+        rh = sh + t
+        rl = t - (rh - sh)
+        # ah - rh is exact; quick_two_sum(th, tl)
+        t = ((ah - rh) + (self.lo - rl)) / bh
+        s = th + t
+        return _dd(s, t - (s - th))
 
     def __rtruediv__(self, other) -> "DD":
         return DD.of(other).__truediv__(self)

@@ -17,6 +17,7 @@ caller passes that exact delta in (from ``shift``), so it is evaluated once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .ddouble import DD, ONE
@@ -129,4 +130,9 @@ def error_angular_velocity(dec: ShiftDecomposition, delta_delta: float) -> float
     d_rot = abs(dec.delta_rot.to_float())
     if d_rot == 0.0:
         raise DomainError("rotation term vanishes; no angular-velocity sensitivity")
-    return abs(delta_delta) / (2.0 * d_rot)
+    bound = abs(delta_delta) / (2.0 * d_rot)
+    if not math.isfinite(bound):
+        raise DomainError(
+            f"rotation term ({d_rot:.3e}) too small for a finite "
+            "angular-velocity bound")
+    return bound

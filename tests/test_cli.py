@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -232,6 +233,23 @@ class TestReport:
         data = json.loads(out.read_text())
         assert data["delta"]["hi"] == pytest.approx(9.7442547847861e-11, rel=1e-10)
         assert data["regime"] == "valid"
+
+    def test_tiny_rotation_term_refuses_the_angular_velocity_bound(
+            self, tmp_path, capsys):
+        # floor / (2 |delta_rot|) overflows for a ground station spinning at
+        # 1e-158 rad/s: the bound is refused, never printed as inf
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("ground_omega_rad_s = 1e-158\nbandwidth_hz = 1e12\n")
+        out = tmp_path / "slow.json"
+        code = main(["report", "--preset", "earth-leo", "--config", str(cfg),
+                     "--out", str(out)])
+        text = capsys.readouterr().out
+        assert code == 0
+        assert "bound on Delta w_A / w_A:   refused" in text
+        assert not re.search(r"\binf\b", text)
+        data = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert data["bound_omega_rel"] is None
+        assert all(math.isfinite(x) for x in _floats(data))
 
     # the repro cases: a square, a sinh and the information of all N probes
     # overflow, a squared bandwidth underflows

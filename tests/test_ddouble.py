@@ -66,12 +66,18 @@ def test_mul_matches_rationals(a, c):
     assert rel_err(x * y, exact(x) * exact(y)) < 1e-30
 
 
-@given(nonzero, nonzero)
+# DWDivDW2's proven relative error bound (Joldes, Muller & Popescu 2017)
+U = Fraction(1, 2 ** 53)
+DIV_BOUND = 15 * U ** 2 + 56 * U ** 3
+
+
+@given(nonzero, nonzero, nonzero, nonzero)
 @settings(max_examples=300)
-def test_div_matches_rationals(a, b):
-    x = DD.of(a) * a  # widen to use the lo limb
-    y = DD.of(b) * b
-    assert rel_err(x / y, exact(x) / exact(y)) < 1e-30
+def test_div_matches_rationals(a, b, c, d):
+    x = DD(*two_prod(a, b))  # signed, with a populated lo limb
+    y = DD(*two_prod(c, d))
+    want = exact(x) / exact(y)
+    assert abs(exact(x / y) - want) < DIV_BOUND * abs(want)
 
 
 @given(st.floats(min_value=1e-12, max_value=1e12))
@@ -199,14 +205,14 @@ def ref_mul(a, b):
 
 
 def ref_div(a, b):
+    # DWDivDW2: r = b * th is DWTimesFP1, and a.hi - rh is exact
     a, b = _ref(a), _ref(b)
-    q1 = a.hi / b.hi
-    r = ref_sub(a, ref_mul(b, q1))
-    q2 = r.hi / b.hi
-    r = ref_sub(r, ref_mul(b, q2))
-    q3 = r.hi / b.hi
-    s, e = quick_two_sum(q1, q2)
-    return ref_add(DD(s, e), DD(q3))
+    th = a.hi / b.hi
+    ch, cl = two_prod(b.hi, th)
+    sh, tl = quick_two_sum(ch, b.lo * th)
+    rh, rl = quick_two_sum(sh, tl + cl)
+    tl = ((a.hi - rh) + (a.lo - rl)) / b.hi
+    return DD(*quick_two_sum(th, tl))
 
 
 def ref_sqrt(a):

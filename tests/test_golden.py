@@ -8,12 +8,14 @@ of `zero-orbit` on every preset, a refused bracket included.
 Regenerate the files (only when an output change is intended and explained):
 
     PYTHONPATH=src python tests/test_golden.py
+
+It rewrites only the files whose bytes differ and prints, per file, whether
+it changed.
 """
 
 import contextlib
 import io
 import os
-import sys
 
 import pytest
 
@@ -126,8 +128,16 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         files = _outputs(tmp)
     os.makedirs(GOLDEN, exist_ok=True)
+    changed = 0
     for fname, text in files.items():
-        with open(os.path.join(GOLDEN, fname), "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write(text)
-    print(f"wrote {len(files)} golden files to {GOLDEN}", file=sys.stderr)
+        try:
+            same = _read_golden(fname) == text
+        except FileNotFoundError:
+            same = False
+        print(f"{'unchanged' if same else 'changed'}: {fname}")
+        if not same:
+            changed += 1
+            with open(os.path.join(GOLDEN, fname), "w", encoding="utf-8",
+                      newline="") as fh:
+                fh.write(text)
+    print(f"{changed} changed, {len(files) - changed} unchanged in {GOLDEN}")

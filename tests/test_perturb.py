@@ -7,6 +7,7 @@ from conftest import earth_decomposition, earth_link, sat_link, sats_decompositi
 from kerr_qlink.ddouble import DD
 from kerr_qlink.errors import DomainError, HigherOrderRegimeError
 from kerr_qlink.perturb import (
+    ShiftDecomposition,
     decompose_ground,
     decompose_sats,
     delta_mass_term_ground,
@@ -14,7 +15,7 @@ from kerr_qlink.perturb import (
     error_angular_velocity,
     error_schwarzschild_radius,
 )
-from kerr_qlink.shift import shift_ground_to_sat, shift_sat_to_sat
+from kerr_qlink.shift import LinkScheme, shift_ground_to_sat, shift_sat_to_sat
 from kerr_qlink.units import EARTH, geo_radius, leo_radius
 
 P = EARTH.spacetime()
@@ -159,6 +160,13 @@ class TestErrorPropagation:
                                leo_radius(), delta)
         with pytest.raises(DomainError):
             error_angular_velocity(dec, 1e-15)
+
+    def test_bound_past_the_double_range_rejected(self):
+        # a subnormal rotation term: the floor over 2 |delta_rot| overflows
+        dec = ShiftDecomposition(LinkScheme.GROUND_TO_SAT, DD(9.86e-11),
+                                 DD(-2.26e-320), DD(1.47e-19))
+        with pytest.raises(DomainError, match="finite"):
+            error_angular_velocity(dec, 2.79e-9)
 
 
 def EarthModel_still():
