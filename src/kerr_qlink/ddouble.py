@@ -6,12 +6,23 @@ frequency-shift pipeline needs this because the interesting physics lives in
 deltas of size 1e-10 .. 1e-23 sitting on top of numbers of order one, i.e.
 partly below double-precision epsilon relative to the unit.
 
-The error-free transformations (two_sum, two_prod via Dekker splitting) and
-the add/mul/sqrt algorithms follow the classic Dekker/Bailey double-double
-constructions.  Division is DWDivDW2 of Joldes, Muller & Popescu, "Tight and
-rigorous error bounds for basic building blocks of double-word arithmetic"
-(ACM TOMS 44(2), 2017), with relative error below 15u^2 + 56u^3, u = 2^-53.
-No FMA is assumed.
+The error-free transformations (two_sum, two_prod via Dekker splitting) are
+exact, and so are DD.sum2 and DD.product.  Every other kernel has a proven
+relative error bound, u = 2^-53, barring underflow and overflow; no FMA is
+assumed:
+
+  +, -         AccurateDWPlusDW   3u^2 + 13u^3
+  *            DWTimesDW1         7u^2
+  /            DWDivDW2           15u^2 + 56u^3
+  DD.quotient  DWDivFP1           3.5u^2  (double / double: a zero lo limb)
+  sqrt         SQRTDWtoDW         25/8 u^2
+
+The first four are from Joldes, Muller & Popescu, "Tight and rigorous error
+bounds for basic building blocks of double-word arithmetic" (ACM TOMS 44(2),
+2017); the square root is from Lefevre, Louvet, Muller, Picot & Rideau,
+"Accurate calculation of Euclidean norms using double-word arithmetic" (ACM
+TOMS 49(1), 2023).  tests/test_ddouble.py checks each bound exactly in
+rationals.
 
 The DD methods write those transformations out inline on the operands' limbs
 instead of calling them and building a DD for every intermediate.  They run
@@ -261,38 +272,24 @@ class DD:
         return -self if self.hi < 0.0 or (self.hi == 0.0 and self.lo < 0.0) else self
 
     def sqrt(self) -> "DD":
-        """Square root, accurate to double-double precision."""
+        """Square root: SQRTDWtoDW of Lefevre, Louvet, Muller, Picot & Rideau
+        (ACM TOMS 49(1), 2023), relative error below 25/8 u^2."""
         hi, lo = self.hi, self.lo
         if hi == 0.0 and lo == 0.0:
             return _dd(0.0, 0.0)
         if hi < 0.0:
             raise DomainError("square root of a negative compensated value")
-        x = 1.0 / math.sqrt(hi)
-        ax = hi * x
-        # hi limb of self - two_prod(ax, ax)
-        p = ax * ax
-        t = _SPLITTER * ax
-        h = t - (t - ax)
-        l = ax - h
-        nh = -p
-        nl = -(((h * h - p) + h * l + l * h) + l * l)
-        s = hi + nh
-        bb = s - hi
-        e = (hi - (s - bb)) + (nh - bb)
-        t = lo + nl
-        bb = t - lo
-        f = (lo - (t - bb)) + (nl - bb)
-        e += t
-        t = s + e
-        e = e - (t - s)
-        e += f
-        # two_sum(ax, err_hi * (x * 0.5)), then quick_two_sum
-        b = (t + e) * (x * 0.5)
-        s = ax + b
-        bb = s - ax
-        e = (ax - (s - bb)) + (b - bb)
-        t = s + e
-        return _dd(t, e - (t - s))
+        sh = math.sqrt(hi)
+        # two_prod(sh, sh); hi - sh^2 is a double, so (hi - p) - e is exact
+        p = sh * sh
+        t = _SPLITTER * sh
+        h = t - (t - sh)
+        l = sh - h
+        e = ((h * h - p) + h * l + l * h) + l * l
+        sl = (((hi - p) - e) + lo) / (2.0 * sh)
+        # quick_two_sum(sh, sl)
+        s = sh + sl
+        return _dd(s, sl - (s - sh))
 
     # -- comparisons -------------------------------------------------------
 

@@ -211,7 +211,12 @@ def orders_vs_state_of_the_art(relative_bound: float) -> int:
     angular-velocity uncertainty (positive = worse than state of the art)."""
     if relative_bound <= 0.0 or not math.isfinite(relative_bound):
         raise DomainError("relative bound must be positive and finite")
-    return round(math.log10(relative_bound / STATE_OF_THE_ART_OMEGA_RELATIVE))
+    ratio = relative_bound / STATE_OF_THE_ART_OMEGA_RELATIVE
+    if not math.isfinite(ratio):
+        raise DomainError(
+            f"relative bound ({relative_bound:.3e}) too large to compare "
+            "with the state of the art")
+    return round(math.log10(ratio))
 
 
 def qber(delta: float, cfg: MetrologyConfig) -> float:

@@ -115,7 +115,8 @@ def error_schwarzschild_radius(dec: ShiftDecomposition,
     """Relative Schwarzschild-radius error from a shift uncertainty:
     |Delta delta| = |delta_S| * Delta r_S / r_S."""
     d_s = abs(dec.delta_S.to_float())
-    if d_s < HIGHER_ORDER_GUARD * abs(dec.delta_c.to_float()):
+    # a mass term that underflows to zero dominates nothing, even a zero residual
+    if d_s == 0.0 or d_s < HIGHER_ORDER_GUARD * abs(dec.delta_c.to_float()):
         raise HigherOrderRegimeError(
             "higher-order regime: the first-order mass term "
             f"({dec.delta_S.to_float():.3e}) no longer dominates the residual "

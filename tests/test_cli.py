@@ -251,6 +251,30 @@ class TestReport:
         assert data["bound_omega_rel"] is None
         assert all(math.isfinite(x) for x in _floats(data))
 
+    @pytest.mark.parametrize("preset, fields, refused", [
+        # a finite angular-velocity bound whose ratio to the state of the
+        # art overflows
+        ("earth-geo", "ground_omega_rad_s = 6.25813863832812e-158\n",
+         "relative bound (1.571e+303) too large to compare"),
+        # delta_S and delta_c both underflow to zero
+        ("earth-leo", "planet_mass_kg = 1e-290\nground_omega_rad_s = 1e-293\n",
+         "bound on Delta r_S / r_S:   refused"),
+    ])
+    def test_out_of_range_bound_is_refused_in_report_and_sweep(
+            self, tmp_path, capsys, preset, fields, refused):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(fields)
+        assert main(["report", "--preset", preset, "--config", str(cfg)]) == 0
+        assert refused in capsys.readouterr().out
+        cfg.write_text(fields + "sweep_variable = s\nsweep_lo = 0.5\n"
+                       "sweep_hi = 4.0\nsweep_points = 3\n")
+        out = tmp_path / "edge.csv"
+        assert main(["sweep", "--preset", preset, "--config", str(cfg),
+                     "--out", str(out), "--no-timestamp"]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(row.split(",")[2] for row in rows)  # no error row
+
     # the repro cases: a square, a sinh and the information of all N probes
     # overflow, a squared bandwidth underflows
     @example(preset="earth-leo", probes=1e10, squeezing=2.0,
@@ -800,6 +824,18 @@ class TestLeanReportPath:
                               capture_output=True, text=True, check=True)
         lines = proc.stdout.strip().splitlines()
         assert lines[-2:] == ["27/28 checks passed", "4 []"]
+
+    def test_python_m_kerr_qlink_runs_the_cli_without_a_warning(self):
+        src = os.path.dirname(os.path.dirname(kerr_qlink.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "kerr_qlink", "report", "--preset",
+             "earth-leo"], env=env, capture_output=True, text=True)
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "golden", "report_earth-leo.txt")
+        with open(golden, encoding="utf-8", newline="") as fh:
+            assert (proc.returncode, proc.stdout, proc.stderr) == \
+                (0, fh.read(), "")
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_report_assembles_the_shift_once(self, monkeypatch, preset):

@@ -50,25 +50,40 @@ def test_quick_two_sum_when_ordered(a, b):
     assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
 
 
-@given(finite, finite, finite, finite)
-@settings(max_examples=300)
-def test_add_matches_rationals(a, b, c, d):
-    x = DD.sum2(a, b)
-    y = DD.sum2(c, d)
-    assert rel_err(x + y, exact(x) + exact(y)) < 1e-30
-
-
-@given(banded, banded)
-@settings(max_examples=300)
-def test_mul_matches_rationals(a, c):
-    x = DD.of(a) * a  # widen to populate the lo limb
-    y = DD.of(c) * c
-    assert rel_err(x * y, exact(x) * exact(y)) < 1e-30
-
-
-# DWDivDW2's proven relative error bound (Joldes, Muller & Popescu 2017)
+# Proven relative error bounds, u = 2^-53: AccurateDWPlusDW, DWTimesDW1,
+# DWDivDW2 and DWDivFP1 from Joldes, Muller & Popescu (2017), SQRTDWtoDW
+# from Lefevre, Louvet, Muller, Picot & Rideau (2023).  Each test compares
+# exactly in rationals, over signed operands, with populated lo limbs where
+# the kernel takes a DD.
 U = Fraction(1, 2 ** 53)
+ADD_BOUND = 3 * U ** 2 + 13 * U ** 3
+MUL_BOUND = 7 * U ** 2
 DIV_BOUND = 15 * U ** 2 + 56 * U ** 3
+QUOTIENT_BOUND = Fraction(7, 2) * U ** 2
+SQRT_BOUND = Fraction(25, 8) * U ** 2
+
+
+def within(got: DD, want: Fraction, bound: Fraction) -> bool:
+    return abs(exact(got) - want) <= bound * abs(want)
+
+
+@given(banded, banded, banded, banded)
+@settings(max_examples=300)
+# the hi limbs cancel and the lo limbs carry the whole difference
+@example(1 + 2 ** -52, 1 + 2 ** -52, 1.0, 1 + 2 ** -51)
+def test_add_matches_rationals(a, b, c, d):
+    x = DD(*two_prod(a, b))  # signed, with a populated lo limb
+    y = DD(*two_prod(c, d))
+    assert within(x + y, exact(x) + exact(y), ADD_BOUND)
+    assert within(x - y, exact(x) - exact(y), ADD_BOUND)
+
+
+@given(banded, banded, banded, banded)
+@settings(max_examples=300)
+def test_mul_matches_rationals(a, b, c, d):
+    x = DD(*two_prod(a, b))
+    y = DD(*two_prod(c, d))
+    assert within(x * y, exact(x) * exact(y), MUL_BOUND)
 
 
 @given(nonzero, nonzero, nonzero, nonzero)
@@ -78,6 +93,22 @@ def test_div_matches_rationals(a, b, c, d):
     y = DD(*two_prod(c, d))
     want = exact(x) / exact(y)
     assert abs(exact(x / y) - want) < DIV_BOUND * abs(want)
+
+
+@given(nonzero, nonzero)
+@settings(max_examples=300)
+def test_quotient_matches_rationals(a, b):
+    assert within(DD.quotient(a, b), Fraction(a) / Fraction(b), QUOTIENT_BOUND)
+
+
+@given(banded, banded)
+@settings(max_examples=300)
+def test_sqrt_matches_rationals(a, b):
+    x = abs(DD(*two_prod(a, b)))  # the lo limb keeps either sign
+    s = exact(x.sqrt())
+    # |s - sqrt(x)| <= B sqrt(x), squared at both ends: s and sqrt(x) are >= 0
+    assert (1 - SQRT_BOUND) ** 2 * exact(x) <= s * s
+    assert s * s <= (1 + SQRT_BOUND) ** 2 * exact(x)
 
 
 @given(st.floats(min_value=1e-12, max_value=1e12))
@@ -216,13 +247,13 @@ def ref_div(a, b):
 
 
 def ref_sqrt(a):
+    # SQRTDWtoDW: a.hi - sh^2 is a double, so (a.hi - p) - e is exact
     if a.hi == 0.0 and a.lo == 0.0:
         return DD(0.0)
-    x = 1.0 / math.sqrt(a.hi)
-    ax = a.hi * x
-    err = ref_sub(a, DD(*two_prod(ax, ax)))
-    s, e = two_sum(ax, err.hi * (x * 0.5))
-    return DD(*quick_two_sum(s, e))
+    sh = math.sqrt(a.hi)
+    p, e = two_prod(sh, sh)
+    sl = (((a.hi - p) - e) + a.lo) / (2.0 * sh)
+    return DD(*quick_two_sum(sh, sl))
 
 
 def ref_pow(a, n):
