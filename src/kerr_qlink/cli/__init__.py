@@ -4,7 +4,6 @@ built-in verification suites."""
 from .main import main
 from .report import Report, assemble_report, run_report, run_sweep
 from .scenario import PRESETS, ScenarioConfig, SweepSpec, build_config, load_config
-from .selfcheck import CHECKS, run_verify
 
 __all__ = [
     "main",
@@ -20,3 +19,12 @@ __all__ = [
     "CHECKS",
     "run_verify",
 ]
+
+
+def __getattr__(name: str):
+    # the verification suite and the Decimal oracle it runs load only when
+    # asked for, so report, sweep and zero-orbit never compile them
+    if name in ("CHECKS", "run_verify"):
+        from . import selfcheck
+        return getattr(selfcheck, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

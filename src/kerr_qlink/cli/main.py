@@ -15,7 +15,6 @@ from ..errors import ConfigError, DomainError, KerrQlinkError, NumericalError
 from ..shift import LinkScheme, find_zero_shift_orbit, shift
 from .report import run_report, run_sweep
 from .scenario import PRESETS, ScenarioConfig, load_config
-from .selfcheck import run_verify
 
 
 def _resolve_config(args) -> tuple[ScenarioConfig, Optional[object]]:
@@ -93,6 +92,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.digits < 50:
         raise ConfigError("--digits must be at least 50")
+    from .selfcheck import run_verify  # the suite and its oracle load here only
     return run_verify(args.level, args.digits)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
-from ..ddouble import DD
+from ..ddouble import DD, DDColumn, floats
 from ..errors import DomainError, HigherOrderRegimeError, KerrQlinkError
 from ..metrology import (
     _qber_in_regime,
@@ -30,12 +30,18 @@ from ..metrology import (
 )
 from ..perturb import (
     _decompose_ground,
+    _error_angular_velocity,
+    _error_schwarzschild_radius,
     decompose_sats,
     delta_rotation_term_ground,
-    error_angular_velocity,
-    error_schwarzschild_radius,
 )
-from ..shift import LinkScheme, _closed_form, _emitter_terms, _receiver_terms
+from ..shift import (
+    LinkScheme,
+    _closed_form,
+    _emitter_orbit_terms,
+    _emitter_terms,
+    _receiver_terms,
+)
 from ..units import C, SpacetimeParams
 from ..wavepacket import overlap_analytic
 from .scenario import ScenarioConfig, SweepSpec
@@ -143,19 +149,22 @@ def _ratios_block(cfg: ScenarioConfig, p: SpacetimeParams) -> dict:
 
 
 # The pipeline's stages.  Each reads only the config fields of its key in
-# _Pipeline.report.
+# _Pipeline.stages.  In a chunk of an r_B or r_C sweep the swept radius of
+# the config is a DDColumn of the chunk's radii, and the stages it reaches
+# return columns.
 
 def _emitter_stage(p: SpacetimeParams, cfg: ScenarioConfig):
     """Checked emitter terms, and the rotation term of a ground station."""
-    terms = _emitter_terms(p, cfg.emitter())
     if cfg.scheme is LinkScheme.GROUND_TO_SAT:
-        return terms, delta_rotation_term_ground(cfg.emitter_radius_m,
-                                                 cfg.ground_omega_rad_s)
-    return terms, None
+        return (_emitter_terms(p, cfg.emitter()),
+                delta_rotation_term_ground(cfg.emitter_radius_m,
+                                           cfg.ground_omega_rad_s))
+    return _emitter_orbit_terms(p, cfg.emitter_radius_m,
+                                cfg.emitter_direction), None
 
 
 def _receiver_stage(p: SpacetimeParams, cfg: ScenarioConfig):
-    return _receiver_terms(p, cfg.receiver())
+    return _receiver_terms(p, cfg.receiver_radius_m, cfg.receiver_direction)
 
 
 def _link_stage(p: SpacetimeParams, cfg: ScenarioConfig, emitter, receiver_terms):
@@ -176,6 +185,42 @@ def _metrology_stage(cfg: ScenarioConfig):
     return m, qfi(m), shift_uncertainty_floor(m), cfg.packet()
 
 
+def _outcomes(delta: float, delta_S: float, delta_rot: float, delta_c: float,
+              metrology):
+    """Overlap, bounds, QBER, regime and notes of one point from the floats
+    of its shift and decomposition: (overlap, bound on r_S, bound on omega,
+    orders vs the state of the art, QBER, regime, notes).  A quantity whose
+    formula refuses is None, with the refusal as a note."""
+    m, _, floor, packet = metrology
+    overlap = overlap_analytic(packet, delta)
+    notes: list[str] = []
+    if 0.0 < abs(delta_rot) < 2.3e-16:
+        notes.append(
+            "rotation term sits below double epsilon of the unit shift "
+            "ratio; its digits are carried by the compensated pipeline")
+
+    bound_rs = bound_omega = None
+    orders = None
+    try:
+        bound_rs = _error_schwarzschild_radius(delta_S, delta_c, floor)
+    except HigherOrderRegimeError as exc:
+        notes.append(str(exc))
+    try:
+        bound_omega = _error_angular_velocity(delta_rot, floor)
+        orders = orders_vs_state_of_the_art(bound_omega)
+    except DomainError as exc:
+        notes.append(str(exc))
+
+    status = regime_check(delta, m)
+    qber_value = None
+    if status:
+        qber_value = _qber_in_regime(delta, m)
+    else:
+        notes.append(f"QBER refused: {status.reason}")
+    regime = "valid" if status else f"invalid: {status.reason}"
+    return overlap, bound_rs, bound_omega, orders, qber_value, regime, notes
+
+
 class _Pipeline:
     """The report pipeline as stages that each remember their last key and
     result.
@@ -194,8 +239,9 @@ class _Pipeline:
             last = self._last[name] = (key, build(*args))
         return last[1]
 
-    def report(self, cfg: ScenarioConfig) -> Report:
-        cfg = cfg.validate()
+    def stages(self, cfg: ScenarioConfig):
+        """(spacetime, shift result, decomposition, metrology) of a
+        validated config, or of a sweep chunk's config."""
         p = self._stage("spacetime", (cfg.planet_mass_kg,
                                       cfg.planet_spin_parameter_m), cfg.spacetime)
         if cfg.scheme is LinkScheme.GROUND_TO_SAT:
@@ -210,37 +256,21 @@ class _Pipeline:
                                      p, cfg)
         result, dec = self._stage("link", (emitter_key, receiver_key),
                                   _link_stage, p, cfg, emitter, receiver_terms)
-        m, qfi_value, floor, packet = self._stage(
+        metrology = self._stage(
             "metrology", (cfg.probes, cfg.squeezing, cfg.bandwidth_hz,
                           cfg.peak_frequency_hz), _metrology_stage, cfg)
+        return p, result, dec, metrology
 
-        delta_f = result.delta.to_float()
-        overlap = overlap_analytic(packet, delta_f)
-        notes: list[str] = []
-        if 0.0 < abs(dec.delta_rot.to_float()) < 2.3e-16:
-            notes.append(
-                "rotation term sits below double epsilon of the unit shift "
-                "ratio; its digits are carried by the compensated pipeline")
-
-        bound_rs = bound_omega = None
-        orders = None
-        try:
-            bound_rs = error_schwarzschild_radius(dec, floor)
-        except HigherOrderRegimeError as exc:
-            notes.append(str(exc))
-        try:
-            bound_omega = error_angular_velocity(dec, floor)
-            orders = orders_vs_state_of_the_art(bound_omega)
-        except DomainError as exc:
-            notes.append(str(exc))
-
-        status = regime_check(delta_f, m)
-        qber_value = None
-        if status:
-            qber_value = _qber_in_regime(delta_f, m)
-        else:
-            notes.append(f"QBER refused: {status.reason}")
-
+    def report(self, cfg: ScenarioConfig) -> Report:
+        cfg = cfg.validate()
+        p, result, dec, metrology = self.stages(cfg)
+        delta_S, delta_rot, delta_c = (dec.delta_S.to_float(),
+                                       dec.delta_rot.to_float(),
+                                       dec.delta_c.to_float())
+        overlap, bound_rs, bound_omega, orders, qber_value, regime, notes = \
+            _outcomes(result.delta.to_float(), delta_S, delta_rot, delta_c,
+                      metrology)
+        _, qfi_value, floor, _ = metrology
         return Report(
             scheme=cfg.scheme.value,
             emitter_radius_m=cfg.emitter_radius_m,
@@ -248,9 +278,9 @@ class _Pipeline:
             ratios=_ratios_block(cfg, p),
             f=result.f,
             delta=result.delta,
-            delta_S=dec.delta_S.to_float(),
-            delta_rot=dec.delta_rot.to_float(),
-            delta_c=dec.delta_c.to_float(),
+            delta_S=delta_S,
+            delta_rot=delta_rot,
+            delta_c=delta_c,
             theta=overlap.theta,
             fidelity=overlap.fidelity,
             qfi_value=qfi_value,
@@ -259,9 +289,40 @@ class _Pipeline:
             bound_omega_rel=bound_omega,
             omega_orders_vs_reference=orders,
             qber_value=qber_value,
-            regime="valid" if status else f"invalid: {status.reason}",
+            regime=regime,
             notes=notes,
         )
+
+    def column_rows(self, cfg: ScenarioConfig, spec: SweepSpec, start: int,
+                    values: list[float]) -> list[str]:
+        """CSV rows of the r_B or r_C sweep points ``values``, the first of
+        them point ``start``.
+
+        Each point's config is validated; then the stages evaluate the points
+        as columns, on a config whose swept radius is the column of
+        ``values``, and each row comes from the columns' elements.  When
+        anything refuses a point, or arithmetic fails, on the way, the points
+        are evaluated again one by one, so a refused row keeps its text and a
+        crash stays a crash.
+        """
+        points = [spec.apply(cfg, v) for v in values]
+        try:
+            for point in points:
+                point.validate()
+            _, result, dec, metrology = self.stages(
+                spec.apply(cfg, DDColumn.of(values)))
+        except (KerrQlinkError, ArithmeticError):
+            return [_sweep_row(self, start + i, value, point)
+                    for i, (value, point) in enumerate(zip(values, points))]
+        n = len(values)
+        # a ground station's rotation term is one DD for all the points
+        delta_S, delta_rot, delta_c = (
+            x if len(x) == n else x * n
+            for x in map(floats, (dec.delta_S, dec.delta_rot, dec.delta_c)))
+        return [_value_row(start + i, value, f, delta, delta_S[i], delta_rot[i],
+                           delta_c[i], metrology)
+                for i, (value, f, delta) in enumerate(
+                    zip(values, result.f.limbs, result.delta.limbs))]
 
 
 def assemble_report(cfg: ScenarioConfig) -> Report:
@@ -304,25 +365,48 @@ def _csv_escape(text: str) -> str:
     return text
 
 
+def _error_row(index: int, value: float, exc: KerrQlinkError) -> str:
+    cells = [str(index), _fmt(value)] + [""] * (len(CSV_COLUMNS) - 3) \
+        + [_csv_escape(f"{type(exc).__name__}: {exc}")]
+    return ",".join(cells)
+
+
+def _value_row(index: int, value: float, f: tuple[float, float],
+               delta: tuple[float, float], delta_S: float, delta_rot: float,
+               delta_c: float, metrology) -> str:
+    """The row of a point from the (hi, lo) limbs of its f and delta and the
+    floats of its decomposition; a refused overlap makes it an error row."""
+    delta_hi, delta_lo = delta
+    try:
+        overlap, bound_rs, bound_omega, _, qber_value, regime, notes = \
+            _outcomes(delta_hi + delta_lo, delta_S, delta_rot, delta_c,
+                      metrology)
+    except KerrQlinkError as exc:
+        return _error_row(index, value, exc)
+    _, qfi_value, floor, _ = metrology
+    cells = [str(index), *map(_fmt, (
+        value, *f, delta_hi, delta_lo, delta_S, delta_rot, delta_c,
+        overlap.theta, qfi_value, floor, bound_rs, bound_omega, qber_value)),
+        regime, _csv_escape("; ".join(notes))]
+    return ",".join(cells)
+
+
 def _sweep_row(pipeline: _Pipeline, index: int, value: float,
                cfg: ScenarioConfig) -> str:
-    cells: list[str]
     try:
-        rep = pipeline.report(cfg)
-        cells = [
-            str(index), _fmt(value),
-            _fmt(rep.f.hi), _fmt(rep.f.lo),
-            _fmt(rep.delta.hi), _fmt(rep.delta.lo),
-            _fmt(rep.delta_S), _fmt(rep.delta_rot), _fmt(rep.delta_c),
-            _fmt(rep.theta), _fmt(rep.qfi_value), _fmt(rep.delta_delta_min),
-            _fmt(rep.bound_schwarzschild_rel), _fmt(rep.bound_omega_rel),
-            _fmt(rep.qber_value), rep.regime,
-            _csv_escape("; ".join(rep.notes)),
-        ]
+        _, result, dec, metrology = pipeline.stages(cfg.validate())
     except KerrQlinkError as exc:
-        cells = [str(index), _fmt(value)] + [""] * (len(CSV_COLUMNS) - 3) \
-            + [_csv_escape(f"{type(exc).__name__}: {exc}")]
-    return ",".join(cells)
+        return _error_row(index, value, exc)
+    return _value_row(index, value, (result.f.hi, result.f.lo),
+                      (result.delta.hi, result.delta.lo),
+                      dec.delta_S.to_float(), dec.delta_rot.to_float(),
+                      dec.delta_c.to_float(), metrology)
+
+
+# Sweep points evaluated as one column.  Peak memory grows with it (a whole
+# 2000-point sweep at once costs about 5 MB more), while the time per point
+# levels off from about 32 points.
+SWEEP_CHUNK = 64
 
 
 def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
@@ -333,15 +417,25 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
     All points share one pipeline, so what the swept variable does not touch
     (the emitter for a receiver sweep, the whole shift for a squeezing,
     probe-count or bandwidth sweep) is computed once; each point's config is
-    still validated on its own.  Points evaluate in sweep order in the
-    calling thread.  Per-point domain failures leave their value cells empty
-    and carry the message in the error column.  ``threads`` is accepted and
-    ignored; it remains for callers written when the sweep ran on a thread
-    pool.
+    still validated on its own.  A receiver (r_B) or emitter (r_C) radius
+    sweep evaluates SWEEP_CHUNK points at a time: the stages the radius
+    reaches run once per chunk on DDColumn values, with the same bits as
+    point by point, and a chunk in which any point is refused runs point by
+    point.  Rows come in sweep order, computed in the calling thread.
+    Per-point domain failures leave their value cells empty and carry the
+    message in the error column.  ``threads`` is accepted and ignored; it
+    remains for callers written when the sweep ran on a thread pool.
     """
     pipeline = _Pipeline()
-    rows = [_sweep_row(pipeline, i, v, spec.apply(cfg, v))
-            for i, v in enumerate(spec.values())]
+    values = spec.values()
+    if spec.variable in ("r_B", "r_C"):
+        rows = []
+        for start in range(0, len(values), SWEEP_CHUNK):
+            rows += pipeline.column_rows(cfg, spec, start,
+                                         values[start:start + SWEEP_CHUNK])
+    else:
+        rows = [_sweep_row(pipeline, i, v, spec.apply(cfg, v))
+                for i, v in enumerate(values)]
     lines = []
     if not no_timestamp:
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

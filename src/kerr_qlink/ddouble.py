@@ -24,12 +24,26 @@ bounds for basic building blocks of double-word arithmetic" (ACM TOMS 44(2),
 TOMS 49(1), 2023).  tests/test_ddouble.py checks each bound exactly in
 rationals.
 
-The DD methods write those transformations out inline on the operands' limbs
-instead of calling them and building a DD for every intermediate.  They run
-the same IEEE operations in the same order, so every bit of the result,
-signed zeros included, is that of the composed form; what goes is the
-interpreter's call and allocation overhead, most of a scalar operation's
-cost.  tests/test_ddouble.py keeps the composed form as the reference.
+Each kernel is one module-level function on float limbs that returns the
+(hi, lo) pair of its result: _add (for - too, the subtrahend negated limb by
+limb), _mul, _div, _sqrt, _quotient, _product and _sum2.  They write the
+error-free transformations out inline instead of calling them, and run the
+same IEEE operations in the same order, so every bit of a result, signed
+zeros included, is that of the composed form; tests/test_ddouble.py keeps
+the composed form as the reference.  Two number types share the kernels,
+so the bounds above hold for both:
+
+* DD, one value.  Its operators unpack the operands, call the kernel and
+  wrap the pair.
+* DDColumn, a list of (hi, lo) pairs.  Its operators map the same kernel
+  over the elements, broadcasting a DD, float or int operand on either side,
+  so element i of a result is bit for bit the DD result on element i.  It
+  saves the interpreter's per-operation dispatch and allocation, most of a
+  scalar operation's cost, when many points go through one formula.
+
+The formula helpers in geometry, shift and perturb take their number type
+from their operands (``number_type``), so one source evaluates a point or a
+column of sweep points.
 """
 
 from __future__ import annotations
@@ -70,12 +84,148 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
 
 
+# -- kernels: limbs in, the result's (hi, lo) out ----------------------------
+
+def _sum2(a: float, b: float) -> tuple[float, float]:
+    """Exact a + b of two doubles (two_sum)."""
+    s = a + b
+    bb = s - a
+    # int operands give int limbs; float() rounds them as DD() does
+    return float(s), float((a - (s - bb)) + (b - bb))
+
+
+def _product(a: float, b: float) -> tuple[float, float]:
+    """Exact a * b of two doubles (two_prod)."""
+    p = a * b
+    t = _SPLITTER * a
+    ahi = t - (t - a)
+    alo = a - ahi
+    t = _SPLITTER * b
+    bhi = t - (t - b)
+    blo = b - bhi
+    # p is an int when both operands are; the error term is always a float
+    return float(p), ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+
+
+def _quotient(a: float, b: float) -> tuple[float, float]:
+    """DWDivFP1 on two doubles: a / b to double-double precision."""
+    q = a / b
+    # two_prod(q, b)
+    p = q * b
+    t = _SPLITTER * q
+    qhi = t - (t - q)
+    qlo = q - qhi
+    t = _SPLITTER * b
+    bhi = t - (t - b)
+    blo = b - bhi
+    e = ((qhi * bhi - p) + qhi * blo + qlo * bhi) + qlo * blo
+    # quick_two_sum(q, ((a - p) - e) / b)
+    r = ((a - p) - e) / b
+    s = q + r
+    return s, r - (s - q)
+
+
+# A float or int operand enters as (float(x), 0.0), negated as (-float(x),
+# -0.0).  Operations on such a zero lo limb stay in: they can decide the sign
+# of a zero result limb.
+
+def _add(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
+    """AccurateDWPlusDW: (ah + al) + (bh + bl)."""
+    # two_sum on both limb pairs, then two renormalising quick_two_sums
+    s = ah + bh
+    bb = s - ah
+    e = (ah - (s - bb)) + (bh - bb)
+    t = al + bl
+    bb = t - al
+    f = (al - (t - bb)) + (bl - bb)
+    e += t
+    t = s + e
+    e = e - (t - s)
+    e += f
+    s = t + e
+    return s, e - (s - t)
+
+
+def _mul(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
+    """DWTimesDW1: (ah + al) * (bh + bl)."""
+    # two_prod(ah, bh), then the cross terms, then quick_two_sum
+    p = ah * bh
+    t = _SPLITTER * ah
+    ahh = t - (t - ah)
+    ahl = ah - ahh
+    t = _SPLITTER * bh
+    bhh = t - (t - bh)
+    bhl = bh - bhh
+    e = ((ahh * bhh - p) + ahh * bhl + ahl * bhh) + ahl * bhl
+    e += ah * bl + al * bh
+    s = p + e
+    return s, e - (s - p)
+
+
+def _div(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
+    """DWDivDW2: (ah + al) / (bh + bl)."""
+    # th = ah / bh, r = b * th (DWTimesFP1), then one correction
+    # (a - r) / bh; two_prod(bh, th) first
+    th = ah / bh
+    ch = bh * th
+    t = _SPLITTER * bh
+    bhh = t - (t - bh)
+    bhl = bh - bhh
+    t = _SPLITTER * th
+    thh = t - (t - th)
+    thl = th - thh
+    cl = ((bhh * thh - ch) + bhh * thl + bhl * thh) + bhl * thl
+    # quick_two_sum(ch, bl * th), then quick_two_sum(sh, tl + cl)
+    t = bl * th
+    sh = ch + t
+    t = (t - (sh - ch)) + cl
+    rh = sh + t
+    rl = t - (rh - sh)
+    # ah - rh is exact; quick_two_sum(th, tl)
+    t = ((ah - rh) + (al - rl)) / bh
+    s = th + t
+    return s, t - (s - th)
+
+
+def _sqrt(hi: float, lo: float) -> tuple[float, float]:
+    """SQRTDWtoDW: sqrt(hi + lo)."""
+    if hi == 0.0 and lo == 0.0:
+        return 0.0, 0.0
+    if hi < 0.0:
+        raise DomainError("square root of a negative compensated value")
+    sh = math.sqrt(hi)
+    # two_prod(sh, sh); hi - sh^2 is a double, so (hi - p) - e is exact
+    p = sh * sh
+    t = _SPLITTER * sh
+    h = t - (t - sh)
+    l = sh - h
+    e = ((h * h - p) + h * l + l * h) + l * l
+    sl = (((hi - p) - e) + lo) / (2.0 * sh)
+    # quick_two_sum(sh, sl)
+    s = sh + sl
+    return s, sl - (s - sh)
+
+
+def _sign(hi: float, lo: float) -> int:
+    """-1, 0 or +1; the lo part decides when hi is exactly zero."""
+    if hi > 0.0:
+        return 1
+    if hi < 0.0:
+        return -1
+    if lo > 0.0:
+        return 1
+    if lo < 0.0:
+        return -1
+    return 0
+
+
 class DD:
     """Immutable double-double number.
 
     Construct with already-normalised parts (internal use), or via
     ``DD.of``, ``DD.sum2``, ``DD.product``, ``DD.quotient``.  All operators
-    accept DD, float or int operands.
+    accept DD, float or int operands, and leave a DDColumn operand to the
+    column's reflected operator.
     """
 
     __slots__ = ("hi", "lo")
@@ -95,41 +245,17 @@ class DD:
     @staticmethod
     def sum2(a: float, b: float) -> "DD":
         """Exact a + b of two doubles."""
-        s = a + b
-        bb = s - a
-        # int operands give int limbs; float() rounds them as DD() does
-        return _dd(float(s), float((a - (s - bb)) + (b - bb)))
+        return _dd(*_sum2(a, b))
 
     @staticmethod
     def product(a: float, b: float) -> "DD":
         """Exact a * b of two doubles."""
-        p = a * b
-        t = _SPLITTER * a
-        ahi = t - (t - a)
-        alo = a - ahi
-        t = _SPLITTER * b
-        bhi = t - (t - b)
-        blo = b - bhi
-        # p is an int when both operands are; the error term is always a float
-        return _dd(float(p), ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo)
+        return _dd(*_product(a, b))
 
     @staticmethod
     def quotient(a: float, b: float) -> "DD":
         """a / b of two doubles, accurate to double-double precision."""
-        q = a / b
-        # two_prod(q, b)
-        p = q * b
-        t = _SPLITTER * q
-        qhi = t - (t - q)
-        qlo = q - qhi
-        t = _SPLITTER * b
-        bhi = t - (t - b)
-        blo = b - bhi
-        e = ((qhi * bhi - p) + qhi * blo + qlo * bhi) + qlo * blo
-        # quick_two_sum(q, ((a - p) - e) / b)
-        r = ((a - p) - e) / b
-        s = q + r
-        return _dd(s, r - (s - q))
+        return _dd(*_quotient(a, b))
 
     # -- conversions -------------------------------------------------------
 
@@ -152,28 +278,17 @@ class DD:
 
     # -- arithmetic --------------------------------------------------------
     #
-    # A float or int operand enters as (float(x), 0.0).  Operations on such a
-    # zero lo limb stay in: they can decide the sign of a zero result limb.
+    # float() refuses a DDColumn, and returning NotImplemented then hands the
+    # operation to the column's reflected operator.
 
     def __add__(self, other) -> "DD":
         if isinstance(other, DD):
-            bh, bl = other.hi, other.lo
-        else:
-            bh, bl = float(other), 0.0
-        ah, al = self.hi, self.lo
-        # two_sum on both limb pairs, then two renormalising quick_two_sums
-        s = ah + bh
-        bb = s - ah
-        e = (ah - (s - bb)) + (bh - bb)
-        t = al + bl
-        bb = t - al
-        f = (al - (t - bb)) + (bl - bb)
-        e += t
-        t = s + e
-        e = e - (t - s)
-        e += f
-        s = t + e
-        return _dd(s, e - (s - t))
+            return _dd(*_add(self.hi, self.lo, other.hi, other.lo))
+        try:
+            b = float(other)
+        except TypeError:
+            return NotImplemented
+        return _dd(*_add(self.hi, self.lo, b, 0.0))
 
     __radd__ = __add__
 
@@ -183,79 +298,41 @@ class DD:
     def __sub__(self, other) -> "DD":
         # self + (-other), the negation taken limb by limb
         if isinstance(other, DD):
-            bh, bl = -other.hi, -other.lo
-        else:
-            bh, bl = -float(other), -0.0
-        ah, al = self.hi, self.lo
-        s = ah + bh
-        bb = s - ah
-        e = (ah - (s - bb)) + (bh - bb)
-        t = al + bl
-        bb = t - al
-        f = (al - (t - bb)) + (bl - bb)
-        e += t
-        t = s + e
-        e = e - (t - s)
-        e += f
-        s = t + e
-        return _dd(s, e - (s - t))
+            return _dd(*_add(self.hi, self.lo, -other.hi, -other.lo))
+        try:
+            b = float(other)
+        except TypeError:
+            return NotImplemented
+        return _dd(*_add(self.hi, self.lo, -b, -0.0))
 
     def __rsub__(self, other) -> "DD":
         return DD.of(other).__sub__(self)
 
     def __mul__(self, other) -> "DD":
         if isinstance(other, DD):
-            bh, bl = other.hi, other.lo
-        else:
-            bh, bl = float(other), 0.0
-        ah = self.hi
-        # two_prod(ah, bh), then the cross terms, then quick_two_sum
-        p = ah * bh
-        t = _SPLITTER * ah
-        ahh = t - (t - ah)
-        ahl = ah - ahh
-        t = _SPLITTER * bh
-        bhh = t - (t - bh)
-        bhl = bh - bhh
-        e = ((ahh * bhh - p) + ahh * bhl + ahl * bhh) + ahl * bhl
-        e += ah * bl + self.lo * bh
-        s = p + e
-        return _dd(s, e - (s - p))
+            return _dd(*_mul(self.hi, self.lo, other.hi, other.lo))
+        try:
+            b = float(other)
+        except TypeError:
+            return NotImplemented
+        return _dd(*_mul(self.hi, self.lo, b, 0.0))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "DD":
         if isinstance(other, DD):
-            bh, bl = other.hi, other.lo
-        else:
-            bh, bl = float(other), 0.0
-        ah = self.hi
-        # DWDivDW2: th = ah / bh, r = b * th (DWTimesFP1), then one
-        # correction (a - r) / bh; two_prod(bh, th) first
-        th = ah / bh
-        ch = bh * th
-        t = _SPLITTER * bh
-        bhh = t - (t - bh)
-        bhl = bh - bhh
-        t = _SPLITTER * th
-        thh = t - (t - th)
-        thl = th - thh
-        cl = ((bhh * thh - ch) + bhh * thl + bhl * thh) + bhl * thl
-        # quick_two_sum(ch, bl * th), then quick_two_sum(sh, tl + cl)
-        t = bl * th
-        sh = ch + t
-        t = (t - (sh - ch)) + cl
-        rh = sh + t
-        rl = t - (rh - sh)
-        # ah - rh is exact; quick_two_sum(th, tl)
-        t = ((ah - rh) + (self.lo - rl)) / bh
-        s = th + t
-        return _dd(s, t - (s - th))
+            return _dd(*_div(self.hi, self.lo, other.hi, other.lo))
+        try:
+            b = float(other)
+        except TypeError:
+            return NotImplemented
+        return _dd(*_div(self.hi, self.lo, b, 0.0))
 
     def __rtruediv__(self, other) -> "DD":
         return DD.of(other).__truediv__(self)
 
     def __pow__(self, n: int) -> "DD":
+        # also DDColumn.__pow__: only * touches the operand
         if not isinstance(n, int) or n < 0:
             raise DomainError("only non-negative integer powers are supported")
         out = DD(1.0)
@@ -274,22 +351,7 @@ class DD:
     def sqrt(self) -> "DD":
         """Square root: SQRTDWtoDW of Lefevre, Louvet, Muller, Picot & Rideau
         (ACM TOMS 49(1), 2023), relative error below 25/8 u^2."""
-        hi, lo = self.hi, self.lo
-        if hi == 0.0 and lo == 0.0:
-            return _dd(0.0, 0.0)
-        if hi < 0.0:
-            raise DomainError("square root of a negative compensated value")
-        sh = math.sqrt(hi)
-        # two_prod(sh, sh); hi - sh^2 is a double, so (hi - p) - e is exact
-        p = sh * sh
-        t = _SPLITTER * sh
-        h = t - (t - sh)
-        l = sh - h
-        e = ((h * h - p) + h * l + l * h) + l * l
-        sl = (((hi - p) - e) + lo) / (2.0 * sh)
-        # quick_two_sum(sh, sl)
-        s = sh + sl
-        return _dd(s, sl - (s - sh))
+        return _dd(*_sqrt(self.hi, self.lo))
 
     # -- comparisons -------------------------------------------------------
 
@@ -323,15 +385,7 @@ class DD:
 
     def sign(self) -> int:
         """-1, 0 or +1; the lo part decides when hi is exactly zero."""
-        if self.hi > 0.0:
-            return 1
-        if self.hi < 0.0:
-            return -1
-        if self.lo > 0.0:
-            return 1
-        if self.lo < 0.0:
-            return -1
-        return 0
+        return _sign(self.hi, self.lo)
 
 
 _new = object.__new__
@@ -346,3 +400,157 @@ def _dd(hi: float, lo: float) -> DD:
 
 
 ONE = DD(1.0)
+
+
+class DDColumn:
+    """A column of double-double values: ``limbs`` is a list of (hi, lo)
+    pairs.
+
+    The operators map the DD kernels over the elements and broadcast a DD,
+    float or int operand on either side; element i of a result is bit for
+    bit the DD operator's result on element i, with the operands in the
+    order the DD operators use.  Columns in one operation have one length.
+
+    A column of doubles, such as sweep radii, has zero lo limbs (``of`` on a
+    list of floats).  The constructors ``sum2``, ``product`` and ``quotient``
+    read the hi limbs of a column operand, and return a DD when neither
+    operand is a column, so a helper may call them on whichever of its
+    arguments vary.
+    """
+
+    __slots__ = ("limbs",)
+
+    def __init__(self, limbs: list[tuple[float, float]]):
+        self.limbs = limbs
+
+    # -- constructors -----------------------------------------------------
+
+    @staticmethod
+    def of(x):
+        """A column as it is, a list of doubles as a column, else DD.of(x)."""
+        if type(x) is DDColumn:
+            return x
+        if type(x) is list:
+            return DDColumn([(float(v), 0.0) for v in x])
+        return DD.of(x)
+
+    @staticmethod
+    def sum2(a, b):
+        return _map_doubles(_sum2, DD.sum2, a, b)
+
+    @staticmethod
+    def product(a, b):
+        return _map_doubles(_product, DD.product, a, b)
+
+    @staticmethod
+    def quotient(a, b):
+        return _map_doubles(_quotient, DD.quotient, a, b)
+
+    # -- arithmetic --------------------------------------------------------
+    #
+    # DD + DD and DD * DD put the left operand first in the kernel, float + DD
+    # and float * DD the DD: the reflected operators keep both orders.
+
+    def __add__(self, other) -> "DDColumn":
+        return _map(_add, self.limbs, _operand(other))
+
+    def __radd__(self, other) -> "DDColumn":
+        if isinstance(other, DD):
+            return _map(_add, _operand(other), self.limbs)
+        return _map(_add, self.limbs, _operand(other))
+
+    def __neg__(self) -> "DDColumn":
+        return DDColumn(_negated(self.limbs))
+
+    def __sub__(self, other) -> "DDColumn":
+        return _map(_add, self.limbs, _negated(_operand(other)))
+
+    def __rsub__(self, other) -> "DDColumn":
+        return _map(_add, _operand(other), _negated(self.limbs))
+
+    def __mul__(self, other) -> "DDColumn":
+        return _map(_mul, self.limbs, _operand(other))
+
+    def __rmul__(self, other) -> "DDColumn":
+        if isinstance(other, DD):
+            return _map(_mul, _operand(other), self.limbs)
+        return _map(_mul, self.limbs, _operand(other))
+
+    def __truediv__(self, other) -> "DDColumn":
+        return _map(_div, self.limbs, _operand(other))
+
+    def __rtruediv__(self, other) -> "DDColumn":
+        return _map(_div, _operand(other), self.limbs)
+
+    __pow__ = DD.__pow__
+
+    def sqrt(self) -> "DDColumn":
+        return DDColumn([_sqrt(hi, lo) for hi, lo in self.limbs])
+
+    def sign(self) -> int:
+        """The least sign of the elements: a guard that refuses x.sign() <= 0
+        (or < 0) refuses a column when it would refuse any element."""
+        return min(_sign(hi, lo) for hi, lo in self.limbs)
+
+
+def _operand(x):
+    """A column's limb list, or the (hi, lo) pair of a DD, float or int."""
+    if type(x) is DDColumn:
+        return x.limbs
+    if isinstance(x, DD):
+        return x.hi, x.lo
+    return float(x), 0.0
+
+
+def _negated(x):
+    if type(x) is list:
+        return [(-hi, -lo) for hi, lo in x]
+    return -x[0], -x[1]
+
+
+def _same_length(a: list, b: list) -> None:
+    if len(a) != len(b):
+        raise ValueError(f"columns of {len(a)} and {len(b)} elements")
+
+
+def _map(kernel, a, b) -> DDColumn:
+    """kernel over limb lists, a (hi, lo) pair standing for every element."""
+    if type(a) is list:
+        if type(b) is list:
+            _same_length(a, b)
+            return DDColumn([kernel(ah, al, bh, bl)
+                             for (ah, al), (bh, bl) in zip(a, b)])
+        bh, bl = b
+        return DDColumn([kernel(ah, al, bh, bl) for ah, al in a])
+    ah, al = a
+    return DDColumn([kernel(ah, al, bh, bl) for bh, bl in b])
+
+
+def _map_doubles(kernel, scalar, a, b):
+    """kernel over the hi limbs of column operands; scalar(a, b) when there
+    is none."""
+    if type(a) is DDColumn:
+        if type(b) is DDColumn:
+            _same_length(a.limbs, b.limbs)
+            return DDColumn([kernel(x, y)
+                             for (x, _), (y, _) in zip(a.limbs, b.limbs)])
+        return DDColumn([kernel(x, b) for x, _ in a.limbs])
+    if type(b) is DDColumn:
+        return DDColumn([kernel(a, y) for y, _ in b.limbs])
+    return scalar(a, b)
+
+
+def number_type(*xs):
+    """DDColumn when any of xs is a column, else DD: the type whose
+    constructors a formula helper calls on those operands."""
+    return DDColumn if DDColumn in map(type, xs) else DD
+
+
+def floats(x):
+    """The doubles a check tests one by one: x itself for a float, its value
+    for a DD, each element's value for a column."""
+    if type(x) is DDColumn:
+        return [hi + lo for hi, lo in x.limbs]
+    if isinstance(x, DD):
+        return (x.hi + x.lo,)
+    return (x,)

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
-from .ddouble import DD, ONE
+from .ddouble import DD, ONE, floats, number_type
 from .errors import DomainError
 from .units import C, SpacetimeParams
 
@@ -96,11 +97,13 @@ class MetricAt:
         return self.dev_tt - ONE
 
 
-def _check_outside_mass_scale(p: SpacetimeParams, r: float, what: str) -> None:
-    if r <= 2.0 * p.M_geom:
-        raise DomainError(
-            f"{what}: radius {r} m does not exceed 2M = {2.0 * p.M_geom} m"
-        )
+def _check_outside_mass_scale(p: SpacetimeParams, r, what: str) -> None:
+    """Refuse a radius, or any radius of a column, at or inside 2M."""
+    for x in floats(r):
+        if x <= 2.0 * p.M_geom:
+            raise DomainError(
+                f"{what}: radius {x} m does not exceed 2M = {2.0 * p.M_geom} m"
+            )
 
 
 def metric_at(p: SpacetimeParams, r: float) -> MetricAt:
@@ -116,11 +119,19 @@ def metric_at(p: SpacetimeParams, r: float) -> MetricAt:
                     g_tphi=g_tphi, Delta=delta)
 
 
-def orbit_angular_velocity(p: SpacetimeParams, r: float) -> DD:
-    """Geodesic circular-orbit angular velocity sqrt(M/r^3), in 1/m."""
-    if r <= 0.0:
-        raise DomainError("orbit radius must be positive")
-    return (DD.of(p.M_geom) / (DD.of(r) ** 3)).sqrt()
+def orbit_angular_velocity(p: SpacetimeParams, r):
+    """Geodesic circular-orbit angular velocity sqrt(M/r^3), in 1/m, of a
+    radius or of a column of radii."""
+    for x in floats(r):
+        if x <= 0.0:
+            raise DomainError("orbit radius must be positive")
+    r3 = number_type(r).of(r) ** 3
+    # below the normal range r^3 has lost digits, and a zero would divide
+    for x in floats(r3):
+        if not sys.float_info.min <= x < math.inf:
+            raise DomainError(
+                f"orbit radius: r^3 = {x:.3e} m^3 leaves the double range")
+    return (DD.of(p.M_geom) / r3).sqrt()
 
 
 def ground_station_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, DD]:
@@ -142,8 +153,9 @@ def ground_station_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, 
     return ONE / arg.sqrt(), arg
 
 
-def three_m_over_r(p: SpacetimeParams, r: float) -> DD:
-    """3M/r with the 3*M product captured exactly (3M is not a float)."""
+def three_m_over_r(p: SpacetimeParams, r):
+    """3M/r with the 3*M product captured exactly (3M is not a float), of a
+    radius or of a column of radii."""
     return DD.product(3.0, p.M_geom) / r
 
 

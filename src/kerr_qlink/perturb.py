@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ddouble import DD, ONE
+from .ddouble import DD, ONE, floats, number_type
 from .errors import DomainError, HigherOrderRegimeError
 # shift_ground_to_sat is not called here.  perfbench/test_perfbench.py uses
 # this binding to check that tracing rebinds names imported into other
@@ -47,9 +47,10 @@ class ShiftDecomposition:
         return self.delta_S + self.delta_rot + self.delta_c
 
 
-def delta_mass_term_ground(p: SpacetimeParams, r_A: float, r_B: float) -> DD:
-    """First-order mass term of the ground-to-orbit shift."""
-    lr = DD.sum2(r_B, -r_A) / r_A  # L/r_A with L = r_B - r_A exact
+def delta_mass_term_ground(p: SpacetimeParams, r_A: float, r_B) -> DD:
+    """First-order mass term of the ground-to-orbit shift, for a receiver
+    radius or a column of them."""
+    lr = number_type(r_B).sum2(r_B, -r_A) / r_A  # L/r_A with L = r_B - r_A exact
     return DD.quotient(p.r_S, 4.0 * r_A) * (ONE - 2.0 * lr) / (ONE + lr)
 
 
@@ -59,19 +60,30 @@ def delta_rotation_term_ground(r_A: float, omega_si: float) -> DD:
     return -0.5 * (v * v)
 
 
-def delta_mass_term_sats(p: SpacetimeParams, r_C: float, r_B: float) -> DD:
-    """First-order mass term of the orbit-to-orbit shift (always negative)."""
-    ell = DD.sum2(r_B, -r_C)  # L = r_B - r_C, exact
+def delta_mass_term_sats(p: SpacetimeParams, r_C, r_B) -> DD:
+    """First-order mass term of the orbit-to-orbit shift (always negative);
+    either radius may be a column."""
+    num = number_type(r_C, r_B)
+    ell = num.sum2(r_B, -r_C)  # L = r_B - r_C, exact
     lr = ell / r_C
-    return -0.75 * (ell * p.r_S / DD.product(r_C, r_C)) / (ONE + lr)
+    return -0.75 * (ell * p.r_S / num.product(r_C, r_C)) / (ONE + lr)
 
 
-def delta_rotation_term_sats(p: SpacetimeParams, r_C: float, r_B: float) -> DD:
-    """Leading frame-dragging term of the orbit-to-orbit shift."""
-    lr = DD.sum2(r_B, -r_C) / r_C
+def delta_rotation_term_sats(p: SpacetimeParams, r_C, r_B) -> DD:
+    """Leading frame-dragging term of the orbit-to-orbit shift; either radius
+    may be a column."""
+    num = number_type(r_C, r_B)
+    lr = num.sum2(r_B, -r_C) / r_C
     shape = ONE / (ONE + lr) ** 3 - ONE
     aa = DD.product(p.a, p.a)
-    return 0.25 * (DD.of(p.r_S) * aa / (DD.of(r_C) ** 3)) * shape
+    term = 0.25 * (DD.of(p.r_S) * aa / (num.of(r_C) ** 3)) * shape
+    # a^2 past about 1e300 overflows, or a Dekker split of it does, into NaN
+    for x in floats(term):
+        if not math.isfinite(x):
+            raise DomainError(
+                f"rotation term: r_S a^2 / 4 r_C^3 with a = {p.a} m leaves "
+                "the double-double range")
+    return term
 
 
 def decompose_ground(p: SpacetimeParams, r_A: float, omega_si: float,
@@ -82,22 +94,28 @@ def decompose_ground(p: SpacetimeParams, r_A: float, omega_si: float,
                              delta_rotation_term_ground(r_A, omega_si))
 
 
-def _decompose_ground(p: SpacetimeParams, r_A: float, r_B: float, delta: DD,
+def _decompose_ground(p: SpacetimeParams, r_A: float, r_B, delta: DD,
                       d_rot: DD) -> ShiftDecomposition:
     """decompose_ground given its rotation term, which depends on the station
-    alone."""
-    if r_B <= r_A:
-        raise DomainError(f"receiver radius {r_B} must exceed the surface radius {r_A}")
+    alone; r_B may be a column of radii, delta the column of their deltas."""
+    for x in floats(r_B):
+        if x <= r_A:
+            raise DomainError(
+                f"receiver radius {x} must exceed the surface radius {r_A}")
     d_s = delta_mass_term_ground(p, r_A, r_B)
     return ShiftDecomposition(LinkScheme.GROUND_TO_SAT, d_s, d_rot,
                               delta - d_s - d_rot)
 
 
-def decompose_sats(p: SpacetimeParams, r_C: float, r_B: float,
+def decompose_sats(p: SpacetimeParams, r_C, r_B,
                    delta: DD) -> ShiftDecomposition:
-    """Split the exact orbit-to-orbit delta (emitter at r_C below receiver)."""
-    if not r_B > r_C:
-        raise DomainError(f"receiver radius {r_B} must exceed emitter radius {r_C}")
+    """Split the exact orbit-to-orbit delta (emitter at r_C below receiver);
+    either radius may be a column, delta then the column of deltas."""
+    for c in floats(r_C):
+        for b in floats(r_B):
+            if not b > c:
+                raise DomainError(
+                    f"receiver radius {b} must exceed emitter radius {c}")
     d_s = delta_mass_term_sats(p, r_C, r_B)
     d_rot = delta_rotation_term_sats(p, r_C, r_B)
     return ShiftDecomposition(LinkScheme.SAT_TO_SAT, d_s, d_rot,
@@ -114,13 +132,20 @@ def error_schwarzschild_radius(dec: ShiftDecomposition,
                                delta_delta: float) -> float:
     """Relative Schwarzschild-radius error from a shift uncertainty:
     |Delta delta| = |delta_S| * Delta r_S / r_S."""
-    d_s = abs(dec.delta_S.to_float())
+    return _error_schwarzschild_radius(dec.delta_S.to_float(),
+                                       dec.delta_c.to_float(), delta_delta)
+
+
+def _error_schwarzschild_radius(delta_S: float, delta_c: float,
+                                delta_delta: float) -> float:
+    """error_schwarzschild_radius from the decomposition's floats."""
+    d_s = abs(delta_S)
     # a mass term that underflows to zero dominates nothing, even a zero residual
-    if d_s == 0.0 or d_s < HIGHER_ORDER_GUARD * abs(dec.delta_c.to_float()):
+    if d_s == 0.0 or d_s < HIGHER_ORDER_GUARD * abs(delta_c):
         raise HigherOrderRegimeError(
             "higher-order regime: the first-order mass term "
-            f"({dec.delta_S.to_float():.3e}) no longer dominates the residual "
-            f"({dec.delta_c.to_float():.3e}); first-order error propagation refused"
+            f"({delta_S:.3e}) no longer dominates the residual "
+            f"({delta_c:.3e}); first-order error propagation refused"
         )
     return abs(delta_delta) / d_s
 
@@ -128,7 +153,12 @@ def error_schwarzschild_radius(dec: ShiftDecomposition,
 def error_angular_velocity(dec: ShiftDecomposition, delta_delta: float) -> float:
     """Relative angular-velocity (or spin-parameter) error from a shift
     uncertainty: |Delta delta| = 2 |delta_rot| * Delta omega / omega."""
-    d_rot = abs(dec.delta_rot.to_float())
+    return _error_angular_velocity(dec.delta_rot.to_float(), delta_delta)
+
+
+def _error_angular_velocity(delta_rot: float, delta_delta: float) -> float:
+    """error_angular_velocity from the decomposition's rotation term."""
+    d_rot = abs(delta_rot)
     if d_rot == 0.0:
         raise DomainError("rotation term vanishes; no angular-velocity sensitivity")
     bound = abs(delta_delta) / (2.0 * d_rot)

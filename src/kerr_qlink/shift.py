@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .ddouble import DD, ONE
+from .ddouble import DD, ONE, floats, number_type
 from .errors import DomainError, NoRootInBracketError, NumericalError
 from .geometry import (
     Worldline,
@@ -80,15 +80,17 @@ class LinkScenario:
 
 @dataclass(frozen=True)
 class ShiftResult:
-    """Shift ratio f and delta = f - 1 as compensated pairs."""
+    """Shift ratio f and delta = f - 1 as compensated pairs, or as columns of
+    them for a column of links."""
 
     f: DD
     delta: DD
 
     def __post_init__(self):
         check = (self.f - ONE) - self.delta
-        if abs(check.to_float()) > 1e-30 * max(1.0, abs(self.delta.to_float())):
-            raise NumericalError("ShiftResult consistency f - 1 == delta violated")
+        for c, d in zip(floats(check), floats(self.delta)):
+            if abs(c) > 1e-30 * max(1.0, abs(d)):
+                raise NumericalError("ShiftResult consistency f - 1 == delta violated")
 
 
 def _assemble(pn: DD, pd: DD, dev_emit: DD, dev_recv: DD, emit_name: str,
@@ -117,12 +119,13 @@ def _ground_parts(p: SpacetimeParams, station: Worldline) -> tuple[DD, DD]:
     return pd, dev
 
 
-def _orbit_parts(p: SpacetimeParams, orbit: Worldline) -> tuple[DD, DD]:
-    """(prefactor term, deviation 3M/r - 2 eps a omega) for a circular orbit."""
-    x = DD.quotient(2.0 * p.M_geom, orbit.r)
-    aw = orbit_angular_velocity(p, orbit.r) * p.a
-    dev = three_m_over_r(p, orbit.r) - 2.0 * orbit.direction * aw
-    pref = orbit.direction * aw / (ONE - x)
+def _orbit_parts(p: SpacetimeParams, r, direction: int) -> tuple[DD, DD]:
+    """(prefactor term, deviation 3M/r - 2 eps a omega) for a circular orbit
+    of radius r, or for a column of radii."""
+    x = number_type(r).quotient(2.0 * p.M_geom, r)
+    aw = orbit_angular_velocity(p, r) * p.a
+    dev = three_m_over_r(p, r) - 2.0 * direction * aw
+    pref = direction * aw / (ONE - x)
     return pref, dev
 
 
@@ -132,15 +135,21 @@ def _emitter_terms(p: SpacetimeParams, emitter: Worldline) -> tuple[DD, DD]:
     if emitter.kind is WorldlineKind.GROUND_STATION:
         _check_outside_mass_scale(p, emitter.r, "ground station")
         return _ground_parts(p, emitter)
-    _check_outside_mass_scale(p, emitter.r, "emitter orbit")
-    return _orbit_parts(p, emitter)
+    return _emitter_orbit_terms(p, emitter.r, emitter.direction)
 
 
-def _receiver_terms(p: SpacetimeParams, receiver: Worldline) -> tuple[DD, DD]:
-    """(prefactor term, deviation) of the receiver orbit, once it is checked
-    to lie outside 2M."""
-    _check_outside_mass_scale(p, receiver.r, "receiver orbit")
-    return _orbit_parts(p, receiver)
+def _emitter_orbit_terms(p: SpacetimeParams, r, direction: int) -> tuple[DD, DD]:
+    """(prefactor term, deviation) of an emitter orbit of radius r, or of a
+    column of radii, once checked to lie outside 2M."""
+    _check_outside_mass_scale(p, r, "emitter orbit")
+    return _orbit_parts(p, r, direction)
+
+
+def _receiver_terms(p: SpacetimeParams, r, direction: int) -> tuple[DD, DD]:
+    """(prefactor term, deviation) of a receiver orbit of radius r, or of a
+    column of radii, once checked to lie outside 2M."""
+    _check_outside_mass_scale(p, r, "receiver orbit")
+    return _orbit_parts(p, r, direction)
 
 
 def _closed_form(scheme: LinkScheme, emitter_terms: tuple[DD, DD],
@@ -161,7 +170,8 @@ def shift_ground_to_sat(s: LinkScenario) -> ShiftResult:
     if s.scheme is not LinkScheme.GROUND_TO_SAT:
         raise DomainError("shift_ground_to_sat needs a ground-to-sat scenario")
     return _closed_form(s.scheme, _emitter_terms(s.params, s.emitter),
-                        _receiver_terms(s.params, s.receiver))
+                        _receiver_terms(s.params, s.receiver.r,
+                                        s.receiver.direction))
 
 
 def shift_sat_to_sat(s: LinkScenario) -> ShiftResult:
@@ -169,7 +179,8 @@ def shift_sat_to_sat(s: LinkScenario) -> ShiftResult:
     if s.scheme is not LinkScheme.SAT_TO_SAT:
         raise DomainError("shift_sat_to_sat needs a sat-to-sat scenario")
     return _closed_form(s.scheme, _emitter_terms(s.params, s.emitter),
-                        _receiver_terms(s.params, s.receiver))
+                        _receiver_terms(s.params, s.receiver.r,
+                                        s.receiver.direction))
 
 
 def shift_schwarzschild(M_geom: float, r_A: float, r_B: float) -> ShiftResult:

@@ -18,7 +18,13 @@ import expected
 import kerr_qlink
 from kerr_qlink.cli import report as report_module
 from kerr_qlink.cli.main import main
-from kerr_qlink.cli.report import CSV_COLUMNS, Report, assemble_report, run_sweep
+from kerr_qlink.cli.report import (
+    CSV_COLUMNS,
+    SWEEP_CHUNK,
+    Report,
+    assemble_report,
+    run_sweep,
+)
 from kerr_qlink.cli.scenario import (
     PRESETS,
     SWEEP_VARIABLES,
@@ -28,6 +34,7 @@ from kerr_qlink.cli.scenario import (
     parse_config_text,
 )
 from kerr_qlink.cli.selfcheck import CHECKS, run_verify
+from kerr_qlink.ddouble import DDColumn
 from kerr_qlink.errors import (
     ConfigError,
     DomainError,
@@ -274,6 +281,37 @@ class TestReport:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 3
         assert all(row.split(",")[2] for row in rows)  # no error row
+
+    @pytest.mark.parametrize("preset, fields, sweep, refused", [
+        # r^3 of the receiver radius underflows to zero
+        ("earth-geo", "emitter_radius_m = 5.6\nreceiver_radius_m = 1e-225\n"
+         "planet_mass_kg = 1e-250\n",
+         "sweep_variable = r_B\nsweep_lo = 1e-226\nsweep_hi = 1e-224\n"
+         "sweep_scale = log\n", "DomainError: orbit radius: r^3 = "),
+        # a^2 of the frame-dragging term overflows, or overflows its split
+        ("leo-geo-sat", "planet_spin_parameter_m = 1e160\n",
+         "sweep_variable = r_B\nsweep_lo = 4e7\nsweep_hi = 5e7\n",
+         "DomainError: rotation term: r_S a^2 / 4 r_C^3 with a = "),
+        ("leo-geo-sat", "planet_spin_parameter_m = 1e152\n",
+         "sweep_variable = s\nsweep_lo = 1\nsweep_hi = 3\n",
+         "DomainError: rotation term: r_S a^2 / 4 r_C^3 with a = "),
+    ], ids=["r3-underflows", "a2-overflows", "a2-split-overflows"])
+    def test_term_out_of_range_is_refused_in_report_and_sweep(
+            self, tmp_path, capsys, preset, fields, sweep, refused):
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(fields)
+        out = tmp_path / "edge.json"
+        assert main(["report", "--preset", preset, "--config", str(cfg),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(refused)
+        assert not out.exists()  # no NaN reaches the JSON
+        cfg.write_text(fields + sweep + "sweep_points = 3\n")
+        out = tmp_path / "edge.csv"
+        assert main(["sweep", "--preset", preset, "--config", str(cfg),
+                     "--out", str(out), "--no-timestamp"]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(r[-1].startswith(refused) for r in rows)
 
     # the repro cases: a square, a sinh and the information of all N probes
     # overflow, a squared bandwidth underflows
@@ -546,6 +584,13 @@ class TestSweepPlan:
     @given(_sweeps())
     @example((PRESETS["earth-leo"], SweepSpec("r_B", 9566999.9, 9567000.1, 9)))
     @example((PRESETS["leo-geo-sat"], SweepSpec("r_C", 5.162e6, 4.4162e7, 9)))
+    # longer than a chunk: receiver radii 0.5-2 r_A are refused up to the
+    # station (index 49, mid-chunk) or the emitter orbit (index 80, past the
+    # first chunk), emitter radii from the receiver's (index 127) on
+    @example((PRESETS["earth-leo"], SweepSpec("r_B", 3.189e6, 1.2756e7, 150)))
+    @example((PRESETS["leo-geo-sat"], SweepSpec("r_B", 3.189e6, 1.2756e7, 150)))
+    @example((PRESETS["leo-geo-sat"], SweepSpec("r_C", 4.2162e6, 6.3243e7, 150,
+                                                "log")))
     def test_rows_match_the_per_point_reference(self, tmp_path_factory, sweep):
         cfg, spec = sweep
         out = tmp_path_factory.mktemp("plan") / "rows.csv"
@@ -566,6 +611,22 @@ class TestSweepPlan:
         pipeline = report_module._Pipeline()
         for cfg in (a, b, a):
             assert _outcome(pipeline.report, cfg) == _outcome(_reference_report, cfg)
+
+
+class TestSweepChunks:
+    def test_no_column_holds_more_than_a_chunk(self, monkeypatch, tmp_path):
+        sizes = []
+        original = DDColumn.__init__
+
+        def recording(self, limbs):
+            sizes.append(len(limbs))
+            original(self, limbs)
+
+        monkeypatch.setattr(DDColumn, "__init__", recording)
+        spec = SweepSpec("r_B", 7.0e6, 4.2e7, 2 * SWEEP_CHUNK + 5, "log")
+        assert run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"),
+                         no_timestamp=True) == 2 * SWEEP_CHUNK + 5
+        assert max(sizes) == SWEEP_CHUNK and 5 in sizes
 
 
 class TestSweepPlanStages:
@@ -596,10 +657,11 @@ class TestSweepPlanStages:
         return counts
 
     def test_receiver_sweep_builds_the_station_once(self, counts, tmp_path):
+        # the receiver terms and the shift run once per chunk of points
         spec = SweepSpec("r_B", 7.0e6, 4.2e7, 9, "log")
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
         assert counts == {"_ground_parts": 1, "delta_rotation_term_ground": 1,
-                          "_orbit_parts": 9, "_assemble": 9,
+                          "_orbit_parts": 1, "_assemble": 1,
                           "qfi": 1, "shift_uncertainty_floor": 1}
 
     def test_squeezing_sweep_evaluates_the_shift_once(self, counts, tmp_path):
@@ -824,6 +886,21 @@ class TestLeanReportPath:
                               capture_output=True, text=True, check=True)
         lines = proc.stdout.strip().splitlines()
         assert lines[-2:] == ["27/28 checks passed", "4 []"]
+
+    def test_report_loads_neither_the_verify_suite_nor_the_oracle(self):
+        src = os.path.dirname(os.path.dirname(kerr_qlink.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys\n"
+                "from kerr_qlink.cli.main import main\n"
+                "code = main(['report', '--preset', 'earth-leo'])\n"
+                "print(code, sorted({'kerr_qlink.oracle', 'kerr_qlink.cli.selfcheck'}"
+                " & set(sys.modules)))\n"
+                "from kerr_qlink.cli import CHECKS, run_verify\n"
+                "print(len(CHECKS), run_verify.__module__)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-2:] == [
+            "0 []", f"{len(CHECKS)} kerr_qlink.cli.selfcheck"]
 
     def test_python_m_kerr_qlink_runs_the_cli_without_a_warning(self):
         src = os.path.dirname(os.path.dirname(kerr_qlink.__file__))
