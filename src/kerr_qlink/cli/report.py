@@ -7,6 +7,10 @@ order propagation near a vanishing mass term, error rate outside its regime)
 come back as None with the refusal message, so sweeps keep running through
 such points.
 
+A sweep runs one loop over chunks of SWEEP_CHUNK points and shares nothing
+between chunks: each chunk evaluates the link once, as columns for a radius
+sweep, and each point's row comes from its element.
+
 CSV rows carry the compensated quantities as (hi, lo) column pairs and every
 fast-path value with 17 significant digits; identical configurations produce
 byte-identical files (modulo the optional timestamp header line).
@@ -19,8 +23,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
-from ..ddouble import DD, DDColumn, floats
-from ..errors import DomainError, HigherOrderRegimeError, KerrQlinkError
+from ..ddouble import DD, DDColumn
+from ..errors import DomainError, KerrQlinkError
 from ..metrology import (
     _qber_in_regime,
     orders_vs_state_of_the_art,
@@ -29,20 +33,13 @@ from ..metrology import (
     shift_uncertainty_floor,
 )
 from ..perturb import (
-    _decompose_ground,
     _error_angular_velocity,
     _error_schwarzschild_radius,
+    decompose_ground,
     decompose_sats,
-    delta_rotation_term_ground,
 )
-from ..shift import (
-    LinkScheme,
-    _closed_form,
-    _emitter_orbit_terms,
-    _emitter_terms,
-    _receiver_terms,
-)
-from ..units import C, SpacetimeParams
+from ..shift import LinkScheme, _closed_form, _emitter_terms, _orbit_parts
+from ..units import C
 from ..wavepacket import overlap_analytic
 from .scenario import ScenarioConfig, SweepSpec
 
@@ -135,7 +132,8 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _ratios_block(cfg: ScenarioConfig, p: SpacetimeParams) -> dict:
+def _ratios_block(cfg: ScenarioConfig) -> dict:
+    p = cfg.spacetime()
     out = {
         "M/r_emitter": p.M_geom / cfg.emitter_radius_m,
         "M/r_receiver": p.M_geom / cfg.receiver_radius_m,
@@ -148,39 +146,30 @@ def _ratios_block(cfg: ScenarioConfig, p: SpacetimeParams) -> dict:
     return out
 
 
-# The pipeline's stages.  Each reads only the config fields of its key in
-# _Pipeline.stages.  In a chunk of an r_B or r_C sweep the swept radius of
-# the config is a DDColumn of the chunk's radii, and the stages it reaches
-# return columns.
-
-def _emitter_stage(p: SpacetimeParams, cfg: ScenarioConfig):
-    """Checked emitter terms, and the rotation term of a ground station."""
+def _link(cfg: ScenarioConfig):
+    """(shift result, decomposition) of a validated config, or of a sweep
+    chunk's config whose swept radius is a DDColumn of the chunk's radii;
+    what that radius reaches is then a column."""
+    p = cfg.spacetime()
     if cfg.scheme is LinkScheme.GROUND_TO_SAT:
-        return (_emitter_terms(p, cfg.emitter()),
-                delta_rotation_term_ground(cfg.emitter_radius_m,
-                                           cfg.ground_omega_rad_s))
-    return _emitter_orbit_terms(p, cfg.emitter_radius_m,
-                                cfg.emitter_direction), None
-
-
-def _receiver_stage(p: SpacetimeParams, cfg: ScenarioConfig):
-    return _receiver_terms(p, cfg.receiver_radius_m, cfg.receiver_direction)
-
-
-def _link_stage(p: SpacetimeParams, cfg: ScenarioConfig, emitter, receiver_terms):
-    """The shift and its decomposition."""
-    emitter_terms, d_rot = emitter
-    result = _closed_form(cfg.scheme, emitter_terms, receiver_terms)
+        emitter = _emitter_terms(p, cfg.emitter())
+    else:
+        emitter = _orbit_parts(p, cfg.emitter_radius_m, cfg.emitter_direction,
+                               "emitter orbit")
+    receiver = _orbit_parts(p, cfg.receiver_radius_m, cfg.receiver_direction,
+                            "receiver orbit")
+    result = _closed_form(cfg.scheme, emitter, receiver)
     if cfg.scheme is LinkScheme.GROUND_TO_SAT:
-        dec = _decompose_ground(p, cfg.emitter_radius_m, cfg.receiver_radius_m,
-                                result.delta, d_rot)
+        dec = decompose_ground(p, cfg.emitter_radius_m, cfg.ground_omega_rad_s,
+                               cfg.receiver_radius_m, result.delta)
     else:
         dec = decompose_sats(p, cfg.emitter_radius_m, cfg.receiver_radius_m,
                              result.delta)
     return result, dec
 
 
-def _metrology_stage(cfg: ScenarioConfig):
+def _metrology(cfg: ScenarioConfig):
+    """(metrology config, QFI, shift floor, packet) of a config."""
     m = cfg.metrology()
     return m, qfi(m), shift_uncertainty_floor(m), cfg.packet()
 
@@ -203,7 +192,7 @@ def _outcomes(delta: float, delta_S: float, delta_rot: float, delta_c: float,
     orders = None
     try:
         bound_rs = _error_schwarzschild_radius(delta_S, delta_c, floor)
-    except HigherOrderRegimeError as exc:
+    except DomainError as exc:
         notes.append(str(exc))
     try:
         bound_omega = _error_angular_velocity(delta_rot, floor)
@@ -221,117 +210,43 @@ def _outcomes(delta: float, delta_S: float, delta_rot: float, delta_c: float,
     return overlap, bound_rs, bound_omega, orders, qber_value, regime, notes
 
 
-class _Pipeline:
-    """The report pipeline as stages that each remember their last key and
-    result.
-
-    A stage runs again only when its key, the config fields it reads, differs
-    from the previous call's, so a sweep computes what its swept variable
-    does not touch once.  A stage that raises leaves its last result in place.
-    """
-
-    def __init__(self):
-        self._last: dict[str, tuple] = {}
-
-    def _stage(self, name: str, key: tuple, build, *args):
-        last = self._last.get(name)
-        if last is None or last[0] != key:
-            last = self._last[name] = (key, build(*args))
-        return last[1]
-
-    def stages(self, cfg: ScenarioConfig):
-        """(spacetime, shift result, decomposition, metrology) of a
-        validated config, or of a sweep chunk's config."""
-        p = self._stage("spacetime", (cfg.planet_mass_kg,
-                                      cfg.planet_spin_parameter_m), cfg.spacetime)
-        if cfg.scheme is LinkScheme.GROUND_TO_SAT:
-            emitter_key = (p, cfg.scheme, cfg.emitter_radius_m,
-                           cfg.ground_omega_rad_s)
-        else:
-            emitter_key = (p, cfg.scheme, cfg.emitter_radius_m,
-                           cfg.emitter_direction)
-        receiver_key = (p, cfg.receiver_radius_m, cfg.receiver_direction)
-        emitter = self._stage("emitter", emitter_key, _emitter_stage, p, cfg)
-        receiver_terms = self._stage("receiver", receiver_key, _receiver_stage,
-                                     p, cfg)
-        result, dec = self._stage("link", (emitter_key, receiver_key),
-                                  _link_stage, p, cfg, emitter, receiver_terms)
-        metrology = self._stage(
-            "metrology", (cfg.probes, cfg.squeezing, cfg.bandwidth_hz,
-                          cfg.peak_frequency_hz), _metrology_stage, cfg)
-        return p, result, dec, metrology
-
-    def report(self, cfg: ScenarioConfig) -> Report:
-        cfg = cfg.validate()
-        p, result, dec, metrology = self.stages(cfg)
-        delta_S, delta_rot, delta_c = (dec.delta_S.to_float(),
-                                       dec.delta_rot.to_float(),
-                                       dec.delta_c.to_float())
-        overlap, bound_rs, bound_omega, orders, qber_value, regime, notes = \
-            _outcomes(result.delta.to_float(), delta_S, delta_rot, delta_c,
-                      metrology)
-        _, qfi_value, floor, _ = metrology
-        return Report(
-            scheme=cfg.scheme.value,
-            emitter_radius_m=cfg.emitter_radius_m,
-            receiver_radius_m=cfg.receiver_radius_m,
-            ratios=_ratios_block(cfg, p),
-            f=result.f,
-            delta=result.delta,
-            delta_S=delta_S,
-            delta_rot=delta_rot,
-            delta_c=delta_c,
-            theta=overlap.theta,
-            fidelity=overlap.fidelity,
-            qfi_value=qfi_value,
-            delta_delta_min=floor,
-            bound_schwarzschild_rel=bound_rs,
-            bound_omega_rel=bound_omega,
-            omega_orders_vs_reference=orders,
-            qber_value=qber_value,
-            regime=regime,
-            notes=notes,
-        )
-
-    def column_rows(self, cfg: ScenarioConfig, spec: SweepSpec, start: int,
-                    values: list[float]) -> list[str]:
-        """CSV rows of the r_B or r_C sweep points ``values``, the first of
-        them point ``start``.
-
-        Each point's config is validated; then the stages evaluate the points
-        as columns, on a config whose swept radius is the column of
-        ``values``, and each row comes from the columns' elements.  When
-        anything refuses a point, or arithmetic fails, on the way, the points
-        are evaluated again one by one, so a refused row keeps its text and a
-        crash stays a crash.
-        """
-        points = [spec.apply(cfg, v) for v in values]
-        try:
-            for point in points:
-                point.validate()
-            _, result, dec, metrology = self.stages(
-                spec.apply(cfg, DDColumn.of(values)))
-        except (KerrQlinkError, ArithmeticError):
-            return [_sweep_row(self, start + i, value, point)
-                    for i, (value, point) in enumerate(zip(values, points))]
-        n = len(values)
-        # a ground station's rotation term is one DD for all the points
-        delta_S, delta_rot, delta_c = (
-            x if len(x) == n else x * n
-            for x in map(floats, (dec.delta_S, dec.delta_rot, dec.delta_c)))
-        return [_value_row(start + i, value, f, delta, delta_S[i], delta_rot[i],
-                           delta_c[i], metrology)
-                for i, (value, f, delta) in enumerate(
-                    zip(values, result.f.limbs, result.delta.limbs))]
-
-
 def assemble_report(cfg: ScenarioConfig) -> Report:
-    """Run the full pipeline for one scenario: a fresh pipeline's one call.
+    """Run the full pipeline for one scenario.
 
     Raises DomainError when the scenario itself is unphysical; per-quantity
     refusals are recorded in the report instead of raised.
     """
-    return _Pipeline().report(cfg)
+    cfg = cfg.validate()
+    result, dec = _link(cfg)
+    metrology = _metrology(cfg)
+    delta_S, delta_rot, delta_c = (dec.delta_S.to_float(),
+                                   dec.delta_rot.to_float(),
+                                   dec.delta_c.to_float())
+    overlap, bound_rs, bound_omega, orders, qber_value, regime, notes = \
+        _outcomes(result.delta.to_float(), delta_S, delta_rot, delta_c,
+                  metrology)
+    _, qfi_value, floor, _ = metrology
+    return Report(
+        scheme=cfg.scheme.value,
+        emitter_radius_m=cfg.emitter_radius_m,
+        receiver_radius_m=cfg.receiver_radius_m,
+        ratios=_ratios_block(cfg),
+        f=result.f,
+        delta=result.delta,
+        delta_S=delta_S,
+        delta_rot=delta_rot,
+        delta_c=delta_c,
+        theta=overlap.theta,
+        fidelity=overlap.fidelity,
+        qfi_value=qfi_value,
+        delta_delta_min=floor,
+        bound_schwarzschild_rel=bound_rs,
+        bound_omega_rel=bound_omega,
+        omega_orders_vs_reference=orders,
+        qber_value=qber_value,
+        regime=regime,
+        notes=notes,
+    )
 
 
 def run_report(cfg: ScenarioConfig, out_path: Optional[str] = None) -> str:
@@ -391,21 +306,43 @@ def _value_row(index: int, value: float, f: tuple[float, float],
     return ",".join(cells)
 
 
-def _sweep_row(pipeline: _Pipeline, index: int, value: float,
-               cfg: ScenarioConfig) -> str:
-    try:
-        _, result, dec, metrology = pipeline.stages(cfg.validate())
-    except KerrQlinkError as exc:
-        return _error_row(index, value, exc)
-    return _value_row(index, value, (result.f.hi, result.f.lo),
-                      (result.delta.hi, result.delta.lo),
-                      dec.delta_S.to_float(), dec.delta_rot.to_float(),
-                      dec.delta_c.to_float(), metrology)
+def _limbs(x, n: int) -> list[tuple[float, float]]:
+    """The (hi, lo) limbs of n points' value x: a column's elements, or a
+    DD's limbs n times."""
+    return x.limbs if type(x) is DDColumn else [(x.hi, x.lo)] * n
 
 
-# Sweep points evaluated as one column.  Peak memory grows with it (a whole
-# 2000-point sweep at once costs about 5 MB more), while the time per point
-# levels off from about 32 points.
+def _rows(start: int, values: list[float], points: list[ScenarioConfig],
+          column: Optional[ScenarioConfig]) -> list[str]:
+    """CSV rows of the sweep points ``values`` with configs ``points``, the
+    first of them point ``start``; raises what any point's evaluation raises.
+
+    Each point's config is validated.  ``column`` is the config whose swept
+    radius is the column of ``values``: the link runs on it once as columns,
+    and metrology, which the radius never reaches, once.  Without it the
+    swept variable never reaches the link, which runs once on the first
+    point, and metrology runs per point.
+    """
+    for point in points:
+        point.validate()
+    n = len(values)
+    if column is None:
+        result, dec = _link(points[0])
+        metrology = [_metrology(point) for point in points]
+    else:
+        result, dec = _link(column)
+        metrology = [_metrology(points[0])] * n
+    delta_S, delta_rot, delta_c = (
+        [hi + lo for hi, lo in _limbs(x, n)]
+        for x in (dec.delta_S, dec.delta_rot, dec.delta_c))
+    return [_value_row(start + i, *cells) for i, cells in enumerate(zip(
+        values, _limbs(result.f, n), _limbs(result.delta, n), delta_S,
+        delta_rot, delta_c, metrology))]
+
+
+# Sweep points evaluated together, as one column in a radius sweep.  Peak
+# memory grows with it (a whole 2000-point sweep at once costs about 5 MB
+# more), while the time per point levels off from about 32 points.
 SWEEP_CHUNK = 64
 
 
@@ -414,28 +351,34 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
               threads: Optional[int] = None) -> int:
     """Write one CSV row per sweep point; returns the number of rows.
 
-    All points share one pipeline, so what the swept variable does not touch
-    (the emitter for a receiver sweep, the whole shift for a squeezing,
-    probe-count or bandwidth sweep) is computed once; each point's config is
-    still validated on its own.  A receiver (r_B) or emitter (r_C) radius
-    sweep evaluates SWEEP_CHUNK points at a time: the stages the radius
-    reaches run once per chunk on DDColumn values, with the same bits as
-    point by point, and a chunk in which any point is refused runs point by
-    point.  Rows come in sweep order, computed in the calling thread.
-    Per-point domain failures leave their value cells empty and carry the
-    message in the error column.  ``threads`` is accepted and ignored; it
-    remains for callers written when the sweep ran on a thread pool.
+    One loop evaluates SWEEP_CHUNK points at a time, each point's config
+    validated on its own.  A receiver (r_B) or emitter (r_C) radius sweep
+    evaluates the link once per chunk on DDColumn values, with the same bits
+    as point by point; a squeezing, probe-count or bandwidth sweep, whose
+    variable never reaches the link, evaluates it once per chunk on the
+    chunk's first point.  When anything in a chunk is refused, or
+    arithmetic fails, each of its points runs alone on its own config, so a
+    refused point keeps its text and a crash stays a crash.  Rows come in
+    sweep order, computed in the calling thread.  Per-point domain failures
+    leave their value cells empty and carry the message in the error
+    column.  ``threads`` is accepted and ignored; it remains for callers
+    written when the sweep ran on a thread pool.
     """
-    pipeline = _Pipeline()
     values = spec.values()
-    if spec.variable in ("r_B", "r_C"):
-        rows = []
-        for start in range(0, len(values), SWEEP_CHUNK):
-            rows += pipeline.column_rows(cfg, spec, start,
-                                         values[start:start + SWEEP_CHUNK])
-    else:
-        rows = [_sweep_row(pipeline, i, v, spec.apply(cfg, v))
-                for i, v in enumerate(values)]
+    radius = spec.variable in ("r_B", "r_C")
+    rows = []
+    for start in range(0, len(values), SWEEP_CHUNK):
+        chunk = values[start:start + SWEEP_CHUNK]
+        points = [spec.apply(cfg, v) for v in chunk]
+        try:
+            rows += _rows(start, chunk, points,
+                          spec.apply(cfg, DDColumn.of(chunk)) if radius else None)
+        except (KerrQlinkError, ArithmeticError):
+            for index, (value, point) in enumerate(zip(chunk, points), start):
+                try:
+                    rows += _rows(index, [value], [point], None)
+                except KerrQlinkError as exc:
+                    rows.append(_error_row(index, value, exc))
     lines = []
     if not no_timestamp:
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

@@ -119,6 +119,10 @@ def metric_at(p: SpacetimeParams, r: float) -> MetricAt:
                     g_tphi=g_tphi, Delta=delta)
 
 
+# below the largest double whose Dekker split, 134217729 x, stays finite
+_SPLIT_LIMIT = 2.0 ** 996
+
+
 def orbit_angular_velocity(p: SpacetimeParams, r):
     """Geodesic circular-orbit angular velocity sqrt(M/r^3), in 1/m, of a
     radius or of a column of radii."""
@@ -126,11 +130,12 @@ def orbit_angular_velocity(p: SpacetimeParams, r):
         if x <= 0.0:
             raise DomainError("orbit radius must be positive")
     r3 = number_type(r).of(r) ** 3
-    # below the normal range r^3 has lost digits, and a zero would divide
+    # below the normal range r^3 has lost digits, and a zero would divide;
+    # from about 2^997 the Dekker split of the divisor overflows into NaN
     for x in floats(r3):
-        if not sys.float_info.min <= x < math.inf:
+        if not sys.float_info.min <= x < _SPLIT_LIMIT:
             raise DomainError(
-                f"orbit radius: r^3 = {x:.3e} m^3 leaves the double range")
+                f"orbit radius: r^3 = {x:.3e} m^3 leaves the double-double range")
     return (DD.of(p.M_geom) / r3).sqrt()
 
 

@@ -87,22 +87,16 @@ def delta_rotation_term_sats(p: SpacetimeParams, r_C, r_B) -> DD:
 
 
 def decompose_ground(p: SpacetimeParams, r_A: float, omega_si: float,
-                     r_B: float, delta: DD) -> ShiftDecomposition:
+                     r_B, delta: DD) -> ShiftDecomposition:
     """Split the exact ground-to-orbit delta of a station at r_A spinning at
-    omega_si (rad/s) and a receiver orbit at r_B."""
-    return _decompose_ground(p, r_A, r_B, delta,
-                             delta_rotation_term_ground(r_A, omega_si))
-
-
-def _decompose_ground(p: SpacetimeParams, r_A: float, r_B, delta: DD,
-                      d_rot: DD) -> ShiftDecomposition:
-    """decompose_ground given its rotation term, which depends on the station
-    alone; r_B may be a column of radii, delta the column of their deltas."""
+    omega_si (rad/s) and a receiver orbit at r_B; r_B may be a column of
+    radii, delta then the column of their deltas."""
     for x in floats(r_B):
         if x <= r_A:
             raise DomainError(
                 f"receiver radius {x} must exceed the surface radius {r_A}")
     d_s = delta_mass_term_ground(p, r_A, r_B)
+    d_rot = delta_rotation_term_ground(r_A, omega_si)
     return ShiftDecomposition(LinkScheme.GROUND_TO_SAT, d_s, d_rot,
                               delta - d_s - d_rot)
 
@@ -147,7 +141,12 @@ def _error_schwarzschild_radius(delta_S: float, delta_c: float,
             f"({delta_S:.3e}) no longer dominates the residual "
             f"({delta_c:.3e}); first-order error propagation refused"
         )
-    return abs(delta_delta) / d_s
+    bound = abs(delta_delta) / d_s
+    if not math.isfinite(bound):
+        raise DomainError(
+            f"mass term ({d_s:.3e}) too small for a finite "
+            "Schwarzschild-radius bound")
+    return bound
 
 
 def error_angular_velocity(dec: ShiftDecomposition, delta_delta: float) -> float:

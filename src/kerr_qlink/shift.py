@@ -23,6 +23,7 @@ arithmetic this keeps delta to roughly its own precision, far below the
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 from .ddouble import DD, ONE, floats, number_type
@@ -115,13 +116,22 @@ def _ground_parts(p: SpacetimeParams, station: Worldline) -> tuple[DD, DD]:
     aw = wg * p.a
     dev = wg * wg * (DD.product(station.r, station.r) + DD.product(p.a, p.a)) \
         + x * (ONE - aw) ** 2
+    # a square past about 1e300 overflows, or a Dekker split of it does, into
+    # NaN; pd is finite whenever dev is
+    if not math.isfinite(dev.to_float()):
+        raise DomainError(
+            "ground station: deviation omega^2 (r^2 + a^2) + 2M/r (1 - a omega)^2 "
+            f"with r = {station.r} m and a = {p.a} m leaves the double-double range")
     pd = x * aw / (ONE - x)
     return pd, dev
 
 
-def _orbit_parts(p: SpacetimeParams, r, direction: int) -> tuple[DD, DD]:
-    """(prefactor term, deviation 3M/r - 2 eps a omega) for a circular orbit
-    of radius r, or for a column of radii."""
+def _orbit_parts(p: SpacetimeParams, r, direction: int,
+                 what: str) -> tuple[DD, DD]:
+    """(prefactor term, deviation 3M/r - 2 eps a omega) of a circular orbit
+    of radius r, or of a column of radii, once checked to lie outside 2M;
+    ``what`` names the orbit in the refusal."""
+    _check_outside_mass_scale(p, r, what)
     x = number_type(r).quotient(2.0 * p.M_geom, r)
     aw = orbit_angular_velocity(p, r) * p.a
     dev = three_m_over_r(p, r) - 2.0 * direction * aw
@@ -135,21 +145,7 @@ def _emitter_terms(p: SpacetimeParams, emitter: Worldline) -> tuple[DD, DD]:
     if emitter.kind is WorldlineKind.GROUND_STATION:
         _check_outside_mass_scale(p, emitter.r, "ground station")
         return _ground_parts(p, emitter)
-    return _emitter_orbit_terms(p, emitter.r, emitter.direction)
-
-
-def _emitter_orbit_terms(p: SpacetimeParams, r, direction: int) -> tuple[DD, DD]:
-    """(prefactor term, deviation) of an emitter orbit of radius r, or of a
-    column of radii, once checked to lie outside 2M."""
-    _check_outside_mass_scale(p, r, "emitter orbit")
-    return _orbit_parts(p, r, direction)
-
-
-def _receiver_terms(p: SpacetimeParams, r, direction: int) -> tuple[DD, DD]:
-    """(prefactor term, deviation) of a receiver orbit of radius r, or of a
-    column of radii, once checked to lie outside 2M."""
-    _check_outside_mass_scale(p, r, "receiver orbit")
-    return _orbit_parts(p, r, direction)
+    return _orbit_parts(p, emitter.r, emitter.direction, "emitter orbit")
 
 
 def _closed_form(scheme: LinkScheme, emitter_terms: tuple[DD, DD],
@@ -170,8 +166,8 @@ def shift_ground_to_sat(s: LinkScenario) -> ShiftResult:
     if s.scheme is not LinkScheme.GROUND_TO_SAT:
         raise DomainError("shift_ground_to_sat needs a ground-to-sat scenario")
     return _closed_form(s.scheme, _emitter_terms(s.params, s.emitter),
-                        _receiver_terms(s.params, s.receiver.r,
-                                        s.receiver.direction))
+                        _orbit_parts(s.params, s.receiver.r,
+                                     s.receiver.direction, "receiver orbit"))
 
 
 def shift_sat_to_sat(s: LinkScenario) -> ShiftResult:
@@ -179,8 +175,8 @@ def shift_sat_to_sat(s: LinkScenario) -> ShiftResult:
     if s.scheme is not LinkScheme.SAT_TO_SAT:
         raise DomainError("shift_sat_to_sat needs a sat-to-sat scenario")
     return _closed_form(s.scheme, _emitter_terms(s.params, s.emitter),
-                        _receiver_terms(s.params, s.receiver.r,
-                                        s.receiver.direction))
+                        _orbit_parts(s.params, s.receiver.r,
+                                     s.receiver.direction, "receiver orbit"))
 
 
 def shift_schwarzschild(M_geom: float, r_A: float, r_B: float) -> ShiftResult:

@@ -38,7 +38,6 @@ from kerr_qlink.ddouble import DDColumn
 from kerr_qlink.errors import (
     ConfigError,
     DomainError,
-    HigherOrderRegimeError,
     KerrQlinkError,
 )
 from kerr_qlink.metrology import (
@@ -266,6 +265,9 @@ class TestReport:
         # delta_S and delta_c both underflow to zero
         ("earth-leo", "planet_mass_kg = 1e-290\nground_omega_rad_s = 1e-293\n",
          "bound on Delta r_S / r_S:   refused"),
+        # the floor over a tiny mass term overflows
+        ("leo-geo-sat", "squeezing = 1.6e-23\nplanet_mass_kg = 3.4e-277\n",
+         "bound on Delta r_S / r_S:   refused"),
     ])
     def test_out_of_range_bound_is_refused_in_report_and_sweep(
             self, tmp_path, capsys, preset, fields, refused):
@@ -295,7 +297,20 @@ class TestReport:
         ("leo-geo-sat", "planet_spin_parameter_m = 1e152\n",
          "sweep_variable = s\nsweep_lo = 1\nsweep_hi = 3\n",
          "DomainError: rotation term: r_S a^2 / 4 r_C^3 with a = "),
-    ], ids=["r3-underflows", "a2-overflows", "a2-split-overflows"])
+        # a^2 of a ground station's deviation overflows
+        ("earth-leo", "planet_spin_parameter_m = 1e160\n",
+         "sweep_variable = r_B\nsweep_lo = 7e6\nsweep_hi = 4.2e7\n",
+         "DomainError: ground station: deviation omega^2 (r^2 + a^2) "),
+        # r^3 is finite, but the Dekker split of it in M / r^3 overflows
+        ("earth-leo", "receiver_radius_m = 1e102\n",
+         "sweep_variable = r_B\nsweep_lo = 1e102\nsweep_hi = 2e102\n",
+         "DomainError: orbit radius: r^3 = "),
+        ("leo-geo-sat", "emitter_radius_m = 1e102\nreceiver_radius_m = 2e102\n",
+         "sweep_variable = r_C\nsweep_lo = 1e102\nsweep_hi = 1.5e102\n",
+         "DomainError: orbit radius: r^3 = "),
+    ], ids=["r3-underflows", "a2-overflows", "a2-split-overflows",
+            "station-a2-overflows", "receiver-r3-split-overflows",
+            "emitter-r3-split-overflows"])
     def test_term_out_of_range_is_refused_in_report_and_sweep(
             self, tmp_path, capsys, preset, fields, sweep, refused):
         cfg = tmp_path / "edge.cfg"
@@ -453,7 +468,7 @@ def _reference_report(cfg: ScenarioConfig) -> Report:
     bound_rs = bound_omega = orders = None
     try:
         bound_rs = bound_schwarzschild_radius(m, dec).relative_bound
-    except HigherOrderRegimeError as exc:
+    except DomainError as exc:
         notes.append(str(exc))
     try:
         bound_omega = bound_angular_velocity(m, dec).relative_bound
@@ -591,6 +606,14 @@ class TestSweepPlan:
     @example((PRESETS["leo-geo-sat"], SweepSpec("r_B", 3.189e6, 1.2756e7, 150)))
     @example((PRESETS["leo-geo-sat"], SweepSpec("r_C", 4.2162e6, 6.3243e7, 150,
                                                 "log")))
+    # squeezing, probe counts and bandwidths over more than one chunk:
+    # squeezing is refused up to index 37 or, from -3, 111 (past the first
+    # chunk), probe counts up to index 29, and the bandwidth leaves the QBER
+    # regime at both ends, the upper one from index 83
+    @example((PRESETS["earth-leo"], SweepSpec("s", -1.0, 3.0, 150)))
+    @example((PRESETS["leo-geo-sat"], SweepSpec("s", -3.0, 1.0, 150)))
+    @example((PRESETS["earth-leo"], SweepSpec("N", 0.01, 1e8, 150, "log")))
+    @example((PRESETS["earth-geo"], SweepSpec("sigma", 1e1, 1e16, 150, "log")))
     def test_rows_match_the_per_point_reference(self, tmp_path_factory, sweep):
         cfg, spec = sweep
         out = tmp_path_factory.mktemp("plan") / "rows.csv"
@@ -604,13 +627,12 @@ class TestSweepPlan:
     @pytest.mark.parametrize("preset", ["earth-leo", "leo-geo-sat"])
     @pytest.mark.parametrize("change", sorted(_CHANGES))
     def test_no_stage_goes_stale(self, preset, change):
-        # configs A, B, A through one pipeline: B differs from A in one field
-        # only, so a stage key missing that field would hand B A's result
+        # configs A, B, A in turn: B differs from A in one field only, so
+        # anything kept from one report to the next would hand B A's result
         a = PRESETS[preset]
         b = replace(a, **_CHANGES[change](a))
-        pipeline = report_module._Pipeline()
         for cfg in (a, b, a):
-            assert _outcome(pipeline.report, cfg) == _outcome(_reference_report, cfg)
+            assert _outcome(assemble_report, cfg) == _outcome(_reference_report, cfg)
 
 
 class TestSweepChunks:
@@ -630,7 +652,7 @@ class TestSweepChunks:
 
 
 class TestSweepPlanStages:
-    """Each invariant stage runs once per sweep."""
+    """What a sweep's variable does not reach runs once per chunk."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -639,21 +661,32 @@ class TestSweepPlanStages:
         counts = Counter()
 
         perturb_module = importlib.import_module("kerr_qlink.perturb")
+        # the originals, captured before any binding is patched
+        originals = {
+            "_ground_parts": shift_module._ground_parts,
+            "_orbit_parts": shift_module._orbit_parts,
+            "_assemble": shift_module._assemble,
+            "delta_rotation_term_ground":
+                perturb_module.delta_rotation_term_ground,
+            "qfi": report_module.qfi,
+            "shift_uncertainty_floor": report_module.shift_uncertainty_floor,
+        }
 
-        def counting(owner, name, original):
+        def counting(owner, name):
+            original = originals[name]
+
             def counted(*args, **kwargs):
                 counts[name] += 1
                 return original(*args, **kwargs)
 
-            # raising=False: a binding the code does not look up counts 0
-            monkeypatch.setattr(owner, name, counted, raising=False)
+            monkeypatch.setattr(owner, name, counted)
 
         for name in ("_ground_parts", "_orbit_parts", "_assemble"):
-            counting(shift_module, name, getattr(shift_module, name))
-        counting(report_module, "delta_rotation_term_ground",
-                 perturb_module.delta_rotation_term_ground)
+            counting(shift_module, name)
+        counting(report_module, "_orbit_parts")
+        counting(perturb_module, "delta_rotation_term_ground")
         for name in ("qfi", "shift_uncertainty_floor"):
-            counting(report_module, name, getattr(report_module, name))
+            counting(report_module, name)
         return counts
 
     def test_receiver_sweep_builds_the_station_once(self, counts, tmp_path):
@@ -670,6 +703,18 @@ class TestSweepPlanStages:
         assert counts == {"_ground_parts": 1, "delta_rotation_term_ground": 1,
                           "_orbit_parts": 1, "_assemble": 1,
                           "qfi": 9, "shift_uncertainty_floor": 9}
+
+    def test_long_squeezing_sweep_evaluates_the_shift_once_per_chunk(
+            self, counts, tmp_path):
+        spec = SweepSpec("s", 0.5, 4.0, 150)
+        run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "s.csv"))
+        assert counts["_assemble"] == 3 and counts["qfi"] == 150
+
+    def test_long_receiver_sweep_builds_the_station_once_per_chunk(
+            self, counts, tmp_path):
+        spec = SweepSpec("r_B", 7.0e6, 4.2e7, 150, "log")
+        run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
+        assert counts["_ground_parts"] == 3
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_report_runs_each_stage_once(self, counts, preset):
