@@ -8,8 +8,9 @@ come back as None with the refusal message, so sweeps keep running through
 such points.
 
 A sweep runs one loop over chunks of SWEEP_CHUNK points and shares nothing
-between chunks: each chunk evaluates the link once, as columns for a radius
-sweep, and each point's row comes from its element.
+between chunks: a chunk is the config whose swept field holds its values as
+a DDColumn, validated element by element, and takes a report's route into
+the closed form, as columns for a radius sweep.
 
 CSV rows carry the compensated quantities as (hi, lo) column pairs and every
 fast-path value with 17 significant digits; identical configurations produce
@@ -38,7 +39,7 @@ from ..perturb import (
     decompose_ground,
     decompose_sats,
 )
-from ..shift import LinkScheme, _closed_form, _emitter_terms, _orbit_parts
+from ..shift import LinkScheme, shift
 from ..units import C
 from ..wavepacket import overlap_analytic
 from .scenario import ScenarioConfig, SweepSpec
@@ -147,18 +148,12 @@ def _ratios_block(cfg: ScenarioConfig) -> dict:
 
 
 def _link(cfg: ScenarioConfig):
-    """(shift result, decomposition) of a validated config, or of a sweep
-    chunk's config whose swept radius is a DDColumn of the chunk's radii;
-    what that radius reaches is then a column."""
-    p = cfg.spacetime()
-    if cfg.scheme is LinkScheme.GROUND_TO_SAT:
-        emitter = _emitter_terms(p, cfg.emitter())
-    else:
-        emitter = _orbit_parts(p, cfg.emitter_radius_m, cfg.emitter_direction,
-                               "emitter orbit")
-    receiver = _orbit_parts(p, cfg.receiver_radius_m, cfg.receiver_direction,
-                            "receiver orbit")
-    result = _closed_form(cfg.scheme, emitter, receiver)
+    """(shift result, decomposition) of a validated config: ``shift`` of its
+    link, and the scheme's decomposition.  In a sweep chunk's config whose
+    swept radius is a DDColumn, what that radius reaches is a column."""
+    link = cfg.link()
+    p = link.params
+    result = shift(link)
     if cfg.scheme is LinkScheme.GROUND_TO_SAT:
         dec = decompose_ground(p, cfg.emitter_radius_m, cfg.ground_omega_rad_s,
                                cfg.receiver_radius_m, result.delta)
@@ -312,26 +307,22 @@ def _limbs(x, n: int) -> list[tuple[float, float]]:
     return x.limbs if type(x) is DDColumn else [(x.hi, x.lo)] * n
 
 
-def _rows(start: int, values: list[float], points: list[ScenarioConfig],
-          column: Optional[ScenarioConfig]) -> list[str]:
-    """CSV rows of the sweep points ``values`` with configs ``points``, the
-    first of them point ``start``; raises what any point's evaluation raises.
+def _rows(start: int, values: list[float], cfg: ScenarioConfig,
+          spec: SweepSpec) -> list[str]:
+    """CSV rows of the sweep points ``values``, the first of them point
+    ``start``, from ``cfg``, whose swept field holds them (a DDColumn, or the
+    one value); raises what any point's evaluation raises.
 
-    Each point's config is validated.  ``column`` is the config whose swept
-    radius is the column of ``values``: the link runs on it once as columns,
-    and metrology, which the radius never reaches, once.  Without it the
-    swept variable never reaches the link, which runs once on the first
-    point, and metrology runs per point.
+    The config is validated once and the link runs on it once; a radius
+    sweep's metrology runs once too, any other sweep's per point.
     """
-    for point in points:
-        point.validate()
+    cfg.validate()
     n = len(values)
-    if column is None:
-        result, dec = _link(points[0])
-        metrology = [_metrology(point) for point in points]
+    result, dec = _link(cfg)
+    if spec.variable in ("r_B", "r_C"):
+        metrology = [_metrology(cfg)] * n
     else:
-        result, dec = _link(column)
-        metrology = [_metrology(points[0])] * n
+        metrology = [_metrology(spec.apply(cfg, v)) for v in values]
     delta_S, delta_rot, delta_c = (
         [hi + lo for hi, lo in _limbs(x, n)]
         for x in (dec.delta_S, dec.delta_rot, dec.delta_c))
@@ -351,32 +342,30 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
               threads: Optional[int] = None) -> int:
     """Write one CSV row per sweep point; returns the number of rows.
 
-    One loop evaluates SWEEP_CHUNK points at a time, each point's config
-    validated on its own.  A receiver (r_B) or emitter (r_C) radius sweep
-    evaluates the link once per chunk on DDColumn values, with the same bits
-    as point by point; a squeezing, probe-count or bandwidth sweep, whose
-    variable never reaches the link, evaluates it once per chunk on the
-    chunk's first point.  When anything in a chunk is refused, or
-    arithmetic fails, each of its points runs alone on its own config, so a
-    refused point keeps its text and a crash stays a crash.  Rows come in
-    sweep order, computed in the calling thread.  Per-point domain failures
-    leave their value cells empty and carry the message in the error
-    column.  ``threads`` is accepted and ignored; it remains for callers
-    written when the sweep ran on a thread pool.
+    One loop evaluates SWEEP_CHUNK points at a time.  Each chunk is one
+    config whose swept field holds the chunk's values as a DDColumn,
+    validated element by element; the link runs on it once, as columns for
+    a receiver (r_B) or emitter (r_C) radius sweep, with the same bits as
+    point by point.  Sweeping r_C on a ground-to-sat config is refused
+    before any row.  When anything in a chunk is refused, or arithmetic
+    fails, each of its points runs alone on its own config, so a refused
+    point keeps its text and a crash stays a crash.  Rows come in sweep
+    order, computed in the calling thread.  Per-point domain failures leave
+    their value cells empty and carry the message in the error column.
+    ``threads`` is accepted and ignored; it remains for callers written when
+    the sweep ran on a thread pool.
     """
     values = spec.values()
-    radius = spec.variable in ("r_B", "r_C")
     rows = []
     for start in range(0, len(values), SWEEP_CHUNK):
         chunk = values[start:start + SWEEP_CHUNK]
-        points = [spec.apply(cfg, v) for v in chunk]
+        column = spec.apply(cfg, DDColumn.of(chunk))
         try:
-            rows += _rows(start, chunk, points,
-                          spec.apply(cfg, DDColumn.of(chunk)) if radius else None)
+            rows += _rows(start, chunk, column, spec)
         except (KerrQlinkError, ArithmeticError):
-            for index, (value, point) in enumerate(zip(chunk, points), start):
+            for index, value in enumerate(chunk, start):
                 try:
-                    rows += _rows(index, [value], [point], None)
+                    rows += _rows(index, [value], spec.apply(cfg, value), spec)
                 except KerrQlinkError as exc:
                     rows.append(_error_row(index, value, exc))
     lines = []

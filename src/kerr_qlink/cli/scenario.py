@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from ..ddouble import floats
 from ..errors import ConfigError
 from ..geometry import Worldline
 from ..metrology import MetrologyConfig
@@ -38,25 +39,29 @@ class ScenarioConfig:
     planet_spin_parameter_m: float = EARTH.a_m
 
     def validate(self) -> "ScenarioConfig":
+        """This config, once every field is in its domain; a float field may
+        be a DDColumn (a sweep chunk), checked element by element."""
         for name in sorted(_FLOAT_KEYS):
-            if not math.isfinite(getattr(self, name)):
+            if not all(map(math.isfinite, floats(getattr(self, name)))):
                 raise ConfigError(f"{name} must be finite")
-        if self.receiver_radius_m <= 0.0:
+        if any(r <= 0.0 for r in floats(self.receiver_radius_m)):
             raise ConfigError("receiver_radius_m must be set to a positive value")
-        if self.emitter_radius_m <= 0.0:
+        if any(r <= 0.0 for r in floats(self.emitter_radius_m)):
             raise ConfigError("emitter_radius_m must be positive")
         for name in sorted(_INT_KEYS):
             if type(getattr(self, name)) is not int or getattr(self, name) not in (-1, +1):
                 raise ConfigError(f"{name} must be the int +1 or -1")
-        if self.scheme is LinkScheme.SAT_TO_SAT \
-                and self.receiver_radius_m <= self.emitter_radius_m:
+        # at most one radius is a column: its extreme element decides
+        if self.scheme is LinkScheme.SAT_TO_SAT and (
+                min(floats(self.receiver_radius_m))
+                <= max(floats(self.emitter_radius_m))):
             raise ConfigError("sat-to-sat scenarios need receiver above emitter")
         for name in ("ground_omega_rad_s", "peak_frequency_hz", "bandwidth_hz",
                      "squeezing", "planet_mass_kg", "planet_spin_parameter_m"):
-            if getattr(self, name) <= 0.0:
+            if any(x <= 0.0 for x in floats(getattr(self, name))):
                 raise ConfigError(f"{name} must be positive")
         # the Cramer-Rao bound holds for N >= 1 repetitions (see cramer_rao)
-        if self.probes < 1.0:
+        if any(n < 1.0 for n in floats(self.probes)):
             raise ConfigError("probes must be at least 1")
         return self
 
@@ -66,20 +71,16 @@ class ScenarioConfig:
         return SpacetimeParams(geometric_mass(self.planet_mass_kg),
                                self.planet_spin_parameter_m)
 
-    def emitter(self) -> Worldline:
-        if self.scheme is LinkScheme.GROUND_TO_SAT:
-            return Worldline.ground_station(self.emitter_radius_m,
-                                            self.ground_omega_rad_s)
-        return Worldline.circular_orbit(self.emitter_radius_m,
-                                        self.emitter_direction)
-
-    def receiver(self) -> Worldline:
-        return Worldline.circular_orbit(self.receiver_radius_m,
-                                        self.receiver_direction)
-
     def link(self) -> LinkScenario:
-        return LinkScenario(self.scheme, self.emitter(), self.receiver(),
-                            self.spacetime())
+        if self.scheme is LinkScheme.GROUND_TO_SAT:
+            emitter = Worldline.ground_station(self.emitter_radius_m,
+                                               self.ground_omega_rad_s)
+        else:
+            emitter = Worldline.circular_orbit(self.emitter_radius_m,
+                                               self.emitter_direction)
+        receiver = Worldline.circular_orbit(self.receiver_radius_m,
+                                            self.receiver_direction)
+        return LinkScenario(self.scheme, emitter, receiver, self.spacetime())
 
     def metrology(self) -> MetrologyConfig:
         return MetrologyConfig(probes=self.probes, squeezing=self.squeezing,
@@ -121,12 +122,16 @@ class SweepSpec:
             raise ConfigError("sweep bounds must be finite")
         if not self.lo < self.hi:
             raise ConfigError("sweep needs lo < hi")
+        if type(self.points) is not int:  # 2.0 would fail in values()
+            raise ConfigError(f"sweep points must be an int, got {self.points!r}")
         if self.points < 2:
             raise ConfigError("sweep needs at least 2 points")
         if self.scale not in ("linear", "log"):
             raise ConfigError("sweep scale must be linear or log")
         if self.scale == "log" and self.lo <= 0.0:
             raise ConfigError("log sweeps need a positive lower bound")
+        if self.scale == "linear" and not math.isfinite(self.hi - self.lo):
+            raise ConfigError("linear sweep span hi - lo overflows the double range")
 
     def values(self) -> list[float]:
         n = self.points

@@ -34,7 +34,8 @@ class Worldline:
     omega/c would already move the rotation term of the shift by ~1e-28.
     Circular orbits never store an angular velocity; the geodesic value
     sqrt(M/r^3) is recomputed wherever needed so it cannot go stale.
-    ``direction`` is +1 for co-rotating orbits, -1 for retrograde.
+    ``direction`` is +1 for co-rotating orbits, -1 for retrograde.  ``r`` may
+    be a DDColumn of radii, one orbit per element, each element checked.
     """
 
     kind: WorldlineKind
@@ -43,12 +44,14 @@ class Worldline:
     direction: int = +1
 
     def __post_init__(self):
-        if not math.isfinite(self.r):
-            raise DomainError(f"Worldline.r must be finite, got {self.r}")
+        radii = floats(self.r)
+        for r in radii:
+            if not math.isfinite(r):
+                raise DomainError(f"Worldline.r must be finite, got {r}")
         if not math.isfinite(float(self.omega_geom)):
             raise DomainError(
                 f"Worldline.omega_geom must be finite, got {self.omega_geom!r}")
-        if self.r <= 0.0:
+        if any(r <= 0.0 for r in radii):
             raise DomainError("worldline radius must be positive")
         # by type too: True == 1 and 1.0 == 1 would otherwise pass as signs
         if type(self.direction) is not int or self.direction not in (+1, -1):

@@ -68,11 +68,14 @@ class LinkScenario:
                     or self.receiver.kind is not WorldlineKind.CIRCULAR_ORBIT):
                 raise DomainError("sat-to-sat links need two orbiting worldlines")
             # equality is allowed: identical orbits form a degenerate link
-            # with unit shift
-            if self.receiver.r < self.emitter.r:
+            # with unit shift.  At most one radius is a column: its extreme
+            # element decides.
+            r_recv = min(floats(self.receiver.r))
+            r_emit = max(floats(self.emitter.r))
+            if r_recv < r_emit:
                 raise DomainError(
                     "sat-to-sat links need receiver radius at or above emitter "
-                    f"radius ({self.receiver.r} < {self.emitter.r})"
+                    f"radius ({r_recv} < {r_emit})"
                 )
 
     def with_receiver_radius(self, r: float) -> "LinkScenario":
@@ -139,24 +142,21 @@ def _orbit_parts(p: SpacetimeParams, r, direction: int,
     return pref, dev
 
 
-def _emitter_terms(p: SpacetimeParams, emitter: Worldline) -> tuple[DD, DD]:
-    """(prefactor term, deviation) of the emitter, once it is checked to lie
-    outside 2M."""
+def _closed_form(s: LinkScenario) -> ShiftResult:
+    """Closed-form shift of a link, one of whose orbit radii may be a column:
+    the emitter's terms, once it is checked to lie outside 2M, then the
+    receiver's."""
+    p, emitter = s.params, s.emitter
     if emitter.kind is WorldlineKind.GROUND_STATION:
         _check_outside_mass_scale(p, emitter.r, "ground station")
-        return _ground_parts(p, emitter)
-    return _orbit_parts(p, emitter.r, emitter.direction, "emitter orbit")
-
-
-def _closed_form(scheme: LinkScheme, emitter_terms: tuple[DD, DD],
-                 receiver_terms: tuple[DD, DD]) -> ShiftResult:
-    """Closed-form shift from the two endpoints' terms."""
-    pd, dev_emit = emitter_terms
-    pn, dev_recv = receiver_terms
-    if scheme is LinkScheme.GROUND_TO_SAT:
+        pd, dev_emit = _ground_parts(p, emitter)
         emit_name = "the ground-station normalization"
     else:
+        pd, dev_emit = _orbit_parts(p, emitter.r, emitter.direction,
+                                    "emitter orbit")
         emit_name = "the emitter-orbit normalization"
+    pn, dev_recv = _orbit_parts(p, s.receiver.r, s.receiver.direction,
+                                "receiver orbit")
     return _assemble(pn, pd, dev_emit, dev_recv, emit_name,
                      "the receiver-orbit normalization")
 
@@ -165,18 +165,14 @@ def shift_ground_to_sat(s: LinkScenario) -> ShiftResult:
     """Shift for a radial photon from a spinning ground station to an orbit."""
     if s.scheme is not LinkScheme.GROUND_TO_SAT:
         raise DomainError("shift_ground_to_sat needs a ground-to-sat scenario")
-    return _closed_form(s.scheme, _emitter_terms(s.params, s.emitter),
-                        _orbit_parts(s.params, s.receiver.r,
-                                     s.receiver.direction, "receiver orbit"))
+    return _closed_form(s)
 
 
 def shift_sat_to_sat(s: LinkScenario) -> ShiftResult:
     """Shift for a radial photon between two circular orbits (emitter below)."""
     if s.scheme is not LinkScheme.SAT_TO_SAT:
         raise DomainError("shift_sat_to_sat needs a sat-to-sat scenario")
-    return _closed_form(s.scheme, _emitter_terms(s.params, s.emitter),
-                        _orbit_parts(s.params, s.receiver.r,
-                                     s.receiver.direction, "receiver orbit"))
+    return _closed_form(s)
 
 
 def shift_schwarzschild(M_geom: float, r_A: float, r_B: float) -> ShiftResult:

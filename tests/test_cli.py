@@ -147,6 +147,12 @@ class TestSweepSpec:
             SweepSpec("r_B", 8e6, float("inf"), 3)
         with pytest.raises(ConfigError, match="finite"):
             SweepSpec("r_B", -float("inf"), 8e6, 3)
+        # finite bounds whose span overflows would step through inf
+        with pytest.raises(ConfigError, match="span hi - lo"):
+            SweepSpec("N", -1e308, 1e308, 5)
+        for points in (2.5, 3.0, True):
+            with pytest.raises(ConfigError, match="must be an int"):
+                SweepSpec("r_B", 1.0, 2.0, points)
 
     def test_apply_r_c_needs_sat_scheme(self):
         spec = SweepSpec("r_C", 7e6, 8e6, 3)
@@ -635,6 +641,63 @@ class TestSweepPlan:
             assert _outcome(assemble_report, cfg) == _outcome(_reference_report, cfg)
 
 
+def _refusal(cfg_of):
+    """The ConfigError text of building and validating a config, or None."""
+    try:
+        cfg_of().validate()
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _chunk_values(draw):
+    """(preset, sweep variable, values) with values on both sides of every
+    check validate makes of the swept field: signs, zero, non-finite values,
+    probe counts below 1 and radii around each preset's other radius."""
+    preset = draw(st.sampled_from(sorted(PRESETS)))
+    variable = draw(st.sampled_from(SWEEP_VARIABLES))
+    cfg = PRESETS[preset]
+    radii = [k * r for r in (cfg.emitter_radius_m, cfg.receiver_radius_m)
+             for k in (0.5, 1.0, 2.0)]
+    value = st.one_of(
+        st.sampled_from((0.0, -1.0, 0.5, 1.0, 3.0, math.nan, math.inf,
+                         -math.inf, *radii)),
+        st.floats(allow_nan=False, allow_infinity=False))
+    return preset, variable, draw(st.lists(value, min_size=1, max_size=8))
+
+
+class TestSweepChunkConfig:
+    """A sweep chunk is one config whose swept field is a DDColumn."""
+
+    @settings(max_examples=300)
+    @given(_chunk_values())
+    def test_chunk_is_refused_iff_a_point_is(self, drawn):
+        preset, variable, values = drawn
+        cfg, spec = PRESETS[preset], SweepSpec(variable, 1.0, 2.0, 2)
+        chunk = _refusal(lambda: spec.apply(cfg, DDColumn.of(values)))
+        points = [_refusal(lambda: spec.apply(cfg, v)) for v in values]
+        if chunk is None:
+            assert points == [None] * len(values)
+        else:
+            assert chunk in points
+
+    @pytest.mark.parametrize("preset, spec", [
+        ("earth-leo", SweepSpec("r_B", 6.5e6, 4.2e7, 20, "log")),
+        ("earth-geo", SweepSpec("r_B", 6.4e6, 1e9, 20, "log")),
+        ("leo-geo-sat", SweepSpec("r_B", 8.4e6, 1e8, 20)),
+        ("leo-geo-sat", SweepSpec("r_C", 6.4e6, 4.2e7, 20)),
+    ])
+    def test_chunk_shift_elements_match_each_point(self, preset, spec):
+        cfg = PRESETS[preset]
+        values = spec.values()
+        chunk = shift(spec.apply(cfg, DDColumn.of(values)).validate().link())
+        for i, v in enumerate(values):
+            point = shift(spec.apply(cfg, v).validate().link())
+            assert chunk.f.limbs[i] == (point.f.hi, point.f.lo)
+            assert chunk.delta.limbs[i] == (point.delta.hi, point.delta.lo)
+
+
 class TestSweepChunks:
     def test_no_column_holds_more_than_a_chunk(self, monkeypatch, tmp_path):
         sizes = []
@@ -683,7 +746,6 @@ class TestSweepPlanStages:
 
         for name in ("_ground_parts", "_orbit_parts", "_assemble"):
             counting(shift_module, name)
-        counting(report_module, "_orbit_parts")
         counting(perturb_module, "delta_rotation_term_ground")
         for name in ("qfi", "shift_uncertainty_floor"):
             counting(report_module, name)
@@ -715,6 +777,21 @@ class TestSweepPlanStages:
         spec = SweepSpec("r_B", 7.0e6, 4.2e7, 150, "log")
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
         assert counts["_ground_parts"] == 3
+
+    def test_long_receiver_sweep_validates_each_chunk_once(
+            self, monkeypatch, tmp_path):
+        validated = []
+        original = ScenarioConfig.validate
+
+        def counted(cfg):
+            validated.append(cfg)
+            return original(cfg)
+
+        monkeypatch.setattr(ScenarioConfig, "validate", counted)
+        spec = SweepSpec("r_B", 7.0e6, 4.2e7, 150, "log")
+        run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
+        assert len(validated) == 3
+        assert all(type(cfg.receiver_radius_m) is DDColumn for cfg in validated)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_report_runs_each_stage_once(self, counts, preset):
@@ -878,6 +955,7 @@ class TestCliEntry:
     @pytest.mark.parametrize("bounds", [
         "sweep_lo = 8e6\nsweep_hi = inf\n",
         "sweep_lo = -inf\nsweep_hi = 8e6\n",
+        "sweep_lo = -1e308\nsweep_hi = 1e308\n",  # the span overflows
     ])
     def test_non_finite_sweep_bound_is_config_error(self, tmp_path, capsys,
                                                     bounds):
@@ -888,6 +966,20 @@ class TestCliEntry:
                      "--out", str(out), "--no-timestamp"])
         assert code == 2
         assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_emitter_radius_sweep_on_ground_preset_writes_nothing(
+            self, tmp_path, capsys):
+        path = tmp_path / "rc.cfg"
+        path.write_text("sweep_variable = r_C\nsweep_lo = 7e6\nsweep_hi = 8e6\n"
+                        "sweep_points = 3\n")
+        out = tmp_path / "rows.csv"
+        code = main(["sweep", "--preset", "earth-leo", "--config", str(path),
+                     "--out", str(out), "--no-timestamp"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sweeping r_C needs a sat-to-sat scenario" in captured.err
         assert not out.exists()
 
 
