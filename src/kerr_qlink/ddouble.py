@@ -41,9 +41,11 @@ so the bounds above hold for both:
   saves the interpreter's per-operation dispatch and allocation, most of a
   scalar operation's cost, when many points go through one formula.
 
-The formula helpers in geometry, shift and perturb take their number type
-from their operands (``number_type``), so one source evaluates a point or a
-column of sweep points.
+The constructors DD.of, DD.sum2, DD.product and DD.quotient take a column
+operand too, and then return a column (sum2, product and quotient read its hi
+limbs).  The formula helpers in geometry, shift and perturb call them and
+the operators on whatever they are given, so one source evaluates a point or
+a column of sweep points.
 """
 
 from __future__ import annotations
@@ -223,9 +225,10 @@ class DD:
     """Immutable double-double number.
 
     Construct with already-normalised parts (internal use), or via
-    ``DD.of``, ``DD.sum2``, ``DD.product``, ``DD.quotient``.  All operators
-    accept DD, float or int operands, and leave a DDColumn operand to the
-    column's reflected operator.
+    ``DD.of``, ``DD.sum2``, ``DD.product``, ``DD.quotient``; each of these
+    returns a DDColumn when an operand is one.  All operators accept DD,
+    float or int operands, and leave a DDColumn operand to the column's
+    reflected operator.
     """
 
     __slots__ = ("hi", "lo")
@@ -237,25 +240,26 @@ class DD:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def of(x) -> "DD":
-        if isinstance(x, DD):
+    def of(x):
+        """x itself for a DD or a column, else the DD of the double x."""
+        if isinstance(x, DD) or type(x) is DDColumn:
             return x
         return DD(float(x), 0.0)
 
     @staticmethod
-    def sum2(a: float, b: float) -> "DD":
+    def sum2(a: float, b: float):
         """Exact a + b of two doubles."""
-        return _dd(*_sum2(a, b))
+        return _map_doubles(_sum2, a, b)
 
     @staticmethod
-    def product(a: float, b: float) -> "DD":
+    def product(a: float, b: float):
         """Exact a * b of two doubles."""
-        return _dd(*_product(a, b))
+        return _map_doubles(_product, a, b)
 
     @staticmethod
-    def quotient(a: float, b: float) -> "DD":
+    def quotient(a: float, b: float):
         """a / b of two doubles, accurate to double-double precision."""
-        return _dd(*_quotient(a, b))
+        return _map_doubles(_quotient, a, b)
 
     # -- conversions -------------------------------------------------------
 
@@ -412,10 +416,7 @@ class DDColumn:
     order the DD operators use.  Columns in one operation have one length.
 
     A column of doubles, such as sweep radii, has zero lo limbs (``of`` on a
-    list of floats).  The constructors ``sum2``, ``product`` and ``quotient``
-    read the hi limbs of a column operand, and return a DD when neither
-    operand is a column, so a helper may call them on whichever of its
-    arguments vary.
+    list of floats); DD's constructors read the hi limbs of a column operand.
     """
 
     __slots__ = ("limbs",)
@@ -427,24 +428,10 @@ class DDColumn:
 
     @staticmethod
     def of(x):
-        """A column as it is, a list of doubles as a column, else DD.of(x)."""
-        if type(x) is DDColumn:
-            return x
+        """A list of doubles as a column, else DD.of(x)."""
         if type(x) is list:
             return DDColumn([(float(v), 0.0) for v in x])
         return DD.of(x)
-
-    @staticmethod
-    def sum2(a, b):
-        return _map_doubles(_sum2, DD.sum2, a, b)
-
-    @staticmethod
-    def product(a, b):
-        return _map_doubles(_product, DD.product, a, b)
-
-    @staticmethod
-    def quotient(a, b):
-        return _map_doubles(_quotient, DD.quotient, a, b)
 
     # -- arithmetic --------------------------------------------------------
     #
@@ -526,9 +513,9 @@ def _map(kernel, a, b) -> DDColumn:
     return DDColumn([kernel(ah, al, bh, bl) for bh, bl in b])
 
 
-def _map_doubles(kernel, scalar, a, b):
-    """kernel over the hi limbs of column operands; scalar(a, b) when there
-    is none."""
+def _map_doubles(kernel, a, b):
+    """kernel over the hi limbs of column operands, or the DD of kernel(a, b)
+    when there is none."""
     if type(a) is DDColumn:
         if type(b) is DDColumn:
             _same_length(a.limbs, b.limbs)
@@ -537,13 +524,7 @@ def _map_doubles(kernel, scalar, a, b):
         return DDColumn([kernel(x, b) for x, _ in a.limbs])
     if type(b) is DDColumn:
         return DDColumn([kernel(a, y) for y, _ in b.limbs])
-    return scalar(a, b)
-
-
-def number_type(*xs):
-    """DDColumn when any of xs is a column, else DD: the type whose
-    constructors a formula helper calls on those operands."""
-    return DDColumn if DDColumn in map(type, xs) else DD
+    return _dd(*kernel(a, b))
 
 
 def floats(x):

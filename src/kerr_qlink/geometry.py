@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .ddouble import DD, ONE, floats, number_type
+from .ddouble import DD, ONE, floats
 from .errors import DomainError
 from .units import C, SpacetimeParams
 
@@ -35,7 +35,7 @@ class Worldline:
     Circular orbits never store an angular velocity; the geodesic value
     sqrt(M/r^3) is recomputed wherever needed so it cannot go stale.
     ``direction`` is +1 for co-rotating orbits, -1 for retrograde.  ``r`` may
-    be a DDColumn of radii, one orbit per element, each element checked.
+    be a column of radii, one orbit per element, each element checked.
     """
 
     kind: WorldlineKind
@@ -132,7 +132,7 @@ def orbit_angular_velocity(p: SpacetimeParams, r):
     for x in floats(r):
         if x <= 0.0:
             raise DomainError("orbit radius must be positive")
-    r3 = number_type(r).of(r) ** 3
+    r3 = DD.of(r) ** 3
     # below the normal range r^3 has lost digits, and a zero would divide;
     # from about 2^997 the Dekker split of the divisor overflows into NaN
     for x in floats(r3):
@@ -142,17 +142,48 @@ def orbit_angular_velocity(p: SpacetimeParams, r):
     return (DD.of(p.M_geom) / r3).sqrt()
 
 
+def _ground_parts(p: SpacetimeParams, station: Worldline) -> tuple[DD, DD]:
+    """(prefactor denominator term pd, deviation) of a ground station: pd =
+    (2M/r) a omega / (1 - 2M/r), the deviation omega^2 (r^2 + a^2) + (2M/r)
+    (1 - a omega)^2, so that its normalization argument is 1 - deviation."""
+    x = DD.quotient(2.0 * p.M_geom, station.r)
+    wg = station.omega_geom
+    aw = wg * p.a
+    dev = wg * wg * (DD.product(station.r, station.r) + DD.product(p.a, p.a)) \
+        + x * (ONE - aw) ** 2
+    # a square past about 1e300 overflows, or a Dekker split of it does, into
+    # NaN; pd is finite whenever dev is
+    if not all(map(math.isfinite, floats(dev))):
+        raise DomainError(
+            "ground station: deviation omega^2 (r^2 + a^2) + 2M/r (1 - a omega)^2 "
+            f"with r = {station.r} m and a = {p.a} m leaves the double-double range")
+    pd = x * aw / (ONE - x)
+    return pd, dev
+
+
+def _orbit_parts(p: SpacetimeParams, orbit: Worldline) -> tuple[DD, DD, DD]:
+    """(prefactor term eps a omega / (1 - 2M/r), deviation 3M/r - 2 eps a
+    omega, omega = sqrt(M/r^3)) of a circular orbit, whose radius may be a
+    column; its normalization argument is 1 - deviation.  3M is not a float:
+    the 3*M product is captured exactly."""
+    r, eps = orbit.r, orbit.direction
+    x = DD.quotient(2.0 * p.M_geom, r)
+    omega = orbit_angular_velocity(p, r)
+    aw = omega * p.a
+    dev = DD.product(3.0, p.M_geom) / r - 2.0 * eps * aw
+    pref = eps * aw / (ONE - x)
+    return pref, dev, omega
+
+
 def ground_station_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, DD]:
-    """Return (gamma, gamma_argument) for a spinning ground station.
+    """Return (gamma, gamma_argument) for a spinning ground station outside
+    2M.
 
     gamma_argument = 1 - omega^2 (r^2 + a^2) - (2M/r)(1 - a*omega)^2 must be
     positive, otherwise the station would be superluminal.
     """
-    wg = w.omega_geom
-    x = DD.quotient(2.0 * p.M_geom, w.r)
-    aw = wg * p.a
-    arg = ONE - wg * wg * (DD.product(w.r, w.r) + DD.product(p.a, p.a)) \
-        - x * (ONE - aw) ** 2
+    _check_outside_mass_scale(p, w.r, "ground-station normalization")
+    arg = ONE - _ground_parts(p, w)[1]
     if arg.sign() <= 0:
         raise DomainError(
             "ground-station normalization argument is not positive "
@@ -161,21 +192,16 @@ def ground_station_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, 
     return ONE / arg.sqrt(), arg
 
 
-def three_m_over_r(p: SpacetimeParams, r):
-    """3M/r with the 3*M product captured exactly (3M is not a float), of a
-    radius or of a column of radii."""
-    return DD.product(3.0, p.M_geom) / r
-
-
 def orbit_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, DD, DD]:
-    """Return (gamma, gamma_argument, omega_orbit) for a circular orbit.
+    """Return (gamma, gamma_argument, omega_orbit) for a circular orbit
+    outside 2M.
 
     gamma_argument = 1 - 3M/r + 2 eps a omega must be positive; it fails close
     to the photon-orbit scale, far inside any planetary application.
     """
-    omega = orbit_angular_velocity(p, w.r)
-    aw = omega * p.a
-    arg = ONE - three_m_over_r(p, w.r) + 2.0 * w.direction * aw
+    _check_outside_mass_scale(p, w.r, "orbit normalization")
+    _, dev, omega = _orbit_parts(p, w)
+    arg = ONE - dev
     if arg.sign() <= 0:
         raise DomainError(
             "orbit normalization argument is not positive "

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ddouble import DD, ONE, floats, number_type
+from .ddouble import DD, ONE, floats
 from .errors import DomainError, HigherOrderRegimeError
 # shift_ground_to_sat is not called here.  perfbench/test_perfbench.py uses
 # this binding to check that tracing rebinds names imported into other
@@ -50,7 +50,7 @@ class ShiftDecomposition:
 def delta_mass_term_ground(p: SpacetimeParams, r_A: float, r_B) -> DD:
     """First-order mass term of the ground-to-orbit shift, for a receiver
     radius or a column of them."""
-    lr = number_type(r_B).sum2(r_B, -r_A) / r_A  # L/r_A with L = r_B - r_A exact
+    lr = DD.sum2(r_B, -r_A) / r_A  # L/r_A with L = r_B - r_A exact
     return DD.quotient(p.r_S, 4.0 * r_A) * (ONE - 2.0 * lr) / (ONE + lr)
 
 
@@ -63,20 +63,18 @@ def delta_rotation_term_ground(r_A: float, omega_si: float) -> DD:
 def delta_mass_term_sats(p: SpacetimeParams, r_C, r_B) -> DD:
     """First-order mass term of the orbit-to-orbit shift (always negative);
     either radius may be a column."""
-    num = number_type(r_C, r_B)
-    ell = num.sum2(r_B, -r_C)  # L = r_B - r_C, exact
+    ell = DD.sum2(r_B, -r_C)  # L = r_B - r_C, exact
     lr = ell / r_C
-    return -0.75 * (ell * p.r_S / num.product(r_C, r_C)) / (ONE + lr)
+    return -0.75 * (ell * p.r_S / DD.product(r_C, r_C)) / (ONE + lr)
 
 
 def delta_rotation_term_sats(p: SpacetimeParams, r_C, r_B) -> DD:
     """Leading frame-dragging term of the orbit-to-orbit shift; either radius
     may be a column."""
-    num = number_type(r_C, r_B)
-    lr = num.sum2(r_B, -r_C) / r_C
+    lr = DD.sum2(r_B, -r_C) / r_C
     shape = ONE / (ONE + lr) ** 3 - ONE
     aa = DD.product(p.a, p.a)
-    term = 0.25 * (DD.of(p.r_S) * aa / (num.of(r_C) ** 3)) * shape
+    term = 0.25 * (DD.of(p.r_S) * aa / (DD.of(r_C) ** 3)) * shape
     # a^2 past about 1e300 overflows, or a Dekker split of it does, into NaN
     for x in floats(term):
         if not math.isfinite(x):

@@ -23,22 +23,21 @@ arithmetic this keeps delta to roughly its own precision, far below the
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
-from .ddouble import DD, ONE, floats, number_type
+from .ddouble import DD, ONE, floats
 from .errors import DomainError, NoRootInBracketError, NumericalError
 from .geometry import (
     Worldline,
     WorldlineKind,
     _check_outside_mass_scale,
+    _ground_parts,
+    _orbit_parts,
     contract,
     ground_station_velocity,
     metric_at,
-    orbit_angular_velocity,
     orbit_velocity,
     photon_tangent,
-    three_m_over_r,
 )
 from .units import SpacetimeParams
 
@@ -93,7 +92,8 @@ class ShiftResult:
     def __post_init__(self):
         check = (self.f - ONE) - self.delta
         for c, d in zip(floats(check), floats(self.delta)):
-            if abs(c) > 1e-30 * max(1.0, abs(d)):
+            # written so that a NaN fails it
+            if not abs(c) <= 1e-30 * max(1.0, abs(d)):
                 raise NumericalError("ShiftResult consistency f - 1 == delta violated")
 
 
@@ -112,51 +112,21 @@ def _assemble(pn: DD, pd: DD, dev_emit: DD, dev_recv: DD, emit_name: str,
     return ShiftResult(f=ONE + delta, delta=delta)
 
 
-def _ground_parts(p: SpacetimeParams, station: Worldline) -> tuple[DD, DD]:
-    """(prefactor denominator term pd, emitter-side deviation) for a station."""
-    x = DD.quotient(2.0 * p.M_geom, station.r)
-    wg = station.omega_geom
-    aw = wg * p.a
-    dev = wg * wg * (DD.product(station.r, station.r) + DD.product(p.a, p.a)) \
-        + x * (ONE - aw) ** 2
-    # a square past about 1e300 overflows, or a Dekker split of it does, into
-    # NaN; pd is finite whenever dev is
-    if not math.isfinite(dev.to_float()):
-        raise DomainError(
-            "ground station: deviation omega^2 (r^2 + a^2) + 2M/r (1 - a omega)^2 "
-            f"with r = {station.r} m and a = {p.a} m leaves the double-double range")
-    pd = x * aw / (ONE - x)
-    return pd, dev
-
-
-def _orbit_parts(p: SpacetimeParams, r, direction: int,
-                 what: str) -> tuple[DD, DD]:
-    """(prefactor term, deviation 3M/r - 2 eps a omega) of a circular orbit
-    of radius r, or of a column of radii, once checked to lie outside 2M;
-    ``what`` names the orbit in the refusal."""
-    _check_outside_mass_scale(p, r, what)
-    x = number_type(r).quotient(2.0 * p.M_geom, r)
-    aw = orbit_angular_velocity(p, r) * p.a
-    dev = three_m_over_r(p, r) - 2.0 * direction * aw
-    pref = direction * aw / (ONE - x)
-    return pref, dev
-
-
 def _closed_form(s: LinkScenario) -> ShiftResult:
     """Closed-form shift of a link, one of whose orbit radii may be a column:
     the emitter's terms, once it is checked to lie outside 2M, then the
     receiver's."""
-    p, emitter = s.params, s.emitter
+    p, emitter, receiver = s.params, s.emitter, s.receiver
     if emitter.kind is WorldlineKind.GROUND_STATION:
         _check_outside_mass_scale(p, emitter.r, "ground station")
         pd, dev_emit = _ground_parts(p, emitter)
         emit_name = "the ground-station normalization"
     else:
-        pd, dev_emit = _orbit_parts(p, emitter.r, emitter.direction,
-                                    "emitter orbit")
+        _check_outside_mass_scale(p, emitter.r, "emitter orbit")
+        pd, dev_emit, _ = _orbit_parts(p, emitter)
         emit_name = "the emitter-orbit normalization"
-    pn, dev_recv = _orbit_parts(p, s.receiver.r, s.receiver.direction,
-                                "receiver orbit")
+    _check_outside_mass_scale(p, receiver.r, "receiver orbit")
+    pn, dev_recv, _ = _orbit_parts(p, receiver)
     return _assemble(pn, pd, dev_emit, dev_recv, emit_name,
                      "the receiver-orbit normalization")
 

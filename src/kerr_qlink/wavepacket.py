@@ -35,6 +35,11 @@ class GaussianWavepacket:
     def __post_init__(self):
         if self.peak.sign() <= 0 or self.width.sign() <= 0:
             raise DomainError("wavepacket peak and width must be positive")
+        if not (math.isfinite(self.peak.to_float())
+                and math.isfinite(self.width.to_float())):
+            raise DomainError(
+                f"wavepacket peak and width must be finite, got {self.peak!r} "
+                f"and {self.width!r}")
 
     @staticmethod
     def of(peak: float | DD, width: float | DD) -> "GaussianWavepacket":
@@ -82,6 +87,8 @@ def overlap_analytic(sent: GaussianWavepacket, delta: float) -> OverlapResult:
     """
     if delta <= -1.0:
         raise DomainError("delta must exceed -1 for a positive shift ratio")
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta}")
     fp = 1.0 + delta
     denom = 1.0 + fp * fp  # 2 + 2 delta + delta^2
     peak_b = fp * sent.peak.to_float()

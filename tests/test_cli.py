@@ -50,7 +50,7 @@ from kerr_qlink.metrology import (
     shift_uncertainty_floor,
 )
 from kerr_qlink.perturb import decompose_ground, decompose_sats
-from kerr_qlink.shift import LinkScheme, shift
+from kerr_qlink.shift import LinkScheme, shift, shift_via_contraction
 from kerr_qlink.units import C, geo_radius, leo_radius
 from kerr_qlink.wavepacket import overlap_analytic
 
@@ -691,11 +691,14 @@ class TestSweepChunkConfig:
     def test_chunk_shift_elements_match_each_point(self, preset, spec):
         cfg = PRESETS[preset]
         values = spec.values()
-        chunk = shift(spec.apply(cfg, DDColumn.of(values)).validate().link())
-        for i, v in enumerate(values):
-            point = shift(spec.apply(cfg, v).validate().link())
-            assert chunk.f.limbs[i] == (point.f.hi, point.f.lo)
-            assert chunk.delta.limbs[i] == (point.delta.hi, point.delta.lo)
+        link = spec.apply(cfg, DDColumn.of(values)).validate().link()
+        # the closed form and the contraction route it reduces
+        for route in (shift, shift_via_contraction):
+            chunk = route(link)
+            for i, v in enumerate(values):
+                point = route(spec.apply(cfg, v).validate().link())
+                assert chunk.f.limbs[i] == (point.f.hi, point.f.lo)
+                assert chunk.delta.limbs[i] == (point.delta.hi, point.delta.lo)
 
 
 class TestSweepChunks:

@@ -465,21 +465,24 @@ def test_column_operators_match_the_scalar_ones(xy, s):
 def test_column_constructors_match_the_scalar_ones(values, b):
     a = DDColumn.of(values)
     assert a.limbs == [(v, 0.0) for v in values]
+    assert DD.of(a) is a
     for name in ("sum2", "product", "quotient"):
-        build, scalar = getattr(DDColumn, name), getattr(DD, name)
+        build = getattr(DD, name)
+        # a column operand on either side or both: a column of the results on
+        # the elements' doubles
         assert_column(lambda: build(a, b),
-                      [outcome(lambda: scalar(v, b)) for v in values])
+                      [outcome(lambda: build(v, b)) for v in values])
         assert_column(lambda: build(b, a),
-                      [outcome(lambda: scalar(b, v)) for v in values])
+                      [outcome(lambda: build(b, v)) for v in values])
         assert_column(lambda: build(a, a),
-                      [outcome(lambda: scalar(v, v)) for v in values])
-        # no column operand: the scalar constructor's DD
-        if not isinstance(want := outcome(lambda: scalar(b, b)), type):
-            assert_same(build(b, b), want)
+                      [outcome(lambda: build(v, v)) for v in values])
+        # no column operand: a DD
+        if not isinstance(want := outcome(lambda: build(b, b)), type):
+            assert type(want) is DD
 
 
 def test_columns_of_different_lengths_are_refused():
     with pytest.raises(ValueError):
         DDColumn.of([1.0, 2.0]) + DDColumn.of([1.0])
     with pytest.raises(ValueError):
-        DDColumn.product(DDColumn.of([1.0, 2.0]), DDColumn.of([1.0]))
+        DD.product(DDColumn.of([1.0, 2.0]), DDColumn.of([1.0]))

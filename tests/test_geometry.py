@@ -1,5 +1,6 @@
 """Metric components, four-velocities, the radial photon and contractions."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expected
-from kerr_qlink.ddouble import DD, ONE
+from kerr_qlink.ddouble import DD, ONE, DDColumn
 from kerr_qlink.errors import DomainError
 from kerr_qlink.geometry import (
     FourVector,
@@ -233,3 +234,52 @@ class TestContract:
         closed_a = -(gamma_a * (ONE + x_a * (station.omega_geom * P.a) / (ONE - x_a)))
         got_a = contract(g_a, k_a, u_a)
         assert abs(((got_a - closed_a) / closed_a).to_float()) < 1e-26
+
+
+def _bits(x, i):
+    """The limb bits of element i of a column, or of a DD or float every
+    element shares."""
+    hi, lo = x.limbs[i] if type(x) is DDColumn else (DD.of(x).hi, DD.of(x).lo)
+    return hi.hex(), lo.hex()
+
+
+class TestColumnRadii:
+    """On a column of radii the observer layer gives, element by element,
+    the bits it gives on each radius."""
+
+    RADII = [EARTH.r_A, 7.0e6, leo_radius(), geo_radius(), 1e9]
+
+    def assert_elementwise(self, column_results, point_results):
+        for got, wants in zip(column_results, zip(*point_results)):
+            for field in dataclasses.fields(got):
+                value = getattr(got, field.name)
+                if isinstance(value, (DD, DDColumn)):
+                    for i, want in enumerate(wants):
+                        assert _bits(value, i) == _bits(getattr(want, field.name), 0)
+
+    def test_metric_and_photon_tangent(self):
+        column = DDColumn.of(self.RADII)
+        self.assert_elementwise(
+            [metric_at(P, column), *photon_tangent(P, column, 1.0)],
+            [[metric_at(P, r), *photon_tangent(P, r, 1.0)] for r in self.RADII])
+
+    @pytest.mark.parametrize("eps", [+1, -1])
+    def test_velocities(self, eps):
+        column = DDColumn.of(self.RADII)
+        omega = EARTH.omega_A
+        self.assert_elementwise(
+            [orbit_velocity(P, Worldline.circular_orbit(column, eps)),
+             ground_station_velocity(P, Worldline.ground_station(column, omega))],
+            [[orbit_velocity(P, Worldline.circular_orbit(r, eps)),
+              ground_station_velocity(P, Worldline.ground_station(r, omega))]
+             for r in self.RADII])
+
+
+@pytest.mark.parametrize("normalization, worldline", [
+    (ground_station_normalization, Worldline.ground_station(2.0 * P.M_geom, 0.0)),
+    (orbit_normalization, Worldline.circular_orbit(2.0 * P.M_geom)),
+])
+def test_normalization_refuses_radius_at_2m(normalization, worldline):
+    # 1 - 2M/r is zero there, and the prefactor term would divide by it
+    with pytest.raises(DomainError, match="does not exceed 2M"):
+        normalization(P, worldline)

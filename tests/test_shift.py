@@ -1,5 +1,6 @@
 """Frequency-shift closed forms, limits, cross-validation and root finding."""
 
+import math
 from decimal import Decimal
 
 import pytest
@@ -207,6 +208,9 @@ def test_inconsistent_result_is_numerical_error():
     # a typed error, so a sweep records the point instead of aborting
     with pytest.raises(NumericalError):
         ShiftResult(f=DD(1.0), delta=DD(1e-10))
+    # NaN compares false with any bound, and must still fail the check
+    with pytest.raises(NumericalError):
+        ShiftResult(f=DD(math.nan), delta=DD(math.nan))
 
 
 def test_radius_inside_2m_is_refused_by_the_geometry_check():

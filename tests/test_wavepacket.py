@@ -82,8 +82,16 @@ class TestOverlapAnalytic:
         assert res.deficit == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_delta_at_minus_one(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="exceed -1"):
             overlap_analytic(PACKET, -1.0)
+        with pytest.raises(DomainError, match="exceed -1"):
+            overlap_analytic(PACKET, -math.inf)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_rejects_nonfinite_delta(self, delta):
+        # theta would be NaN
+        with pytest.raises(DomainError, match="finite"):
+            overlap_analytic(PACKET, delta)
 
     @pytest.mark.parametrize("peak, width", [
         (1e200, 1e6),  # the squared peak offset overflows
@@ -205,3 +213,9 @@ def test_packet_validation():
         GaussianWavepacket.of(-7e14, 1e6)
     with pytest.raises(DomainError):
         GaussianWavepacket.of(7e14, 0.0)
+    with pytest.raises(DomainError, match="finite"):
+        GaussianWavepacket.of(math.inf, 1e6)
+    with pytest.raises(DomainError, match="finite"):
+        GaussianWavepacket.of(7e14, math.inf)
+    with pytest.raises(DomainError):
+        GaussianWavepacket.of(math.nan, 1e6)
