@@ -41,6 +41,14 @@ SWEEPS = {
     "sweep_s": ("earth-leo", "s", 0.5, 4.0, 40, "linear"),
     "sweep_N": ("earth-leo", "N", 1e2, 1e14, 40, "log"),
     "sweep_sigma": ("earth-geo", "sigma", 1e3, 1e12, 40, "log"),
+    # longer than a chunk of sweep points: a first chunk refused below the
+    # surface, then the chunk holding the delta_S zero
+    "sweep_rB_ground_chunks": ("earth-leo", "r_B", 3.189e6, 1.2756e7, 150,
+                               "linear"),
+    # the rotation term differs from point to point
+    "sweep_rB_sats_chunks": ("leo-geo-sat", "r_B", 8.378e6, 4.5e7, 150, "log"),
+    # squeezing refused up to index 37, then the same link cells in every row
+    "sweep_s_chunks": ("earth-leo", "s", -1.0, 3.0, 150, "linear"),
 }
 
 # name -> (argv, exit code); the golden file holds stdout, then stderr
