@@ -10,7 +10,9 @@ such points.
 A sweep runs one loop over chunks of SWEEP_CHUNK points and shares nothing
 between chunks: a chunk is the config whose swept field holds its values as
 a DDColumn, validated element by element, and takes a report's route into
-the closed form, as columns for a radius sweep.
+the closed form, as columns for a radius sweep.  What every point of a chunk
+shares is computed and formatted once, and each row is one %-formatting of
+the values that vary from point to point.
 
 CSV rows carry the compensated quantities as (hi, lo) column pairs and every
 fast-path value with 17 significant digits; identical configurations produce
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from typing import Optional
 
 from ..ddouble import DD, DDColumn
@@ -169,39 +172,52 @@ def _metrology(cfg: ScenarioConfig):
     return m, qfi(m), shift_uncertainty_floor(m), cfg.packet()
 
 
-def _outcomes(delta: float, delta_S: float, delta_rot: float, delta_c: float,
+_BELOW_EPSILON = ("rotation term sits below double epsilon of the unit shift "
+                  "ratio; its digits are carried by the compensated pipeline")
+
+
+def _rotation(delta_rot: float, floor: float):
+    """The rotation part of a point's outcomes, from its rotation term and
+    shift floor: (bound on omega, orders vs the state of the art, the note
+    that the term sits below double epsilon or None, the refusal of the bound
+    or None).  A sweep chunk whose term and floor are constants computes it
+    once."""
+    below = _BELOW_EPSILON if 0.0 < abs(delta_rot) < 2.3e-16 else None
+    bound = orders = refused = None
+    try:
+        bound = _error_angular_velocity(delta_rot, floor)
+        orders = orders_vs_state_of_the_art(bound)
+    except DomainError as exc:
+        refused = str(exc)
+    return bound, orders, below, refused
+
+
+def _outcomes(delta: float, delta_S: float, delta_c: float, rotation,
               metrology):
     """Overlap, bounds, QBER, regime and notes of one point from the floats
-    of its shift and decomposition: (overlap, bound on r_S, bound on omega,
-    orders vs the state of the art, QBER, regime, notes).  A quantity whose
-    formula refuses is None, with the refusal as a note."""
+    of its shift and decomposition and its ``_rotation``: (overlap, bound on
+    r_S, bound on omega, orders vs the state of the art, QBER, regime,
+    notes).  A quantity whose formula refuses is None, with the refusal as a
+    note."""
     m, _, floor, packet = metrology
     overlap = overlap_analytic(packet, delta)
-    notes: list[str] = []
-    if 0.0 < abs(delta_rot) < 2.3e-16:
-        notes.append(
-            "rotation term sits below double epsilon of the unit shift "
-            "ratio; its digits are carried by the compensated pipeline")
-
-    bound_rs = bound_omega = None
-    orders = None
+    bound_omega, orders, below, omega_refused = rotation
+    notes: list[str] = [below] if below else []
+    bound_rs = None
     try:
         bound_rs = _error_schwarzschild_radius(delta_S, delta_c, floor)
     except DomainError as exc:
         notes.append(str(exc))
-    try:
-        bound_omega = _error_angular_velocity(delta_rot, floor)
-        orders = orders_vs_state_of_the_art(bound_omega)
-    except DomainError as exc:
-        notes.append(str(exc))
+    if omega_refused:
+        notes.append(omega_refused)
 
     status = regime_check(delta, m)
-    qber_value = None
+    qber_value, regime = None, "valid"
     if status:
         qber_value = _qber_in_regime(delta, m)
     else:
         notes.append(f"QBER refused: {status.reason}")
-    regime = "valid" if status else f"invalid: {status.reason}"
+        regime = f"invalid: {status.reason}"
     return overlap, bound_rs, bound_omega, orders, qber_value, regime, notes
 
 
@@ -217,10 +233,10 @@ def assemble_report(cfg: ScenarioConfig) -> Report:
     delta_S, delta_rot, delta_c = (dec.delta_S.to_float(),
                                    dec.delta_rot.to_float(),
                                    dec.delta_c.to_float())
-    overlap, bound_rs, bound_omega, orders, qber_value, regime, notes = \
-        _outcomes(result.delta.to_float(), delta_S, delta_rot, delta_c,
-                  metrology)
     _, qfi_value, floor, _ = metrology
+    overlap, bound_rs, bound_omega, orders, qber_value, regime, notes = \
+        _outcomes(result.delta.to_float(), delta_S, delta_c,
+                  _rotation(delta_rot, floor), metrology)
     return Report(
         scheme=cfg.scheme.value,
         emitter_radius_m=cfg.emitter_radius_m,
@@ -281,30 +297,27 @@ def _error_row(index: int, value: float, exc: KerrQlinkError) -> str:
     return ",".join(cells)
 
 
-def _value_row(index: int, value: float, f: tuple[float, float],
-               delta: tuple[float, float], delta_S: float, delta_rot: float,
-               delta_c: float, metrology) -> str:
-    """The row of a point from the (hi, lo) limbs of its f and delta and the
-    floats of its decomposition; a refused overlap makes it an error row."""
-    delta_hi, delta_lo = delta
-    try:
-        overlap, bound_rs, bound_omega, _, qber_value, regime, notes = \
-            _outcomes(delta_hi + delta_lo, delta_S, delta_rot, delta_c,
-                      metrology)
-    except KerrQlinkError as exc:
-        return _error_row(index, value, exc)
-    _, qfi_value, floor, _ = metrology
-    cells = [str(index), *map(_fmt, (
-        value, *f, delta_hi, delta_lo, delta_S, delta_rot, delta_c,
-        overlap.theta, qfi_value, floor, bound_rs, bound_omega, qber_value)),
-        regime, _csv_escape("; ".join(notes))]
-    return ",".join(cells)
+# the float cells whose formula may refuse, in the order of a row's key
+_REFUSABLE = ("bound_schwarzschild_rel", "bound_omega_rel", "qber")
 
 
 def _limbs(x, n: int) -> list[tuple[float, float]]:
     """The (hi, lo) limbs of n points' value x: a column's elements, or a
     DD's limbs n times."""
     return x.limbs if type(x) is DDColumn else [(x.hi, x.lo)] * n
+
+
+def _template(constants: dict[str, Optional[float]], refused: set) -> str:
+    """The %-template of a row whose cells named in ``constants`` hold those
+    chunk constants, formatted here.  The other cells take the row's values
+    in order: the index, 17-digit floats, "%.0s" (which prints nothing) for a
+    refused float named in ``refused``, then the regime and notes as text."""
+    return ",".join([
+        "%d",
+        *(_fmt(constants[name]) if name in constants
+          else "%.0s" if name in refused else "%.17e"
+          for name in CSV_COLUMNS[1:-2]),
+        "%s", "%s"])
 
 
 def _rows(start: int, values: list[float], cfg: ScenarioConfig,
@@ -314,26 +327,70 @@ def _rows(start: int, values: list[float], cfg: ScenarioConfig,
     one value); raises what any point's evaluation raises.
 
     The config is validated once and the link runs on it once; a radius
-    sweep's metrology runs once too, any other sweep's per point.
+    sweep's metrology runs once too, any other sweep's per point.  A value
+    that is a DD rather than a DDColumn is a chunk constant, and so is the
+    one metrology and the rotation outcome of a constant rotation term and
+    floor: each is computed and formatted once.  Each row is one
+    %-formatting of its point's values; a refused overlap makes it an error
+    row.
     """
     cfg.validate()
     n = len(values)
     result, dec = _link(cfg)
-    if spec.variable in ("r_B", "r_C"):
-        metrology = [_metrology(cfg)] * n
-    else:
-        metrology = [_metrology(spec.apply(cfg, v)) for v in values]
+    constants: dict[str, Optional[float]] = {}
+    for name, x in (("f", result.f), ("delta", result.delta)):
+        if type(x) is DD:
+            constants[name + "_hi"], constants[name + "_lo"] = x.hi, x.lo
+    for name in ("delta_S", "delta_rot", "delta_c"):
+        if type(getattr(dec, name)) is DD:
+            constants[name] = getattr(dec, name).to_float()
     delta_S, delta_rot, delta_c = (
         [hi + lo for hi, lo in _limbs(x, n)]
         for x in (dec.delta_S, dec.delta_rot, dec.delta_c))
-    return [_value_row(start + i, *cells) for i, cells in enumerate(zip(
-        values, _limbs(result.f, n), _limbs(result.delta, n), delta_S,
-        delta_rot, delta_c, metrology))]
+    if spec.variable in ("r_B", "r_C"):
+        metrology = [_metrology(cfg)] * n
+        _, constants["qfi"], constants["delta_delta_min"], _ = metrology[0]
+    else:
+        metrology = [_metrology(spec.apply(cfg, v)) for v in values]
+    if "delta_rot" in constants and "delta_delta_min" in constants:
+        rotation = [_rotation(constants["delta_rot"],
+                              constants["delta_delta_min"])] * n
+        constants["bound_omega_rel"] = rotation[0][0]
+    else:
+        rotation = [_rotation(x, m[2]) for x, m in zip(delta_rot, metrology)]
+    cells = itemgetter(*(i for i, name in enumerate(CSV_COLUMNS)
+                         if name not in constants))
+    templates: dict[tuple, str] = {}
+    rows = []
+    for index, (value, (f_hi, f_lo), (d_hi, d_lo), d_s, d_rot, d_c, m,
+                rot) in enumerate(zip(values, _limbs(result.f, n),
+                                      _limbs(result.delta, n), delta_S,
+                                      delta_rot, delta_c, metrology,
+                                      rotation), start):
+        try:
+            overlap, bound_rs, bound_omega, _, qber_value, regime, notes = \
+                _outcomes(d_hi + d_lo, d_s, d_c, rot, m)
+        except KerrQlinkError as exc:
+            rows.append(_error_row(index, value, exc))
+            continue
+        key = (bound_rs is None, bound_omega is None, qber_value is None)
+        template = templates.get(key)
+        if template is None:
+            refused = {name for name, none in zip(_REFUSABLE, key) if none}
+            template = templates[key] = _template(constants, refused)
+        rows.append(template % cells((
+            index, value, f_hi, f_lo, d_hi, d_lo, d_s, d_rot, d_c,
+            overlap.theta, m[1], m[2], bound_rs, bound_omega, qber_value,
+            regime, _csv_escape("; ".join(notes)) if notes else "")))
+    return rows
 
 
 # Sweep points evaluated together, as one column in a radius sweep.  Peak
 # memory grows with it (a whole 2000-point sweep at once costs about 5 MB
-# more), while the time per point levels off from about 32 points.
+# more), and so does the cost of a refused chunk, whose points then run
+# alone.  A chunk has a fixed cost of about 150 us (validation, the terms and
+# metrology it shares, 120-160 us in least-squares fits of _rows time over
+# 4- to 128-point earth-leo r_B chunks), about 2.4 us a point at 64.
 SWEEP_CHUNK = 64
 
 

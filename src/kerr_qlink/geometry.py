@@ -142,37 +142,35 @@ def orbit_angular_velocity(p: SpacetimeParams, r):
     return (DD.of(p.M_geom) / r3).sqrt()
 
 
-def _ground_parts(p: SpacetimeParams, station: Worldline) -> tuple[DD, DD]:
-    """(prefactor denominator term pd, deviation) of a ground station: pd =
-    (2M/r) a omega / (1 - 2M/r), the deviation omega^2 (r^2 + a^2) + (2M/r)
-    (1 - a omega)^2, so that its normalization argument is 1 - deviation."""
+def _ground_parts(p: SpacetimeParams, station: Worldline) -> tuple[DD, DD, DD]:
+    """(2M/r, a omega, deviation) of a ground station, the deviation omega^2
+    (r^2 + a^2) + (2M/r) (1 - a omega)^2, so that its normalization argument
+    is 1 - deviation."""
     x = DD.quotient(2.0 * p.M_geom, station.r)
     wg = station.omega_geom
     aw = wg * p.a
     dev = wg * wg * (DD.product(station.r, station.r) + DD.product(p.a, p.a)) \
         + x * (ONE - aw) ** 2
     # a square past about 1e300 overflows, or a Dekker split of it does, into
-    # NaN; pd is finite whenever dev is
-    if not all(map(math.isfinite, floats(dev))):
-        raise DomainError(
-            "ground station: deviation omega^2 (r^2 + a^2) + 2M/r (1 - a omega)^2 "
-            f"with r = {station.r} m and a = {p.a} m leaves the double-double range")
-    pd = x * aw / (ONE - x)
-    return pd, dev
+    # NaN
+    for r, d in zip(floats(station.r), floats(dev)):
+        if not math.isfinite(d):
+            raise DomainError(
+                "ground station: deviation omega^2 (r^2 + a^2) + 2M/r (1 - a omega)^2 "
+                f"with r = {r} m and a = {p.a} m leaves the double-double range")
+    return x, aw, dev
 
 
 def _orbit_parts(p: SpacetimeParams, orbit: Worldline) -> tuple[DD, DD, DD]:
-    """(prefactor term eps a omega / (1 - 2M/r), deviation 3M/r - 2 eps a
-    omega, omega = sqrt(M/r^3)) of a circular orbit, whose radius may be a
-    column; its normalization argument is 1 - deviation.  3M is not a float:
-    the 3*M product is captured exactly."""
+    """(omega = sqrt(M/r^3), a omega, deviation 3M/r - 2 eps a omega) of a
+    circular orbit, whose radius may be a column; its normalization argument
+    is 1 - deviation.  3M is not a float: the 3*M product is captured
+    exactly."""
     r, eps = orbit.r, orbit.direction
-    x = DD.quotient(2.0 * p.M_geom, r)
     omega = orbit_angular_velocity(p, r)
     aw = omega * p.a
     dev = DD.product(3.0, p.M_geom) / r - 2.0 * eps * aw
-    pref = eps * aw / (ONE - x)
-    return pref, dev, omega
+    return omega, aw, dev
 
 
 def ground_station_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, DD]:
@@ -183,12 +181,13 @@ def ground_station_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, 
     positive, otherwise the station would be superluminal.
     """
     _check_outside_mass_scale(p, w.r, "ground-station normalization")
-    arg = ONE - _ground_parts(p, w)[1]
-    if arg.sign() <= 0:
-        raise DomainError(
-            "ground-station normalization argument is not positive "
-            f"(superluminal worldline at r = {w.r} m)"
-        )
+    arg = ONE - _ground_parts(p, w)[2]
+    for r, x in zip(floats(w.r), floats(arg)):
+        if not x > 0.0:
+            raise DomainError(
+                "ground-station normalization argument is not positive "
+                f"(superluminal worldline at r = {r} m)"
+            )
     return ONE / arg.sqrt(), arg
 
 
@@ -200,13 +199,14 @@ def orbit_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, DD, DD]:
     to the photon-orbit scale, far inside any planetary application.
     """
     _check_outside_mass_scale(p, w.r, "orbit normalization")
-    _, dev, omega = _orbit_parts(p, w)
+    omega, _, dev = _orbit_parts(p, w)
     arg = ONE - dev
-    if arg.sign() <= 0:
-        raise DomainError(
-            "orbit normalization argument is not positive "
-            f"(r = {w.r} m is inside the photon-orbit pathology)"
-        )
+    for r, x in zip(floats(w.r), floats(arg)):
+        if not x > 0.0:
+            raise DomainError(
+                "orbit normalization argument is not positive "
+                f"(r = {r} m is inside the photon-orbit pathology)"
+            )
     return ONE / arg.sqrt(), arg, omega
 
 

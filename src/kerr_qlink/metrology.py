@@ -85,6 +85,10 @@ class RegimeStatus:
         return self.valid
 
 
+# the status of every delta in the regime, built once: it is immutable
+_IN_REGIME = RegimeStatus(True)
+
+
 @dataclass(frozen=True)
 class PrecisionBound:
     """Cramer-Rao lower bound on a spacetime parameter."""
@@ -113,7 +117,7 @@ def regime_check(delta: float, cfg: MetrologyConfig) -> RegimeStatus:
             False,
             f"(W^2/8 sigma^2) delta^2 = {mid:.3e} not well below 1",
         )
-    return RegimeStatus(True)
+    return _IN_REGIME
 
 
 def fidelity_two_mode(d_delta: float, cfg: MetrologyConfig) -> float:

@@ -112,21 +112,31 @@ def _assemble(pn: DD, pd: DD, dev_emit: DD, dev_recv: DD, emit_name: str,
     return ShiftResult(f=ONE + delta, delta=delta)
 
 
+def _orbit_terms(p: SpacetimeParams, orbit: Worldline) -> tuple[DD, DD]:
+    """(prefactor term eps a omega / (1 - 2M/r), deviation) of a circular
+    orbit."""
+    _, aw, dev = _orbit_parts(p, orbit)
+    x = DD.quotient(2.0 * p.M_geom, orbit.r)
+    return orbit.direction * aw / (ONE - x), dev
+
+
 def _closed_form(s: LinkScenario) -> ShiftResult:
     """Closed-form shift of a link, one of whose orbit radii may be a column:
     the emitter's terms, once it is checked to lie outside 2M, then the
-    receiver's."""
+    receiver's.  The prefactor terms are the closed form's own; the
+    deviations are shared with the observer layer."""
     p, emitter, receiver = s.params, s.emitter, s.receiver
     if emitter.kind is WorldlineKind.GROUND_STATION:
         _check_outside_mass_scale(p, emitter.r, "ground station")
-        pd, dev_emit = _ground_parts(p, emitter)
+        x, aw, dev_emit = _ground_parts(p, emitter)
+        pd = x * aw / (ONE - x)  # (2M/r) a omega / (1 - 2M/r)
         emit_name = "the ground-station normalization"
     else:
         _check_outside_mass_scale(p, emitter.r, "emitter orbit")
-        pd, dev_emit, _ = _orbit_parts(p, emitter)
+        pd, dev_emit = _orbit_terms(p, emitter)
         emit_name = "the emitter-orbit normalization"
     _check_outside_mass_scale(p, receiver.r, "receiver orbit")
-    pn, dev_recv, _ = _orbit_parts(p, receiver)
+    pn, dev_recv = _orbit_terms(p, receiver)
     return _assemble(pn, pd, dev_emit, dev_recv, emit_name,
                      "the receiver-orbit normalization")
 

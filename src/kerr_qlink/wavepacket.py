@@ -102,7 +102,9 @@ def overlap_analytic(sent: GaussianWavepacket, delta: float) -> OverlapResult:
     theta = math.sqrt(pref_sq) * math.exp(-exponent)
     # 1 - theta^2 = (1 - pref^2) + pref^2 (1 - e^{-2 exponent}), all positive
     deficit = delta * delta / denom - pref_sq * math.expm1(-2.0 * exponent)
-    return OverlapResult(theta=theta, fidelity=theta * theta, deficit=deficit)
+    # positional: keywords make a frozen dataclass's __init__ call slower,
+    # and a sweep makes this call once per point
+    return OverlapResult(theta, theta * theta, deficit)
 
 
 # Half-width of the quadrature window in units of the product's width.

@@ -1,5 +1,6 @@
 """Configuration parsing, report/sweep/zero-orbit/verify commands, exit codes."""
 
+import csv
 import importlib
 import json
 import math
@@ -8,7 +9,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -358,6 +359,71 @@ class TestReport:
         assert values and all(math.isfinite(x) for x in values)
 
 
+# every float field of a scenario, across the double range and at its edges:
+# the smallest subnormal, the smallest normal, where a Dekker split starts to
+# overflow, and the largest double (the literal 1.8e308 would be inf)
+_FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type == "float"]
+_EDGE_VALUES = (5e-324, 2.2e-308, 1.3e300, sys.float_info.max)
+
+
+@st.composite
+def _whole_configs(draw):
+    """A preset with each float field kept or redrawn, and both directions
+    drawn."""
+    cfg = PRESETS[draw(st.sampled_from(sorted(PRESETS)))]
+    value = st.one_of(st.none(), _LOG_UNIFORM, st.sampled_from(_EDGE_VALUES))
+    drawn = {name: draw(value) for name in _FLOAT_FIELDS}
+    return replace(cfg, **{k: v for k, v in drawn.items() if v is not None},
+                   emitter_direction=draw(st.sampled_from((1, -1))),
+                   receiver_direction=draw(st.sampled_from((1, -1))))
+
+
+# the field each sweep variable sets
+_SWEPT_FIELDS = {"r_B": "receiver_radius_m", "r_C": "emitter_radius_m",
+                 "s": "squeezing", "N": "probes", "sigma": "bandwidth_hz"}
+
+
+class TestWholeConfig:
+    """Any config gives finite numbers or a named refusal, in a report and
+    in every row of a sweep."""
+
+    @settings(max_examples=150)
+    @given(cfg=_whole_configs())
+    # the terms pinned one by one in
+    # TestReport::test_term_out_of_range_is_refused_in_report_and_sweep
+    @example(cfg=replace(PRESETS["earth-geo"], emitter_radius_m=5.6,
+                         receiver_radius_m=1e-225, planet_mass_kg=1e-250))
+    @example(cfg=replace(PRESETS["leo-geo-sat"], planet_spin_parameter_m=1e160))
+    @example(cfg=replace(PRESETS["leo-geo-sat"], planet_spin_parameter_m=1e152))
+    @example(cfg=replace(PRESETS["earth-leo"], planet_spin_parameter_m=1e160))
+    @example(cfg=replace(PRESETS["earth-leo"], receiver_radius_m=1e102))
+    @example(cfg=replace(PRESETS["leo-geo-sat"], emitter_radius_m=1e102,
+                         receiver_radius_m=2e102))
+    def test_finite_numbers_or_a_refusal(self, tmp_path_factory, cfg):
+        try:
+            rep = assemble_report(cfg)
+        except KerrQlinkError:
+            pass
+        else:
+            assert not re.search(r"\b(nan|inf)\b", rep.render_text())
+            json.dumps(rep.as_dict(), allow_nan=False)
+        out = tmp_path_factory.mktemp("whole") / "sweep.csv"
+        for variable, name in _SWEPT_FIELDS.items():
+            if variable == "r_C" and cfg.scheme is not LinkScheme.SAT_TO_SAT:
+                continue
+            value = getattr(cfg, name)
+            lo, hi = sorted((value, value * 4.0 if value < 1e300 else value / 4.0))
+            spec = SweepSpec(variable, lo, hi, 70, "log")
+            assert run_sweep(cfg, spec, str(out), no_timestamp=True) == 70
+            with open(out, encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert len(rows) == 70
+            for row in rows:
+                # the sweep value and the 13 quantities
+                assert all(cell == "" or math.isfinite(float(cell))
+                           for cell in row[1:-2])
+
+
 class TestSweep:
     def _write_cfg(self, tmp_path, text):
         path = tmp_path / "scenario.cfg"
@@ -620,6 +686,14 @@ class TestSweepPlan:
     @example((PRESETS["leo-geo-sat"], SweepSpec("s", -3.0, 1.0, 150)))
     @example((PRESETS["earth-leo"], SweepSpec("N", 0.01, 1e8, 150, "log")))
     @example((PRESETS["earth-geo"], SweepSpec("sigma", 1e1, 1e16, 150, "log")))
+    # a station spinning so slowly that its rotation term sits below double
+    # epsilon: that note shares rows with the refused r_S bound near the
+    # delta_S zero; more slowly still, the omega bound is refused in every row
+    @example((replace(PRESETS["earth-leo"], ground_omega_rad_s=1e-12),
+              SweepSpec("r_B", 9566999.99, 9567000.01, 150)))
+    @example((replace(PRESETS["earth-leo"], ground_omega_rad_s=1e-158,
+                      bandwidth_hz=1e12),
+              SweepSpec("r_B", 9566999.99, 9567000.01, 150)))
     def test_rows_match_the_per_point_reference(self, tmp_path_factory, sweep):
         cfg, spec = sweep
         out = tmp_path_factory.mktemp("plan") / "rows.csv"
@@ -736,6 +810,7 @@ class TestSweepPlanStages:
                 perturb_module.delta_rotation_term_ground,
             "qfi": report_module.qfi,
             "shift_uncertainty_floor": report_module.shift_uncertainty_floor,
+            "_error_angular_velocity": report_module._error_angular_velocity,
         }
 
         def counting(owner, name):
@@ -750,7 +825,7 @@ class TestSweepPlanStages:
         for name in ("_ground_parts", "_orbit_parts", "_assemble"):
             counting(shift_module, name)
         counting(perturb_module, "delta_rotation_term_ground")
-        for name in ("qfi", "shift_uncertainty_floor"):
+        for name in ("qfi", "shift_uncertainty_floor", "_error_angular_velocity"):
             counting(report_module, name)
         return counts
 
@@ -760,14 +835,16 @@ class TestSweepPlanStages:
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
         assert counts == {"_ground_parts": 1, "delta_rotation_term_ground": 1,
                           "_orbit_parts": 1, "_assemble": 1,
-                          "qfi": 1, "shift_uncertainty_floor": 1}
+                          "qfi": 1, "shift_uncertainty_floor": 1,
+                          "_error_angular_velocity": 1}
 
     def test_squeezing_sweep_evaluates_the_shift_once(self, counts, tmp_path):
         spec = SweepSpec("s", 0.5, 4.0, 9)
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "s.csv"))
         assert counts == {"_ground_parts": 1, "delta_rotation_term_ground": 1,
                           "_orbit_parts": 1, "_assemble": 1,
-                          "qfi": 9, "shift_uncertainty_floor": 9}
+                          "qfi": 9, "shift_uncertainty_floor": 9,
+                          "_error_angular_velocity": 9}
 
     def test_long_squeezing_sweep_evaluates_the_shift_once_per_chunk(
             self, counts, tmp_path):
@@ -780,6 +857,20 @@ class TestSweepPlanStages:
         spec = SweepSpec("r_B", 7.0e6, 4.2e7, 150, "log")
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
         assert counts["_ground_parts"] == 3
+
+    def test_angular_velocity_bound_runs_once_per_chunk_of_a_constant_term(
+            self, counts, tmp_path):
+        # a ground link's rotation term does not depend on the receiver
+        spec = SweepSpec("r_B", 7.0e6, 4.2e7, 150, "log")
+        run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
+        assert counts["_error_angular_velocity"] == 3
+
+    def test_angular_velocity_bound_runs_per_point_of_a_varying_term(
+            self, counts, tmp_path):
+        # an orbit pair's frame-dragging term depends on both radii
+        spec = SweepSpec("r_B", 8.4e6, 4.5e7, 150, "log")
+        run_sweep(PRESETS["leo-geo-sat"], spec, str(tmp_path / "r.csv"))
+        assert counts["_error_angular_velocity"] == 150
 
     def test_long_receiver_sweep_validates_each_chunk_once(
             self, monkeypatch, tmp_path):
@@ -802,10 +893,12 @@ class TestSweepPlanStages:
         if PRESETS[preset].scheme is LinkScheme.GROUND_TO_SAT:
             assert counts == {"_ground_parts": 1, "delta_rotation_term_ground": 1,
                               "_orbit_parts": 1, "_assemble": 1,
-                              "qfi": 1, "shift_uncertainty_floor": 1}
+                              "qfi": 1, "shift_uncertainty_floor": 1,
+                              "_error_angular_velocity": 1}
         else:  # both ends are orbits
             assert counts == {"_orbit_parts": 2, "_assemble": 1,
-                              "qfi": 1, "shift_uncertainty_floor": 1}
+                              "qfi": 1, "shift_uncertainty_floor": 1,
+                              "_error_angular_velocity": 1}
 
 
 class TestRegimeClassifiedOnce:

@@ -280,6 +280,29 @@ class TestColumnRadii:
     (orbit_normalization, Worldline.circular_orbit(2.0 * P.M_geom)),
 ])
 def test_normalization_refuses_radius_at_2m(normalization, worldline):
-    # 1 - 2M/r is zero there, and the prefactor term would divide by it
+    # 1 - 2M/r is zero there: the observer would have to move at light speed
     with pytest.raises(DomainError, match="does not exceed 2M"):
         normalization(P, worldline)
+
+
+@pytest.mark.parametrize("normalization, worldline, refused", [
+    # r^2 overflows in the deviation of the second station
+    (ground_station_normalization,
+     Worldline.ground_station(DDColumn.of([EARTH.r_A, 1e155]), EARTH.omega_A),
+     "ground station: deviation .* with r = 1e\\+155 m "),
+    # omega r exceeds c at the second station
+    (ground_station_normalization,
+     Worldline.ground_station(DDColumn.of([EARTH.r_A, 5e12]), EARTH.omega_A),
+     "superluminal worldline at r = 5000000000000.0 m"),
+    # the second orbit, retrograde, lies between 2M and the photon orbit
+    (orbit_normalization,
+     Worldline.circular_orbit(DDColumn.of([leo_radius(), 3.0 * P.M_geom * 0.9]),
+                              -1),
+     f"r = {3.0 * P.M_geom * 0.9} m is inside the photon-orbit pathology"),
+], ids=["station-deviation-overflows", "station-superluminal",
+        "orbit-inside-photon-orbit"])
+def test_refusal_on_a_column_names_the_failing_radius(normalization, worldline,
+                                                      refused):
+    with pytest.raises(DomainError, match=refused) as info:
+        normalization(P, worldline)
+    assert "DDColumn" not in str(info.value)
