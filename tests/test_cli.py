@@ -389,8 +389,15 @@ class TestWholeConfig:
 
     @settings(max_examples=150)
     @given(cfg=_whole_configs())
-    # the terms pinned one by one in
-    # TestReport::test_term_out_of_range_is_refused_in_report_and_sweep
+    # the bounds and terms pinned one by one in TestReport's
+    # test_out_of_range_bound_is_refused_in_report_and_sweep and
+    # test_term_out_of_range_is_refused_in_report_and_sweep
+    @example(cfg=replace(PRESETS["earth-geo"],
+                         ground_omega_rad_s=6.25813863832812e-158))
+    @example(cfg=replace(PRESETS["earth-leo"], planet_mass_kg=1e-290,
+                         ground_omega_rad_s=1e-293))
+    @example(cfg=replace(PRESETS["leo-geo-sat"], squeezing=1.6e-23,
+                         planet_mass_kg=3.4e-277))
     @example(cfg=replace(PRESETS["earth-geo"], emitter_radius_m=5.6,
                          receiver_radius_m=1e-225, planet_mass_kg=1e-250))
     @example(cfg=replace(PRESETS["leo-geo-sat"], planet_spin_parameter_m=1e160))
