@@ -2,7 +2,7 @@
 
 Subcommands: report, sweep, verify, zero-orbit, presets.
 Exit codes: 0 success, 2 configuration error, 3 physics/numerical domain
-error, 4 verification failure.
+error or an output file that cannot be written, 4 verification failure.
 """
 
 from __future__ import annotations

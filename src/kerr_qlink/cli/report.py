@@ -29,18 +29,12 @@ from typing import Optional
 
 from ..ddouble import DD, DDColumn
 from ..errors import DomainError, KerrQlinkError
-from ..metrology import (
-    _qber_in_regime,
-    orders_vs_state_of_the_art,
-    qfi,
-    regime_check,
-    shift_uncertainty_floor,
-)
+from ..metrology import _qber_in_regime, orders_vs_state_of_the_art, regime_check
 from ..perturb import (
-    _error_angular_velocity,
-    _error_schwarzschild_radius,
     decompose_ground,
     decompose_sats,
+    error_angular_velocity,
+    error_schwarzschild_radius,
 )
 from ..shift import LinkScheme, shift
 from ..units import C
@@ -123,10 +117,12 @@ class Report:
             f"bound on Delta r_S / r_S:   {fmt(self.bound_schwarzschild_rel)}",
             f"bound on Delta w_A / w_A:   {fmt(self.bound_omega_rel)}",
         ]
-        if self.omega_orders_vs_reference is not None:
-            lines.append(
-                "  vs reference 1.0e-08:     "
-                f"{self.omega_orders_vs_reference} orders above (worse)")
+        orders = self.omega_orders_vs_reference
+        if orders is not None:
+            lines.append("  vs reference 1.0e-08:     " + (
+                f"{orders} orders above (worse)" if orders > 0
+                else f"{-orders} orders below (better)" if orders < 0
+                else "same order of magnitude"))
         lines += [
             f"QBER:                       {fmt(self.qber_value)}",
             f"regime:                     {self.regime}",
@@ -169,7 +165,7 @@ def _link(cfg: ScenarioConfig):
 def _metrology(cfg: ScenarioConfig):
     """(metrology config, QFI, shift floor, packet) of a config."""
     m = cfg.metrology()
-    return m, qfi(m), shift_uncertainty_floor(m), cfg.packet()
+    return m, m.qfi_value, m.floor, cfg.packet()
 
 
 _BELOW_EPSILON = ("rotation term sits below double epsilon of the unit shift "
@@ -185,7 +181,7 @@ def _rotation(delta_rot: float, floor: float):
     below = _BELOW_EPSILON if 0.0 < abs(delta_rot) < 2.3e-16 else None
     bound = orders = refused = None
     try:
-        bound = _error_angular_velocity(delta_rot, floor)
+        bound = error_angular_velocity(delta_rot, floor)
         orders = orders_vs_state_of_the_art(bound)
     except DomainError as exc:
         refused = str(exc)
@@ -205,7 +201,7 @@ def _outcomes(delta: float, delta_S: float, delta_c: float, rotation,
     notes: list[str] = [below] if below else []
     bound_rs = None
     try:
-        bound_rs = _error_schwarzschild_radius(delta_S, delta_c, floor)
+        bound_rs = error_schwarzschild_radius(delta_S, delta_c, floor)
     except DomainError as exc:
         notes.append(str(exc))
     if omega_refused:

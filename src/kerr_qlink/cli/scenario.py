@@ -80,7 +80,7 @@ class ScenarioConfig:
                                                self.emitter_direction)
         receiver = Worldline.circular_orbit(self.receiver_radius_m,
                                             self.receiver_direction)
-        return LinkScenario(self.scheme, emitter, receiver, self.spacetime())
+        return LinkScenario(emitter, receiver, self.spacetime())
 
     def metrology(self) -> MetrologyConfig:
         return MetrologyConfig(probes=self.probes, squeezing=self.squeezing,

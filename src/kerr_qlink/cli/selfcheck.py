@@ -33,7 +33,6 @@ from ..oracle import (
 from ..perturb import ShiftDecomposition, decompose_ground, decompose_sats
 from ..shift import (
     LinkScenario,
-    LinkScheme,
     find_zero_shift_orbit,
     shift,
     shift_ground_to_sat,
@@ -64,7 +63,6 @@ class Check:
 
 def _earth_scenario(r_B: float, direction: int = +1) -> LinkScenario:
     return LinkScenario(
-        LinkScheme.GROUND_TO_SAT,
         Worldline.ground_station(EARTH.r_A, EARTH.omega_A),
         Worldline.circular_orbit(r_B, direction),
         EARTH.spacetime(),
@@ -78,7 +76,6 @@ def _earth_decomposition(r_B: float) -> ShiftDecomposition:
 
 def _sat_scenario(r_C: float, r_B: float, eta: int = +1, eps: int = +1) -> LinkScenario:
     return LinkScenario(
-        LinkScheme.SAT_TO_SAT,
         Worldline.circular_orbit(r_C, eta),
         Worldline.circular_orbit(r_B, eps),
         EARTH.spacetime(),
@@ -181,8 +178,7 @@ def _check_flat_shift(digits: int):
 def _check_schwarzschild_reduction(digits: int):
     p0 = SpacetimeParams(geometric_mass(EARTH.mass_kg), 0.0)
     for r_B in (leo_radius(), geo_radius(), 1.3 * geo_radius()):
-        s = LinkScenario(LinkScheme.GROUND_TO_SAT,
-                         Worldline.ground_station(EARTH.r_A, 0.0),
+        s = LinkScenario(Worldline.ground_station(EARTH.r_A, 0.0),
                          Worldline.circular_orbit(r_B, +1), p0)
         a = shift_ground_to_sat(s)
         b = shift_schwarzschild(p0.M_geom, EARTH.r_A, r_B)
@@ -196,8 +192,7 @@ def _check_epsilon_independence(digits: int):
     for r_B in (leo_radius(), geo_radius()):
         res = {}
         for eps in (+1, -1):
-            s = LinkScenario(LinkScheme.GROUND_TO_SAT,
-                             Worldline.ground_station(EARTH.r_A, EARTH.omega_A),
+            s = LinkScenario(Worldline.ground_station(EARTH.r_A, EARTH.omega_A),
                              Worldline.circular_orbit(r_B, eps), p0)
             r = shift_ground_to_sat(s)
             res[eps] = (r.delta.hi, r.delta.lo)
@@ -208,8 +203,7 @@ def _check_epsilon_independence(digits: int):
 
 def _check_zero_orbit_schwarzschild(digits: int):
     p0 = SpacetimeParams(geometric_mass(EARTH.mass_kg), 0.0)
-    s = LinkScenario(LinkScheme.GROUND_TO_SAT,
-                     Worldline.ground_station(EARTH.r_A, 0.0),
+    s = LinkScenario(Worldline.ground_station(EARTH.r_A, 0.0),
                      Worldline.circular_orbit(leo_radius(), +1), p0)
     r_star = find_zero_shift_orbit(s, 1.2 * EARTH.r_A, 2.0 * EARTH.r_A)
     rel = abs(r_star / (1.5 * EARTH.r_A) - 1.0)
@@ -306,8 +300,7 @@ def _check_oracle_cloud(digits: int):
         r_b = scale(leo_radius() if rng.random() < 0.5 else geo_radius())
         r_b = max(r_b, r_a * 1.05)
         eps = +1 if rng.random() < 0.5 else -1
-        s = LinkScenario(LinkScheme.GROUND_TO_SAT,
-                         Worldline.ground_station(r_a, w),
+        s = LinkScenario(Worldline.ground_station(r_a, w),
                          Worldline.circular_orbit(r_b, eps),
                          SpacetimeParams(m, a))
         mine = shift_ground_to_sat(s).delta.to_decimal()

@@ -20,7 +20,7 @@ and the single-parameter Cramer-Rao bound |Delta delta| >= 1 / sqrt(N H).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ddouble import DD, ONE
 from .errors import DomainError, NumericalError, RegimeError
@@ -37,7 +37,8 @@ STATE_OF_THE_ART_OMEGA_RELATIVE = 1e-8
 
 @dataclass(frozen=True)
 class MetrologyConfig:
-    """Probe resources: count N, squeezing s, bandwidth and peak frequencies."""
+    """Probe resources: count N, squeezing s, bandwidth and peak frequencies.
+    Its QFI and shift floor are computed once, when it is validated."""
 
     probes: float = 1e10  # N
     squeezing: float = 2.0  # s; zero means an unsqueezed probe with no
@@ -45,6 +46,8 @@ class MetrologyConfig:
     sigma: float = 1e6  # Hz
     omega1: float = 7e14  # Hz
     omega2: float = 7e14  # Hz
+    qfi_value: float = field(init=False, repr=False, compare=False)  # H
+    floor: float = field(init=False, repr=False, compare=False)  # min |Delta delta|
 
     def __post_init__(self):
         for name in ("probes", "squeezing", "sigma", "omega1", "omega2"):
@@ -61,7 +64,8 @@ class MetrologyConfig:
         # the information N H of all probes and the floor must come out as
         # the positive floats they stand for; an unsqueezed probe has none
         try:
-            total, floor = self.probes * qfi(self), shift_uncertainty_floor(self)
+            h, floor = qfi(self), shift_uncertainty_floor(self)
+            total = self.probes * h
         except (OverflowError, ZeroDivisionError):
             total = floor = math.nan
         if not (total == 0.0 if self.squeezing == 0.0
@@ -69,6 +73,8 @@ class MetrologyConfig:
             raise DomainError(
                 "MetrologyConfig: the Fisher information N H or the shift floor "
                 "of these probes overflows or underflows double precision")
+        object.__setattr__(self, "qfi_value", h)
+        object.__setattr__(self, "floor", floor)
 
     @property
     def mean_square_peak(self) -> float:
@@ -198,16 +204,16 @@ def shift_uncertainty_floor(cfg: MetrologyConfig) -> float:
 def bound_schwarzschild_radius(cfg: MetrologyConfig,
                                dec: ShiftDecomposition) -> PrecisionBound:
     """Optimal relative bound on the Schwarzschild radius for this link."""
-    floor = shift_uncertainty_floor(cfg)
-    return PrecisionBound(floor, error_schwarzschild_radius(dec, floor))
+    return PrecisionBound(cfg.floor, error_schwarzschild_radius(
+        dec.delta_S.to_float(), dec.delta_c.to_float(), cfg.floor))
 
 
 def bound_angular_velocity(cfg: MetrologyConfig,
                            dec: ShiftDecomposition) -> PrecisionBound:
     """Optimal relative bound on the equatorial angular velocity (equivalently,
     for orbit-to-orbit links, on the spin parameter)."""
-    floor = shift_uncertainty_floor(cfg)
-    return PrecisionBound(floor, error_angular_velocity(dec, floor))
+    return PrecisionBound(cfg.floor, error_angular_velocity(
+        dec.delta_rot.to_float(), cfg.floor))
 
 
 def orders_vs_state_of_the_art(relative_bound: float) -> int:

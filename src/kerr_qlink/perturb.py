@@ -25,7 +25,7 @@ from .errors import DomainError, HigherOrderRegimeError
 # shift_ground_to_sat is not called here.  perfbench/test_perfbench.py uses
 # this binding to check that tracing rebinds names imported into other
 # modules; drop it once that test points at another module.
-from .shift import LinkScheme, shift_ground_to_sat  # noqa: F401
+from .shift import shift_ground_to_sat  # noqa: F401
 from .units import C, SpacetimeParams
 
 
@@ -37,7 +37,6 @@ class ShiftDecomposition:
     exact delta to better than 1e-28 by construction.
     """
 
-    scheme: LinkScheme
     delta_S: DD
     delta_rot: DD
     delta_c: DD
@@ -95,8 +94,7 @@ def decompose_ground(p: SpacetimeParams, r_A: float, omega_si: float,
                 f"receiver radius {x} must exceed the surface radius {r_A}")
     d_s = delta_mass_term_ground(p, r_A, r_B)
     d_rot = delta_rotation_term_ground(r_A, omega_si)
-    return ShiftDecomposition(LinkScheme.GROUND_TO_SAT, d_s, d_rot,
-                              delta - d_s - d_rot)
+    return ShiftDecomposition(d_s, d_rot, delta - d_s - d_rot)
 
 
 def decompose_sats(p: SpacetimeParams, r_C, r_B,
@@ -110,8 +108,7 @@ def decompose_sats(p: SpacetimeParams, r_C, r_B,
                     f"receiver radius {b} must exceed emitter radius {c}")
     d_s = delta_mass_term_sats(p, r_C, r_B)
     d_rot = delta_rotation_term_sats(p, r_C, r_B)
-    return ShiftDecomposition(LinkScheme.SAT_TO_SAT, d_s, d_rot,
-                              delta - d_s - d_rot)
+    return ShiftDecomposition(d_s, d_rot, delta - d_s - d_rot)
 
 
 # Refuse first-order error propagation once the mass term no longer dominates
@@ -120,17 +117,11 @@ def decompose_sats(p: SpacetimeParams, r_C, r_B,
 HIGHER_ORDER_GUARD = 10.0
 
 
-def error_schwarzschild_radius(dec: ShiftDecomposition,
+def error_schwarzschild_radius(delta_S: float, delta_c: float,
                                delta_delta: float) -> float:
-    """Relative Schwarzschild-radius error from a shift uncertainty:
+    """Relative Schwarzschild-radius error from a shift uncertainty, given a
+    decomposition's mass term and residual as floats:
     |Delta delta| = |delta_S| * Delta r_S / r_S."""
-    return _error_schwarzschild_radius(dec.delta_S.to_float(),
-                                       dec.delta_c.to_float(), delta_delta)
-
-
-def _error_schwarzschild_radius(delta_S: float, delta_c: float,
-                                delta_delta: float) -> float:
-    """error_schwarzschild_radius from the decomposition's floats."""
     d_s = abs(delta_S)
     # a mass term that underflows to zero dominates nothing, even a zero residual
     if d_s == 0.0 or d_s < HIGHER_ORDER_GUARD * abs(delta_c):
@@ -147,14 +138,10 @@ def _error_schwarzschild_radius(delta_S: float, delta_c: float,
     return bound
 
 
-def error_angular_velocity(dec: ShiftDecomposition, delta_delta: float) -> float:
+def error_angular_velocity(delta_rot: float, delta_delta: float) -> float:
     """Relative angular-velocity (or spin-parameter) error from a shift
-    uncertainty: |Delta delta| = 2 |delta_rot| * Delta omega / omega."""
-    return _error_angular_velocity(dec.delta_rot.to_float(), delta_delta)
-
-
-def _error_angular_velocity(delta_rot: float, delta_delta: float) -> float:
-    """error_angular_velocity from the decomposition's rotation term."""
+    uncertainty, given a decomposition's rotation term as a float:
+    |Delta delta| = 2 |delta_rot| * Delta omega / omega."""
     d_rot = abs(delta_rot)
     if d_rot == 0.0:
         raise DomainError("rotation term vanishes; no angular-velocity sensitivity")

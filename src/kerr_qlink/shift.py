@@ -49,23 +49,17 @@ class LinkScheme(enum.Enum):
 
 @dataclass(frozen=True)
 class LinkScenario:
-    """Emitter/receiver pairing for one photon link."""
+    """Emitter/receiver pairing for one photon link; its scheme is read from
+    the emitter."""
 
-    scheme: LinkScheme
     emitter: Worldline
     receiver: Worldline
     params: SpacetimeParams
 
     def __post_init__(self):
-        if self.scheme is LinkScheme.GROUND_TO_SAT:
-            if self.emitter.kind is not WorldlineKind.GROUND_STATION:
-                raise DomainError("ground-to-sat links need a ground-station emitter")
-            if self.receiver.kind is not WorldlineKind.CIRCULAR_ORBIT:
-                raise DomainError("ground-to-sat links need an orbiting receiver")
-        else:
-            if (self.emitter.kind is not WorldlineKind.CIRCULAR_ORBIT
-                    or self.receiver.kind is not WorldlineKind.CIRCULAR_ORBIT):
-                raise DomainError("sat-to-sat links need two orbiting worldlines")
+        if self.receiver.kind is not WorldlineKind.CIRCULAR_ORBIT:
+            raise DomainError("links need an orbiting receiver")
+        if self.scheme is LinkScheme.SAT_TO_SAT:
             # equality is allowed: identical orbits form a degenerate link
             # with unit shift.  At most one radius is a column: its extreme
             # element decides.
@@ -76,6 +70,12 @@ class LinkScenario:
                     "sat-to-sat links need receiver radius at or above emitter "
                     f"radius ({r_recv} < {r_emit})"
                 )
+
+    @property
+    def scheme(self) -> LinkScheme:
+        if self.emitter.kind is WorldlineKind.GROUND_STATION:
+            return LinkScheme.GROUND_TO_SAT
+        return LinkScheme.SAT_TO_SAT
 
     def with_receiver_radius(self, r: float) -> "LinkScenario":
         return replace(self, receiver=replace(self.receiver, r=r))
@@ -170,7 +170,7 @@ def shift_schwarzschild(M_geom: float, r_A: float, r_B: float) -> ShiftResult:
 
 
 def shift(s: LinkScenario) -> ShiftResult:
-    """Closed-form shift for whichever scheme the scenario carries."""
+    """Closed-form shift for the scheme the scenario's emitter fixes."""
     if s.scheme is LinkScheme.GROUND_TO_SAT:
         return shift_ground_to_sat(s)
     return shift_sat_to_sat(s)

@@ -3,7 +3,7 @@ from hypothesis import settings
 
 from kerr_qlink.geometry import Worldline
 from kerr_qlink.perturb import ShiftDecomposition, decompose_ground, decompose_sats
-from kerr_qlink.shift import LinkScenario, LinkScheme, shift
+from kerr_qlink.shift import LinkScenario, shift
 from kerr_qlink.units import EARTH, geo_radius, leo_radius
 
 # deterministic property tests, no wall-clock flakiness on slow runners
@@ -18,7 +18,6 @@ def earth_link(r_B: float, direction: int = +1,
         from kerr_qlink.units import SpacetimeParams
         params = SpacetimeParams(params.M_geom, a)
     return LinkScenario(
-        LinkScheme.GROUND_TO_SAT,
         Worldline.ground_station(EARTH.r_A, omega),
         Worldline.circular_orbit(r_B, direction),
         params,
@@ -27,7 +26,6 @@ def earth_link(r_B: float, direction: int = +1,
 
 def sat_link(r_C: float, r_B: float, eta: int = +1, eps: int = +1) -> LinkScenario:
     return LinkScenario(
-        LinkScheme.SAT_TO_SAT,
         Worldline.circular_orbit(r_C, eta),
         Worldline.circular_orbit(r_B, eps),
         EARTH.spacetime(),

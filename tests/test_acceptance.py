@@ -258,8 +258,7 @@ def test_5_property_suite():
             r_b = max(wiggle(geo_radius() if rng.random() < 0.5 else leo_radius()),
                       1.02 * r_a)
             eps = rng.choice((+1, -1))
-            s = LinkScenario(LinkScheme.GROUND_TO_SAT,
-                             Worldline.ground_station(r_a, w),
+            s = LinkScenario(Worldline.ground_station(r_a, w),
                              Worldline.circular_orbit(r_b, eps),
                              SpacetimeParams(m, a))
             mine = shift_ground_to_sat(s).delta.to_decimal()

@@ -103,6 +103,13 @@ class TestConfigParsing:
         assert cfg.squeezing == 3.0
         assert cfg.receiver_radius_m == leo_radius()
 
+    def test_link_scheme_is_the_config_scheme(self):
+        overlaid, _ = build_config(parse_config_text("scheme = sat-to-sat\n"),
+                                   PRESETS["earth-leo"])
+        for cfg in (*PRESETS.values(), overlaid):
+            assert cfg.link().scheme is cfg.scheme
+        assert overlaid.scheme is LinkScheme.SAT_TO_SAT
+
     def test_sweep_block(self):
         text = (
             "receiver_radius_m = 8.378e6\n"
@@ -218,6 +225,19 @@ class TestReport:
         assert sats["a/r_emitter"] == pytest.approx(3.89e-7, rel=5e-3)
         assert sats["a/r_receiver"] == pytest.approx(7.73e-8, rel=5e-3)
         assert "r_emitter*omega/c" not in sats  # both observers geodesic
+
+    @pytest.mark.parametrize("probes, orders, line", [
+        (1e30, -5, "5 orders below (better)"),
+        (1e20, 0, "same order of magnitude"),
+    ])
+    def test_bound_at_or_below_the_state_of_the_art(self, probes, orders,
+                                                    line):
+        rep = assemble_report(replace(PRESETS["earth-leo"], probes=probes))
+        assert rep.omega_orders_vs_reference == orders
+        assert rep.as_dict()["omega_orders_vs_reference"] == orders
+        text = rep.render_text()
+        assert f"  vs reference 1.0e-08:     {line}\n" in text
+        assert "above (worse)" not in text
 
     def test_deterministic_text(self):
         a = assemble_report(PRESETS["earth-geo"]).render_text()
@@ -808,6 +828,7 @@ class TestSweepPlanStages:
         counts = Counter()
 
         perturb_module = importlib.import_module("kerr_qlink.perturb")
+        metrology_module = importlib.import_module("kerr_qlink.metrology")
         # the originals, captured before any binding is patched
         originals = {
             "_ground_parts": shift_module._ground_parts,
@@ -815,9 +836,9 @@ class TestSweepPlanStages:
             "_assemble": shift_module._assemble,
             "delta_rotation_term_ground":
                 perturb_module.delta_rotation_term_ground,
-            "qfi": report_module.qfi,
-            "shift_uncertainty_floor": report_module.shift_uncertainty_floor,
-            "_error_angular_velocity": report_module._error_angular_velocity,
+            "qfi": metrology_module.qfi,
+            "shift_uncertainty_floor": metrology_module.shift_uncertainty_floor,
+            "error_angular_velocity": report_module.error_angular_velocity,
         }
 
         def counting(owner, name):
@@ -832,8 +853,9 @@ class TestSweepPlanStages:
         for name in ("_ground_parts", "_orbit_parts", "_assemble"):
             counting(shift_module, name)
         counting(perturb_module, "delta_rotation_term_ground")
-        for name in ("qfi", "shift_uncertainty_floor", "_error_angular_velocity"):
-            counting(report_module, name)
+        for name in ("qfi", "shift_uncertainty_floor"):
+            counting(metrology_module, name)
+        counting(report_module, "error_angular_velocity")
         return counts
 
     def test_receiver_sweep_builds_the_station_once(self, counts, tmp_path):
@@ -843,7 +865,7 @@ class TestSweepPlanStages:
         assert counts == {"_ground_parts": 1, "delta_rotation_term_ground": 1,
                           "_orbit_parts": 1, "_assemble": 1,
                           "qfi": 1, "shift_uncertainty_floor": 1,
-                          "_error_angular_velocity": 1}
+                          "error_angular_velocity": 1}
 
     def test_squeezing_sweep_evaluates_the_shift_once(self, counts, tmp_path):
         spec = SweepSpec("s", 0.5, 4.0, 9)
@@ -851,7 +873,7 @@ class TestSweepPlanStages:
         assert counts == {"_ground_parts": 1, "delta_rotation_term_ground": 1,
                           "_orbit_parts": 1, "_assemble": 1,
                           "qfi": 9, "shift_uncertainty_floor": 9,
-                          "_error_angular_velocity": 9}
+                          "error_angular_velocity": 9}
 
     def test_long_squeezing_sweep_evaluates_the_shift_once_per_chunk(
             self, counts, tmp_path):
@@ -870,14 +892,14 @@ class TestSweepPlanStages:
         # a ground link's rotation term does not depend on the receiver
         spec = SweepSpec("r_B", 7.0e6, 4.2e7, 150, "log")
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
-        assert counts["_error_angular_velocity"] == 3
+        assert counts["error_angular_velocity"] == 3
 
     def test_angular_velocity_bound_runs_per_point_of_a_varying_term(
             self, counts, tmp_path):
         # an orbit pair's frame-dragging term depends on both radii
         spec = SweepSpec("r_B", 8.4e6, 4.5e7, 150, "log")
         run_sweep(PRESETS["leo-geo-sat"], spec, str(tmp_path / "r.csv"))
-        assert counts["_error_angular_velocity"] == 150
+        assert counts["error_angular_velocity"] == 150
 
     def test_long_receiver_sweep_validates_each_chunk_once(
             self, monkeypatch, tmp_path):
@@ -901,11 +923,11 @@ class TestSweepPlanStages:
             assert counts == {"_ground_parts": 1, "delta_rotation_term_ground": 1,
                               "_orbit_parts": 1, "_assemble": 1,
                               "qfi": 1, "shift_uncertainty_floor": 1,
-                              "_error_angular_velocity": 1}
+                              "error_angular_velocity": 1}
         else:  # both ends are orbits
             assert counts == {"_orbit_parts": 2, "_assemble": 1,
                               "qfi": 1, "shift_uncertainty_floor": 1,
-                              "_error_angular_velocity": 1}
+                              "error_angular_velocity": 1}
 
 
 class TestRegimeClassifiedOnce:
@@ -970,6 +992,28 @@ class TestCliEntry:
         monkeypatch.setitem(PRESETS, "typed", cfg)
         assert main(["report", "--preset", "typed"]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_report_into_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "r.json"
+        assert main(["report", "--preset", "earth-leo", "--out", str(out)]) == 3
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.startswith(f"error: cannot write {out}")
+
+    def test_sweep_into_a_missing_directory(self, tmp_path, capsys):
+        cfgp = tmp_path / "sweep.cfg"
+        cfgp.write_text("sweep_variable = N\nsweep_lo = 1e8\nsweep_hi = 1e12\n"
+                        "sweep_points = 3\n")
+        out = tmp_path / "absent" / "n.csv"
+        assert main(["sweep", "--preset", "earth-leo", "--config", str(cfgp),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+        assert not out.parent.exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.cfg"
+        assert main(["report", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: cannot read config {path}")
 
     def test_physics_error_exit_code(self, tmp_path, capsys):
         # a receiver inside 2M is a physics domain error, not a config error
@@ -1200,3 +1244,15 @@ class TestVerify:
         assert code == 4
         assert len(fails) == 1
         assert "residual" in fails[0]
+
+
+def test_readme_tour_runs_and_matches_the_report(capsys):
+    # the README's Python block, run as written: its last line is the
+    # earth-leo QBER that `report --preset earth-leo` prints
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        tour = re.search(r"## Library tour\n\n```python\n(.*?)```", fh.read(),
+                         re.S).group(1)
+    exec(tour, {})
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert float(last) == assemble_report(PRESETS["earth-leo"]).qber_value

@@ -27,7 +27,6 @@ from kerr_qlink.oracle import (
 )
 from kerr_qlink.shift import (
     LinkScenario,
-    LinkScheme,
     shift,
     shift_ground_to_sat,
     shift_sat_to_sat,
@@ -117,8 +116,7 @@ class TestPipelineAgreement:
             w = wiggle(EARTH.omega_A)
             r_b = max(wiggle(leo_radius()), 1.02 * r_a)
             eps = rng.choice((+1, -1))
-            s = LinkScenario(LinkScheme.GROUND_TO_SAT,
-                             Worldline.ground_station(r_a, w),
+            s = LinkScenario(Worldline.ground_station(r_a, w),
                              Worldline.circular_orbit(r_b, eps),
                              SpacetimeParams(m, a))
             mine = shift_ground_to_sat(s).delta.to_decimal()
@@ -161,8 +159,7 @@ class TestWideDomainAgainstOracle:
     @settings(max_examples=200)
     def test_ground_link(self, m, a, w, r_a, ratio, eps):
         r_b = r_a * ratio
-        s = LinkScenario(LinkScheme.GROUND_TO_SAT,
-                         Worldline.ground_station(r_a, w),
+        s = LinkScenario(Worldline.ground_station(r_a, w),
                          Worldline.circular_orbit(r_b, eps),
                          SpacetimeParams(m, a))
         r = shift(s)
@@ -175,8 +172,7 @@ class TestWideDomainAgainstOracle:
     @settings(max_examples=200)
     def test_sat_link(self, m, a, r_c, ratio, eta, eps):
         r_b = r_c * ratio
-        s = LinkScenario(LinkScheme.SAT_TO_SAT,
-                         Worldline.circular_orbit(r_c, eta),
+        s = LinkScenario(Worldline.circular_orbit(r_c, eta),
                          Worldline.circular_orbit(r_b, eps),
                          SpacetimeParams(m, a))
         r = shift(s)

@@ -1,6 +1,7 @@
 """Frequency-shift closed forms, limits, cross-validation and root finding."""
 
 import math
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -88,8 +89,7 @@ class TestSatToSat:
         results = set()
         for eta in (+1, -1):
             for eps in (+1, -1):
-                s = LinkScenario(LinkScheme.SAT_TO_SAT,
-                                 Worldline.circular_orbit(leo_radius(), eta),
+                s = LinkScenario(Worldline.circular_orbit(leo_radius(), eta),
                                  Worldline.circular_orbit(geo_radius(), eps), p0)
                 r = shift_sat_to_sat(s)
                 results.add((r.delta.hi, r.delta.lo))
@@ -106,6 +106,28 @@ class TestSatToSat:
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
             sat_link(geo_radius(), leo_radius())
+
+    def test_station_link_rejected(self, leo_scenario):
+        with pytest.raises(DomainError, match="needs a sat-to-sat scenario"):
+            shift_sat_to_sat(leo_scenario)
+
+
+class TestLinkScenario:
+    def test_scheme_follows_the_emitter(self, leo_scenario, sats_scenario):
+        assert leo_scenario.scheme is LinkScheme.GROUND_TO_SAT
+        assert sats_scenario.scheme is LinkScheme.SAT_TO_SAT
+        # the same receiver under an orbiting emitter makes an orbit pair
+        below = replace(leo_scenario,
+                        emitter=Worldline.circular_orbit(EARTH.r_A, +1))
+        assert below.scheme is LinkScheme.SAT_TO_SAT
+
+    def test_ground_station_receiver_rejected(self):
+        for emitter in (Worldline.ground_station(EARTH.r_A, EARTH.omega_A),
+                        Worldline.circular_orbit(EARTH.r_A, +1)):
+            with pytest.raises(DomainError, match="orbiting receiver"):
+                LinkScenario(emitter,
+                             Worldline.ground_station(leo_radius(), EARTH.omega_A),
+                             P)
 
 
 class TestSchwarzschildLimit:
@@ -155,7 +177,6 @@ class TestContractionPath:
 
     def test_flat_returns_unity(self):
         tiny = LinkScenario(
-            LinkScheme.GROUND_TO_SAT,
             Worldline.ground_station(EARTH.r_A, 0.0),
             Worldline.circular_orbit(leo_radius(), +1),
             SpacetimeParams(1e-300, 0.0),
