@@ -21,11 +21,8 @@ byte-identical files (modulo the optional timestamp header line).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from ..ddouble import DD, DDColumn
 from ..errors import DomainError, KerrQlinkError
@@ -42,8 +39,7 @@ from ..wavepacket import overlap_analytic
 from .scenario import ScenarioConfig, SweepSpec
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     scheme: str
     emitter_radius_m: float
     receiver_radius_m: float
@@ -62,7 +58,7 @@ class Report:
     omega_orders_vs_reference: Optional[int]
     qber_value: Optional[float]
     regime: str
-    notes: list = field(default_factory=list)
+    notes: Sequence[str] = ()
 
     def as_dict(self) -> dict:
         out = {
@@ -261,6 +257,8 @@ def run_report(cfg: ScenarioConfig, out_path: Optional[str] = None) -> str:
     report = assemble_report(cfg)
     text = report.render_text()
     if out_path:
+        import json
+
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
@@ -423,6 +421,8 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
                     rows.append(_error_row(index, value, exc))
     lines = []
     if not no_timestamp:
+        from datetime import datetime, timezone
+
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         lines.append(f"# generated {stamp}")
     lines.append(",".join(CSV_COLUMNS))

@@ -16,6 +16,7 @@ from ..ddouble import floats
 from ..errors import ConfigError
 from ..geometry import Worldline
 from ..metrology import MetrologyConfig
+from ..record import Frozen
 from ..shift import LinkScenario, LinkScheme
 from ..units import EARTH, SpacetimeParams, geo_radius, geometric_mass, leo_radius
 from ..wavepacket import GaussianWavepacket
@@ -104,33 +105,34 @@ PRESETS: dict[str, ScenarioConfig] = {
 SWEEP_VARIABLES = ("r_B", "r_C", "s", "N", "sigma")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Frozen):
     """One swept variable over [lo, hi] on a linear or log grid."""
 
-    variable: str
-    lo: float
-    hi: float
-    points: int
-    scale: str = "linear"
+    __slots__ = ("variable", "lo", "hi", "points", "scale")
 
-    def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
+    def __init__(self, variable: str, lo: float, hi: float, points: int,
+                 scale: str = "linear"):
+        object.__setattr__(self, "variable", variable)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "scale", scale)
+        if variable not in SWEEP_VARIABLES:
             raise ConfigError(
                 f"sweep variable must be one of {', '.join(SWEEP_VARIABLES)}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigError("sweep bounds must be finite")
-        if not self.lo < self.hi:
+        if not lo < hi:
             raise ConfigError("sweep needs lo < hi")
-        if type(self.points) is not int:  # 2.0 would fail in values()
-            raise ConfigError(f"sweep points must be an int, got {self.points!r}")
-        if self.points < 2:
+        if type(points) is not int:  # 2.0 would fail in values()
+            raise ConfigError(f"sweep points must be an int, got {points!r}")
+        if points < 2:
             raise ConfigError("sweep needs at least 2 points")
-        if self.scale not in ("linear", "log"):
+        if scale not in ("linear", "log"):
             raise ConfigError("sweep scale must be linear or log")
-        if self.scale == "log" and self.lo <= 0.0:
+        if scale == "log" and lo <= 0.0:
             raise ConfigError("log sweeps need a positive lower bound")
-        if self.scale == "linear" and not math.isfinite(self.hi - self.lo):
+        if scale == "linear" and not math.isfinite(hi - lo):
             raise ConfigError("linear sweep span hi - lo overflows the double range")
 
     def values(self) -> list[float]:

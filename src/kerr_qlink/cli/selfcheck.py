@@ -9,8 +9,7 @@ sweeps.  Every check prints one line; any failure drives a nonzero exit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..ddouble import DD
 from ..errors import RegimeError
@@ -54,8 +53,7 @@ from ..units import (
 from ..wavepacket import GaussianWavepacket, overlap_analytic, overlap_numeric, propagate
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     level: str  # "fast" or "full"
     run: Callable[[int], tuple[bool, str]]  # digits -> (ok, detail)

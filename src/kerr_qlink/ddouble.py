@@ -51,7 +51,6 @@ a column of sweep points.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
 
 from .errors import DomainError
 
@@ -267,6 +266,8 @@ class DD:
         return self.hi + self.lo
 
     def to_decimal(self) -> Decimal:
+        from decimal import Decimal, localcontext
+
         # the ambient context (default 28 digits) would truncate the lo limb
         # of values near 1; both float-to-Decimal conversions are exact and
         # 120 digits comfortably hold the sum
@@ -339,15 +340,19 @@ class DD:
         # also DDColumn.__pow__: only * touches the operand
         if not isinstance(n, int) or n < 0:
             raise DomainError("only non-negative integer powers are supported")
-        out = DD(1.0)
+        if n == 0:
+            return DD(1.0)
+        # square-and-multiply from the lowest set bit: the first factor is
+        # the base itself, never a product with 1
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
-            if n:
-                base = base * base
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __abs__(self) -> "DD":
         return -self if self.hi < 0.0 or (self.hi == 0.0 and self.lo < 0.0) else self

@@ -13,10 +13,11 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ddouble import DD, ONE, floats
 from .errors import DomainError
+from .record import Frozen
 from .units import C, SpacetimeParams
 
 
@@ -25,8 +26,7 @@ class WorldlineKind(enum.Enum):
     CIRCULAR_ORBIT = "circular-orbit"
 
 
-@dataclass(frozen=True)
-class Worldline:
+class Worldline(Frozen):
     """An observer: a co-rotating ground station or a circular geodesic orbit.
 
     Ground stations carry their spin angular velocity, already converted to
@@ -38,26 +38,28 @@ class Worldline:
     be a column of radii, one orbit per element, each element checked.
     """
 
-    kind: WorldlineKind
-    r: float
-    omega_geom: DD = DD(0.0)
-    direction: int = +1
+    __slots__ = ("kind", "r", "omega_geom", "direction")
 
-    def __post_init__(self):
-        radii = floats(self.r)
-        for r in radii:
-            if not math.isfinite(r):
-                raise DomainError(f"Worldline.r must be finite, got {r}")
-        if not math.isfinite(float(self.omega_geom)):
+    def __init__(self, kind: WorldlineKind, r: float, omega_geom: DD = DD(0.0),
+                 direction: int = +1):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "omega_geom", omega_geom)
+        object.__setattr__(self, "direction", direction)
+        radii = floats(r)
+        for x in radii:
+            if not math.isfinite(x):
+                raise DomainError(f"Worldline.r must be finite, got {x}")
+        if not math.isfinite(float(omega_geom)):
             raise DomainError(
-                f"Worldline.omega_geom must be finite, got {self.omega_geom!r}")
-        if any(r <= 0.0 for r in radii):
+                f"Worldline.omega_geom must be finite, got {omega_geom!r}")
+        if any(x <= 0.0 for x in radii):
             raise DomainError("worldline radius must be positive")
         # by type too: True == 1 and 1.0 == 1 would otherwise pass as signs
-        if type(self.direction) is not int or self.direction not in (+1, -1):
+        if type(direction) is not int or direction not in (+1, -1):
             raise DomainError(
-                f"Worldline.direction must be the int +1 or -1, got {self.direction!r}")
-        if self.kind is WorldlineKind.CIRCULAR_ORBIT and self.omega_geom.sign() != 0:
+                f"Worldline.direction must be the int +1 or -1, got {direction!r}")
+        if kind is WorldlineKind.CIRCULAR_ORBIT and omega_geom.sign() != 0:
             raise DomainError("circular orbits must not store an angular velocity")
 
     @staticmethod
@@ -71,8 +73,7 @@ class Worldline:
         return Worldline(WorldlineKind.CIRCULAR_ORBIT, r, DD(0.0), direction)
 
 
-@dataclass(frozen=True)
-class FourVector:
+class FourVector(NamedTuple):
     """Equatorial four-vector; the polar component is identically zero."""
 
     t_comp: DD
@@ -80,8 +81,7 @@ class FourVector:
     phi_comp: DD
 
 
-@dataclass(frozen=True)
-class MetricAt:
+class MetricAt(NamedTuple):
     """Metric components at one equatorial radius.
 
     ``dev_tt`` keeps the deviation 2M/r separately so that g_tt = -(1 - dev_tt)
@@ -228,8 +228,7 @@ def orbit_velocity(p: SpacetimeParams, w: Worldline) -> FourVector:
                       gamma * omega * eps)
 
 
-@dataclass(frozen=True)
-class PhotonState:
+class PhotonState(NamedTuple):
     """Constants of motion of a geometrically radial photon.
 
     ``kappa`` is the squared-radial-component factor of the tangent vector;

@@ -20,10 +20,11 @@ and the single-parameter Cramer-Rao bound |Delta delta| >= 1 / sqrt(N H).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ddouble import DD, ONE
 from .errors import DomainError, NumericalError, RegimeError
+from .record import Frozen
 from .perturb import (
     ShiftDecomposition,
     error_angular_velocity,
@@ -35,21 +36,25 @@ from .perturb import (
 STATE_OF_THE_ART_OMEGA_RELATIVE = 1e-8
 
 
-@dataclass(frozen=True)
-class MetrologyConfig:
+class MetrologyConfig(Frozen):
     """Probe resources: count N, squeezing s, bandwidth and peak frequencies.
-    Its QFI and shift floor are computed once, when it is validated."""
+    A squeezing of zero is an unsqueezed probe, with no information in this
+    scheme.  Its QFI and shift floor are computed once, when it is
+    validated."""
 
-    probes: float = 1e10  # N
-    squeezing: float = 2.0  # s; zero means an unsqueezed probe with no
-    # information in this scheme
-    sigma: float = 1e6  # Hz
-    omega1: float = 7e14  # Hz
-    omega2: float = 7e14  # Hz
-    qfi_value: float = field(init=False, repr=False, compare=False)  # H
-    floor: float = field(init=False, repr=False, compare=False)  # min |Delta delta|
+    __slots__ = ("probes", "squeezing", "sigma", "omega1", "omega2",
+                 "qfi_value", "floor")
 
-    def __post_init__(self):
+    def __init__(self, probes: float = 1e10,  # N
+                 squeezing: float = 2.0,  # s
+                 sigma: float = 1e6,  # Hz
+                 omega1: float = 7e14,  # Hz
+                 omega2: float = 7e14):  # Hz
+        object.__setattr__(self, "probes", probes)
+        object.__setattr__(self, "squeezing", squeezing)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "omega1", omega1)
+        object.__setattr__(self, "omega2", omega2)
         for name in ("probes", "squeezing", "sigma", "omega1", "omega2"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"MetrologyConfig.{name} must be finite")
@@ -73,8 +78,8 @@ class MetrologyConfig:
             raise DomainError(
                 "MetrologyConfig: the Fisher information N H or the shift floor "
                 "of these probes overflows or underflows double precision")
-        object.__setattr__(self, "qfi_value", h)
-        object.__setattr__(self, "floor", floor)
+        object.__setattr__(self, "qfi_value", h)  # H
+        object.__setattr__(self, "floor", floor)  # min |Delta delta|
 
     @property
     def mean_square_peak(self) -> float:
@@ -82,8 +87,7 @@ class MetrologyConfig:
         return 0.5 * (self.omega1 * self.omega1 + self.omega2 * self.omega2)
 
 
-@dataclass(frozen=True)
-class RegimeStatus:
+class RegimeStatus(NamedTuple):
     valid: bool
     reason: str = ""
 
@@ -95,8 +99,7 @@ class RegimeStatus:
 _IN_REGIME = RegimeStatus(True)
 
 
-@dataclass(frozen=True)
-class PrecisionBound:
+class PrecisionBound(NamedTuple):
     """Cramer-Rao lower bound on a spacetime parameter."""
 
     delta_delta_min: float

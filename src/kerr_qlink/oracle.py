@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import enum
 from contextlib import contextmanager
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from typing import NamedTuple
 
 from .ddouble import DD
 from .errors import DomainError, NumericalError
@@ -226,8 +226,7 @@ def extract_series_coefficient(param: SeriesParam, order: int, *,
 # Radial null geodesic integration (non-rotating case)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceSample:
+class TraceSample(NamedTuple):
     """One accepted integrator step.
 
     The tangent components are stored as deviations from 1 so that the
@@ -245,8 +244,7 @@ class TraceSample:
 
 
 
-@dataclass(frozen=True)
-class GeodesicTrace:
+class GeodesicTrace(NamedTuple):
     samples: tuple[TraceSample, ...]
     phidot_max: float  # max |dphi/dlambda| seen; must stay exactly zero
 
@@ -256,8 +254,7 @@ class GeodesicTrace:
         return max(devs) - min(devs)
 
 
-@dataclass(frozen=True)
-class RadialGeodesicResult:
+class RadialGeodesicResult(NamedTuple):
     trace: GeodesicTrace
     f_numeric: DD
 

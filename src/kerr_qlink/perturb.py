@@ -18,7 +18,7 @@ caller passes that exact delta in (from ``shift``), so it is evaluated once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ddouble import DD, ONE, floats
 from .errors import DomainError, HigherOrderRegimeError
@@ -29,8 +29,7 @@ from .shift import shift_ground_to_sat  # noqa: F401
 from .units import C, SpacetimeParams
 
 
-@dataclass(frozen=True)
-class ShiftDecomposition:
+class ShiftDecomposition(NamedTuple):
     """delta split into mass term, rotation term and exact residual.
 
     Compensated values: the sum delta_S + delta_rot + delta_c reproduces the

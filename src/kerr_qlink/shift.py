@@ -23,7 +23,6 @@ arithmetic this keeps delta to roughly its own precision, far below the
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 
 from .ddouble import DD, ONE, floats
 from .errors import DomainError, NoRootInBracketError, NumericalError
@@ -39,6 +38,7 @@ from .geometry import (
     orbit_velocity,
     photon_tangent,
 )
+from .record import Frozen
 from .units import SpacetimeParams
 
 
@@ -47,24 +47,25 @@ class LinkScheme(enum.Enum):
     SAT_TO_SAT = "sat-to-sat"
 
 
-@dataclass(frozen=True)
-class LinkScenario:
+class LinkScenario(Frozen):
     """Emitter/receiver pairing for one photon link; its scheme is read from
     the emitter."""
 
-    emitter: Worldline
-    receiver: Worldline
-    params: SpacetimeParams
+    __slots__ = ("emitter", "receiver", "params")
 
-    def __post_init__(self):
-        if self.receiver.kind is not WorldlineKind.CIRCULAR_ORBIT:
+    def __init__(self, emitter: Worldline, receiver: Worldline,
+                 params: SpacetimeParams):
+        object.__setattr__(self, "emitter", emitter)
+        object.__setattr__(self, "receiver", receiver)
+        object.__setattr__(self, "params", params)
+        if receiver.kind is not WorldlineKind.CIRCULAR_ORBIT:
             raise DomainError("links need an orbiting receiver")
         if self.scheme is LinkScheme.SAT_TO_SAT:
             # equality is allowed: identical orbits form a degenerate link
             # with unit shift.  At most one radius is a column: its extreme
             # element decides.
-            r_recv = min(floats(self.receiver.r))
-            r_emit = max(floats(self.emitter.r))
+            r_recv = min(floats(receiver.r))
+            r_emit = max(floats(emitter.r))
             if r_recv < r_emit:
                 raise DomainError(
                     "sat-to-sat links need receiver radius at or above emitter "
@@ -78,20 +79,22 @@ class LinkScenario:
         return LinkScheme.SAT_TO_SAT
 
     def with_receiver_radius(self, r: float) -> "LinkScenario":
-        return replace(self, receiver=replace(self.receiver, r=r))
+        return LinkScenario(
+            self.emitter,
+            Worldline.circular_orbit(r, self.receiver.direction), self.params)
 
 
-@dataclass(frozen=True)
-class ShiftResult:
+class ShiftResult(Frozen):
     """Shift ratio f and delta = f - 1 as compensated pairs, or as columns of
     them for a column of links."""
 
-    f: DD
-    delta: DD
+    __slots__ = ("f", "delta")
 
-    def __post_init__(self):
-        check = (self.f - ONE) - self.delta
-        for c, d in zip(floats(check), floats(self.delta)):
+    def __init__(self, f: DD, delta: DD):
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "delta", delta)
+        check = (f - ONE) - delta
+        for c, d in zip(floats(check), floats(delta)):
             # written so that a NaN fails it
             if not abs(c) <= 1e-30 * max(1.0, abs(d)):
                 raise NumericalError("ShiftResult consistency f - 1 == delta violated")

@@ -9,9 +9,8 @@ boundary: omega_geometric = omega_SI / c, in 1/m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from .errors import DomainError
+from .record import Frozen
 
 
 # The one gravitational constant and speed of light behind every conversion.
@@ -44,25 +43,25 @@ def kerr_parameter_from_inertia(inertia: float, omega: float,
     return inertia * omega / (mass_kg * C)
 
 
-@dataclass(frozen=True)
-class SpacetimeParams:
+class SpacetimeParams(Frozen):
     """Rotating-planet spacetime in geometric units.
 
     ``a`` may exceed the geometric mass: a planet is no black hole, so no
     horizon condition is imposed (Earth has a ~ 3.3 m against M ~ 4.4 mm).
     """
 
-    M_geom: float  # geometric mass, m
-    a: float  # spin parameter J/M, m
+    __slots__ = ("M_geom", "a")
 
-    def __post_init__(self):
-        for name in ("M_geom", "a"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, M_geom: float, a: float):
+        object.__setattr__(self, "M_geom", M_geom)  # geometric mass, m
+        object.__setattr__(self, "a", a)  # spin parameter J/M, m
+        for name, value in (("M_geom", M_geom), ("a", a)):
+            if not math.isfinite(value):
                 raise DomainError(
-                    f"SpacetimeParams.{name} must be finite, got {getattr(self, name)}")
-        if self.M_geom <= 0.0:
+                    f"SpacetimeParams.{name} must be finite, got {value}")
+        if M_geom <= 0.0:
             raise DomainError("geometric mass must be positive")
-        if self.a < 0.0:
+        if a < 0.0:
             raise DomainError("spin parameter must be non-negative")
 
     @property
@@ -76,25 +75,26 @@ class SpacetimeParams:
         return self.a * self.M_geom
 
 
-@dataclass(frozen=True)
-class EarthModel:
+class EarthModel(Frozen):
     """Equatorial Earth figures used by the presets.
 
     The moment of inertia default is chosen so that I*omega/(M*c) reproduces
     the quoted spin parameter a = 3.26 m; consistency within 1% is enforced.
     """
 
-    mass_kg: float = 5.97e24
-    r_A: float = 6.378e6  # equatorial radius, m
-    omega_A: float = 7.29e-5  # equatorial angular velocity, rad/s
-    a_m: float = 3.26  # spin parameter, m
-    inertia: float = 8.03e37  # moment of inertia, kg m^2
+    __slots__ = ("mass_kg", "r_A", "omega_A", "a_m", "inertia")
 
-    def __post_init__(self):
-        for name in ("mass_kg", "r_A", "omega_A", "a_m", "inertia"):
-            if not 0.0 < getattr(self, name) < math.inf:
+    def __init__(self, mass_kg: float = 5.97e24,
+                 r_A: float = 6.378e6,  # equatorial radius, m
+                 omega_A: float = 7.29e-5,  # equatorial angular velocity, rad/s
+                 a_m: float = 3.26,  # spin parameter, m
+                 inertia: float = 8.03e37):  # moment of inertia, kg m^2
+        for name, value in zip(self.__slots__,
+                               (mass_kg, r_A, omega_A, a_m, inertia)):
+            object.__setattr__(self, name, value)
+            if not 0.0 < value < math.inf:
                 raise DomainError(f"EarthModel.{name} must be finite and "
-                                  f"positive, got {getattr(self, name)}")
+                                  f"positive, got {value}")
         implied = kerr_parameter_from_inertia(self.inertia, self.omega_A, self.mass_kg)
         if abs(implied - self.a_m) > 0.01 * self.a_m:
             raise DomainError(
@@ -121,19 +121,16 @@ def geo_radius() -> float:
     return EARTH.r_A + GEO_ALTITUDE_M
 
 
-@dataclass(frozen=True)
-class DimensionlessParams:
+class DimensionlessParams(Frozen):
     """The five small ratios steering the perturbative expansion."""
 
-    m_over_rA: float
-    m_over_rB: float
-    a_over_rA: float
-    a_over_rB: float
-    rA_omegaA: float
+    __slots__ = ("m_over_rA", "m_over_rB", "a_over_rA", "a_over_rB", "rA_omegaA")
 
-    def __post_init__(self):
-        for name in ("m_over_rA", "m_over_rB", "a_over_rA", "a_over_rB", "rA_omegaA"):
-            v = getattr(self, name)
+    def __init__(self, m_over_rA: float, m_over_rB: float, a_over_rA: float,
+                 a_over_rB: float, rA_omegaA: float):
+        for name, v in zip(self.__slots__, (m_over_rA, m_over_rB, a_over_rA,
+                                            a_over_rB, rA_omegaA)):
+            object.__setattr__(self, name, v)
             if not 0.0 < v < 1.0:
                 raise DomainError(f"DimensionlessParams.{name} = {v} not in (0, 1)")
 

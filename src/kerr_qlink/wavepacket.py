@@ -19,27 +19,28 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ddouble import DD
 from .errors import DomainError, NumericalError
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class GaussianWavepacket:
+class GaussianWavepacket(Frozen):
     """Peak frequency and width (Hz) of a photon frequency distribution."""
 
-    peak: DD
-    width: DD
+    __slots__ = ("peak", "width")
 
-    def __post_init__(self):
-        if self.peak.sign() <= 0 or self.width.sign() <= 0:
+    def __init__(self, peak: DD, width: DD):
+        object.__setattr__(self, "peak", peak)
+        object.__setattr__(self, "width", width)
+        if peak.sign() <= 0 or width.sign() <= 0:
             raise DomainError("wavepacket peak and width must be positive")
-        if not (math.isfinite(self.peak.to_float())
-                and math.isfinite(self.width.to_float())):
+        if not (math.isfinite(peak.to_float())
+                and math.isfinite(width.to_float())):
             raise DomainError(
-                f"wavepacket peak and width must be finite, got {self.peak!r} "
-                f"and {self.width!r}")
+                f"wavepacket peak and width must be finite, got {peak!r} "
+                f"and {width!r}")
 
     @staticmethod
     def of(peak: float | DD, width: float | DD) -> "GaussianWavepacket":
@@ -54,8 +55,7 @@ class GaussianWavepacket:
         return norm * math.exp(-z * z)
 
 
-@dataclass(frozen=True)
-class OverlapResult:
+class OverlapResult(NamedTuple):
     """Overlap amplitude of two packets; real for real Gaussians.
 
     ``deficit`` is 1 - fidelity evaluated without cancellation, usable down to
@@ -102,8 +102,8 @@ def overlap_analytic(sent: GaussianWavepacket, delta: float) -> OverlapResult:
     theta = math.sqrt(pref_sq) * math.exp(-exponent)
     # 1 - theta^2 = (1 - pref^2) + pref^2 (1 - e^{-2 exponent}), all positive
     deficit = delta * delta / denom - pref_sq * math.expm1(-2.0 * exponent)
-    # positional: keywords make a frozen dataclass's __init__ call slower,
-    # and a sweep makes this call once per point
+    # positional: keywords make the call slower, and a sweep makes it once
+    # per point
     return OverlapResult(theta, theta * theta, deficit)
 
 

@@ -41,7 +41,9 @@ from kerr_qlink.errors import (
     DomainError,
     KerrQlinkError,
 )
+from kerr_qlink.geometry import metric_at, photon_tangent
 from kerr_qlink.metrology import (
+    MetrologyConfig,
     bound_angular_velocity,
     bound_schwarzschild_radius,
     orders_vs_state_of_the_art,
@@ -50,9 +52,11 @@ from kerr_qlink.metrology import (
     regime_check,
     shift_uncertainty_floor,
 )
+from kerr_qlink.oracle import integrate_schwarzschild_radial
 from kerr_qlink.perturb import decompose_ground, decompose_sats
+from kerr_qlink.record import Frozen
 from kerr_qlink.shift import LinkScheme, shift, shift_via_contraction
-from kerr_qlink.units import C, geo_radius, leo_radius
+from kerr_qlink.units import EARTH, C, dimensionless_params, geo_radius, leo_radius
 from kerr_qlink.wavepacket import overlap_analytic
 
 
@@ -1130,6 +1134,58 @@ class TestCliEntry:
         assert not out.exists()
 
 
+def _records() -> dict:
+    """One instance of each record type the package defines, each built the
+    way the program builds it, by class name."""
+    cfg = PRESETS["earth-leo"]
+    link = cfg.link()
+    p, r = link.params, cfg.receiver_radius_m
+    result, dec = report_module._link(cfg)
+    m, _, _, packet = report_module._metrology(cfg)
+    delta = result.delta.to_float()
+    k, photon = photon_tangent(p, r, 1.0)
+    geodesic = integrate_schwarzschild_radial(p.M_geom, cfg.emitter_radius_m, r)
+    found = [
+        link, link.emitter, p, EARTH, dimensionless_params(EARTH, r), result,
+        dec, m, packet, overlap_analytic(packet, delta), regime_check(delta, m),
+        bound_schwarzschild_radius(m, dec), metric_at(p, r), k, photon,
+        assemble_report(cfg), SweepSpec("r_B", 7.0e6, 4.2e7, 5), CHECKS[0],
+        geodesic, geodesic.trace, geodesic.trace.samples[0],
+    ]
+    return {type(x).__name__: x for x in found}
+
+
+RECORDS = _records()
+
+
+class TestRecords:
+    def test_every_record_type_is_covered(self):
+        defined = {
+            name for m, module in list(sys.modules.items())
+            if m.split(".")[0] == "kerr_qlink"
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == m
+            and (obj is not Frozen and issubclass(obj, Frozen)
+                 or issubclass(obj, tuple) and hasattr(obj, "_fields"))}
+        assert defined == set(RECORDS)
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_a_record_is_immutable(self, name):
+        record = RECORDS[name]
+        fields = getattr(record, "_fields", None) or type(record).__slots__
+        for field in (*fields, "unknown_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 1.0)
+        for field in fields:
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+
+    @pytest.mark.parametrize("computed", ["qfi_value", "floor"])
+    def test_metrology_config_computes_what_it_stores(self, computed):
+        with pytest.raises(TypeError):
+            MetrologyConfig(**{computed: 1.0})
+
+
 class TestLeanReportPath:
     def test_cli_import_loads_neither_scipy_nor_numpy(self):
         src = os.path.dirname(os.path.dirname(kerr_qlink.__file__))
@@ -1179,12 +1235,21 @@ class TestLeanReportPath:
                 "code = main(['report', '--preset', 'earth-leo'])\n"
                 "print(code, sorted({'kerr_qlink.oracle', 'kerr_qlink.cli.selfcheck'}"
                 " & set(sys.modules)))\n"
+                # a report without --out uses none of these
+                "print(sorted({'json', 'datetime', 'decimal'} & set(sys.modules)))\n"
+                # the one dataclass left on the path
+                "print(sorted(name for m, module in list(sys.modules.items())\n"
+                "             if m.split('.')[0] == 'kerr_qlink'\n"
+                "             for name, obj in vars(module).items()\n"
+                "             if isinstance(obj, type) and obj.__module__ == m\n"
+                "             and '__dataclass_fields__' in vars(obj)))\n"
                 "from kerr_qlink.cli import CHECKS, run_verify\n"
                 "print(len(CHECKS), run_verify.__module__)\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.splitlines()[-2:] == [
-            "0 []", f"{len(CHECKS)} kerr_qlink.cli.selfcheck"]
+        assert proc.stdout.splitlines()[-4:] == [
+            "0 []", "[]", "['ScenarioConfig']",
+            f"{len(CHECKS)} kerr_qlink.cli.selfcheck"]
 
     def test_python_m_kerr_qlink_runs_the_cli_without_a_warning(self):
         src = os.path.dirname(os.path.dirname(kerr_qlink.__file__))

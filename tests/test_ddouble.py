@@ -2,6 +2,7 @@
 
 import math
 import struct
+import sys
 from fractions import Fraction
 
 import pytest
@@ -257,7 +258,21 @@ def ref_sqrt(a):
 
 
 def ref_pow(a, n):
-    # square-and-multiply including the final, unused squaring
+    # square-and-multiply whose first factor is the base itself
+    if n == 0:
+        return DD(1.0)
+    out = None
+    while True:
+        if n & 1:
+            out = a if out is None else ref_mul(out, a)
+        n >>= 1
+        if not n:
+            return out
+        a = ref_mul(a, a)
+
+
+def ref_pow_from_one(a, n):
+    # square-and-multiply from 1, including the final, unused squaring
     out = DD(1.0)
     base = a
     while n:
@@ -380,6 +395,36 @@ def test_fused_constructors_match_composed_algorithms(a, b):
 @settings(max_examples=300)
 def test_pow_matches_square_and_multiply(x, n):
     assert_same(x ** n, ref_pow(x, n))
+
+
+# signed magnitudes over the whole double range, subnormals included, with
+# the edges of the Dekker split and the largest double
+wide_double = st.one_of(
+    st.sampled_from([5e-324, 2.2e-308, 1.3e300, sys.float_info.max]),
+    st.floats(min_value=1e-320, max_value=1e308),
+).flatmap(lambda m: st.sampled_from([m, -m]))
+
+
+@st.composite
+def wide_dd(draw):
+    """A canonical DD over the whole double range: a lo limb of either
+    signed zero or below half an ulp of hi."""
+    hi = draw(wide_double)
+    lo = draw(st.sampled_from([0.0, -0.0])
+              | st.floats(-0.49, 0.49).map(lambda f: f * math.ulp(hi)))
+    return DD(hi, lo)
+
+
+@given(wide_dd(), st.sampled_from([2, 3]))
+@settings(max_examples=500)
+def test_pow_from_the_base_matches_the_loop_from_one(x, n):
+    """The powers the pipeline takes drop the loop's first product 1 * x,
+    and wherever that loop stays finite they keep every bit of it."""
+    want = ref_pow_from_one(x, n)
+    if not (math.isfinite(want.hi) and math.isfinite(want.lo)):
+        return
+    assert_same(x ** n, want)
+    assert_same_limbs((DDColumn([(x.hi, x.lo)]) ** n).limbs[0], want)
 
 
 def test_bit_comparison_sees_signed_zeros():

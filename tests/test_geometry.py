@@ -1,6 +1,5 @@
 """Metric components, four-velocities, the radial photon and contractions."""
 
-import dataclasses
 import math
 
 import pytest
@@ -251,11 +250,11 @@ class TestColumnRadii:
 
     def assert_elementwise(self, column_results, point_results):
         for got, wants in zip(column_results, zip(*point_results)):
-            for field in dataclasses.fields(got):
-                value = getattr(got, field.name)
+            for name in got._fields:
+                value = getattr(got, name)
                 if isinstance(value, (DD, DDColumn)):
                     for i, want in enumerate(wants):
-                        assert _bits(value, i) == _bits(getattr(want, field.name), 0)
+                        assert _bits(value, i) == _bits(getattr(want, name), 0)
 
     def test_metric_and_photon_tangent(self):
         column = DDColumn.of(self.RADII)

@@ -1,7 +1,6 @@
 """Frequency-shift closed forms, limits, cross-validation and root finding."""
 
 import math
-from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -96,9 +95,9 @@ class TestSatToSat:
         assert len(results) == 1
 
     def test_direction_matters_with_spin(self, sats_scenario):
-        from dataclasses import replace
-        flipped = replace(sats_scenario,
-                          receiver=Worldline.circular_orbit(geo_radius(), -1))
+        flipped = LinkScenario(sats_scenario.emitter,
+                               Worldline.circular_orbit(geo_radius(), -1),
+                               sats_scenario.params)
         a = shift_sat_to_sat(sats_scenario).delta.to_float()
         b = shift_sat_to_sat(flipped).delta.to_float()
         assert a != b
@@ -117,8 +116,8 @@ class TestLinkScenario:
         assert leo_scenario.scheme is LinkScheme.GROUND_TO_SAT
         assert sats_scenario.scheme is LinkScheme.SAT_TO_SAT
         # the same receiver under an orbiting emitter makes an orbit pair
-        below = replace(leo_scenario,
-                        emitter=Worldline.circular_orbit(EARTH.r_A, +1))
+        below = LinkScenario(Worldline.circular_orbit(EARTH.r_A, +1),
+                             leo_scenario.receiver, leo_scenario.params)
         assert below.scheme is LinkScheme.SAT_TO_SAT
 
     def test_ground_station_receiver_rejected(self):
