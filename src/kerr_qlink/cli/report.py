@@ -12,7 +12,8 @@ between chunks: a chunk is the config whose swept field holds its values as
 a DDColumn, validated element by element, and takes a report's route into
 the closed form, as columns for a radius sweep.  What every point of a chunk
 shares is computed and formatted once, and each row is one %-formatting of
-the values that vary from point to point.
+the values that vary from point to point.  Each chunk's rows are written as
+soon as they are computed, so a sweep holds one chunk's rows at a time.
 
 CSV rows carry the compensated quantities as (hi, lo) column pairs and every
 fast-path value with 17 significant digits; identical configurations produce
@@ -379,13 +380,33 @@ def _rows(start: int, values: list[float], cfg: ScenarioConfig,
     return rows
 
 
-# Sweep points evaluated together, as one column in a radius sweep.  Peak
-# memory grows with it (a whole 2000-point sweep at once costs about 5 MB
-# more), and so does the cost of a refused chunk, whose points then run
-# alone.  A chunk has a fixed cost of about 150 us (validation, the terms and
-# metrology it shares, 120-160 us in least-squares fits of _rows time over
-# 4- to 128-point earth-leo r_B chunks), about 2.4 us a point at 64.
+# Sweep points evaluated together, as one column in a radius sweep, and
+# written together.  The chunk size bounds a sweep's working memory whatever
+# its length: the columns, rows and text of one chunk are alive at a time
+# (a tracemalloc peak of about 80 KB for a one-chunk earth-leo r_B sweep);
+# only the list of sweep values grows with the sweep.  A refused chunk costs
+# more as it grows too, since its points then run alone.  A chunk has a
+# fixed cost of about 150 us (validation, the terms and metrology it shares,
+# 120-160 us in least-squares fits of _rows time over 4- to 128-point
+# earth-leo r_B chunks), about 2.4 us a point at 64.
 SWEEP_CHUNK = 64
+
+
+def _chunk_rows(start: int, chunk: list[float], column: ScenarioConfig,
+                cfg: ScenarioConfig, spec: SweepSpec) -> list[str]:
+    """The rows of one chunk: ``_rows`` of its column config, or, when
+    anything in it is refused or arithmetic fails, of each point alone, a
+    refused point as an error row."""
+    try:
+        return _rows(start, chunk, column, spec)
+    except (KerrQlinkError, ArithmeticError):
+        rows = []
+        for index, value in enumerate(chunk, start):
+            try:
+                rows += _rows(index, [value], spec.apply(cfg, value), spec)
+            except KerrQlinkError as exc:
+                rows.append(_error_row(index, value, exc))
+        return rows
 
 
 def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
@@ -393,43 +414,46 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
               threads: Optional[int] = None) -> int:
     """Write one CSV row per sweep point; returns the number of rows.
 
-    One loop evaluates SWEEP_CHUNK points at a time.  Each chunk is one
-    config whose swept field holds the chunk's values as a DDColumn,
-    validated element by element; the link runs on it once, as columns for
-    a receiver (r_B) or emitter (r_C) radius sweep, with the same bits as
-    point by point.  Sweeping r_C on a ground-to-sat config is refused
-    before any row.  When anything in a chunk is refused, or arithmetic
-    fails, each of its points runs alone on its own config, so a refused
-    point keeps its text and a crash stays a crash.  Rows come in sweep
-    order, computed in the calling thread.  Per-point domain failures leave
-    their value cells empty and carry the message in the error column.
-    ``threads`` is accepted and ignored; it remains for callers written when
-    the sweep ran on a thread pool.
+    One loop evaluates SWEEP_CHUNK points at a time and writes each chunk's
+    rows to ``out_path`` as soon as they are computed, so memory stays flat
+    however long the sweep.  Each chunk is one config whose swept field
+    holds the chunk's values as a DDColumn, validated element by element;
+    the link runs on it once, as columns for a receiver (r_B) or emitter
+    (r_C) radius sweep, with the same bits as point by point.  When
+    anything in a chunk is refused, or arithmetic fails, each of its points
+    runs alone on its own config, so a refused point keeps its text and a
+    crash stays a crash, leaving the rows of the chunks before it in the
+    file.  Rows come in sweep order, computed in the calling thread.
+    Per-point domain failures leave their value cells empty and carry the
+    message in the error column.
+
+    Sweeping r_C on a ground-to-sat config is refused before the file is
+    opened, and a file that cannot be opened is refused before any row is
+    computed.  The timestamp line, unless ``no_timestamp``, is taken when
+    the sweep starts.  ``threads`` is accepted and ignored; it remains for
+    callers written when the sweep ran on a thread pool.
     """
     values = spec.values()
-    rows = []
-    for start in range(0, len(values), SWEEP_CHUNK):
-        chunk = values[start:start + SWEEP_CHUNK]
-        column = spec.apply(cfg, DDColumn.of(chunk))
-        try:
-            rows += _rows(start, chunk, column, spec)
-        except (KerrQlinkError, ArithmeticError):
-            for index, value in enumerate(chunk, start):
-                try:
-                    rows += _rows(index, [value], spec.apply(cfg, value), spec)
-                except KerrQlinkError as exc:
-                    rows.append(_error_row(index, value, exc))
-    lines = []
+    # built before the file opens, so a variable the scenario cannot sweep
+    # is refused with nothing written
+    column = spec.apply(cfg, DDColumn.of(values[:SWEEP_CHUNK]))
+    header = ",".join(CSV_COLUMNS) + "\n"
     if not no_timestamp:
         from datetime import datetime, timezone
 
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-        lines.append(f"# generated {stamp}")
-    lines.append(",".join(CSV_COLUMNS))
-    lines.extend(rows)
+        header = f"# generated {stamp}\n" + header
+    written = 0
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header)
+            for start in range(0, len(values), SWEEP_CHUNK):
+                chunk = values[start:start + SWEEP_CHUNK]
+                if start:
+                    column = spec.apply(cfg, DDColumn.of(chunk))
+                rows = _chunk_rows(start, chunk, column, cfg, spec)
+                fh.write("\n".join(rows) + "\n")
+                written += len(rows)
     except OSError as exc:
         raise KerrQlinkError(f"cannot write {out_path}: {exc}") from None
-    return len(rows)
+    return written

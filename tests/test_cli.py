@@ -1,5 +1,7 @@
 """Configuration parsing, report/sweep/zero-orbit/verify commands, exit codes."""
 
+import builtins
+import contextlib
 import csv
 import importlib
 import json
@@ -8,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -821,6 +824,57 @@ class TestSweepChunks:
                          no_timestamp=True) == 2 * SWEEP_CHUNK + 5
         assert max(sizes) == SWEEP_CHUNK and 5 in sizes
 
+    def test_rows_reach_the_file_a_chunk_at_a_time(self, monkeypatch,
+                                                    tmp_path):
+        # like the bench tracer's, this open hands back a context manager,
+        # not a file: the sweep must open --out by name, in a with statement
+        opened, writes = [], []
+
+        class Recording:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                writes.append(text)
+                return self.fh.write(text)
+
+        @contextlib.contextmanager
+        def recording_open(*args, **kwargs):
+            opened.append(args[0])
+            with builtins.open(*args, **kwargs) as fh:
+                yield Recording(fh)
+
+        monkeypatch.setattr(report_module, "open", recording_open,
+                            raising=False)
+        out = tmp_path / "r.csv"
+        n = 2 * SWEEP_CHUNK + 5
+        spec = SweepSpec("r_B", 7.0e6, 4.2e7, n, "log")
+        assert run_sweep(PRESETS["earth-leo"], spec, str(out),
+                         no_timestamp=True) == n
+        assert opened == [str(out)]
+        assert writes[0].startswith(",".join(CSV_COLUMNS) + "\n")
+        rows = [text.count("\n") for text in writes]
+        rows[0] -= 1  # the header line
+        assert max(rows) <= SWEEP_CHUNK and sum(rows) == n
+        assert "".join(writes) == out.read_text()
+
+    def test_memory_does_not_grow_with_the_sweep(self, tmp_path):
+        def peak(chunks):
+            spec = SweepSpec("r_B", 7.0e6, 4.2e7, chunks * SWEEP_CHUNK, "log")
+            out = str(tmp_path / "r.csv")
+            run_sweep(PRESETS["earth-leo"], spec, out, no_timestamp=True)
+            tracemalloc.start()
+            try:
+                run_sweep(PRESETS["earth-leo"], spec, out, no_timestamp=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # what remains is the list of sweep values, about 34 bytes a point;
+        # holding every row until the end costs about 1.1 KB a point
+        per_point = (peak(40) - peak(4)) / (36 * SWEEP_CHUNK)
+        assert per_point < 200
+
 
 class TestSweepPlanStages:
     """What a sweep's variable does not reach runs once per chunk."""
@@ -1003,7 +1057,12 @@ class TestCliEntry:
         stdout, stderr = capsys.readouterr()
         assert stdout == "" and stderr.startswith(f"error: cannot write {out}")
 
-    def test_sweep_into_a_missing_directory(self, tmp_path, capsys):
+    def test_sweep_into_a_missing_directory(self, monkeypatch, tmp_path,
+                                            capsys):
+        def no_rows(*args):
+            raise AssertionError("a row was computed for an unwritable --out")
+
+        monkeypatch.setattr(report_module, "_rows", no_rows)
         cfgp = tmp_path / "sweep.cfg"
         cfgp.write_text("sweep_variable = N\nsweep_lo = 1e8\nsweep_hi = 1e12\n"
                         "sweep_points = 3\n")
