@@ -37,7 +37,6 @@ from .metrology import (
     bound_angular_velocity,
     bound_schwarzschild_radius,
     cramer_rao,
-    fidelity_two_mode,
     qber,
     qfi,
     qfi_numeric_limit,
@@ -63,10 +62,8 @@ from .shift import (
 )
 from .units import (
     EARTH,
-    DimensionlessParams,
     EarthModel,
     SpacetimeParams,
-    dimensionless_params,
     geo_radius,
     geometric_mass,
     kerr_parameter_from_inertia,

@@ -35,7 +35,6 @@ from ..perturb import (
     error_schwarzschild_radius,
 )
 from ..shift import LinkScheme, shift
-from ..units import C
 from ..wavepacket import overlap_analytic
 from .scenario import ScenarioConfig, SweepSpec
 
@@ -52,38 +51,21 @@ class Report(NamedTuple):
     delta_c: float
     theta: float
     fidelity: float
-    qfi_value: float
+    qfi: float
     delta_delta_min: float
     bound_schwarzschild_rel: Optional[float]
     bound_omega_rel: Optional[float]
     omega_orders_vs_reference: Optional[int]
-    qber_value: Optional[float]
+    qber: Optional[float]
     regime: str
     notes: Sequence[str] = ()
 
     def as_dict(self) -> dict:
-        out = {
-            "scheme": self.scheme,
-            "emitter_radius_m": self.emitter_radius_m,
-            "receiver_radius_m": self.receiver_radius_m,
-            "ratios": self.ratios,
-            "f": {"hi": self.f.hi, "lo": self.f.lo, "value": self.f.to_float()},
-            "delta": {"hi": self.delta.hi, "lo": self.delta.lo,
-                      "value": self.delta.to_float()},
-            "delta_S": self.delta_S,
-            "delta_rot": self.delta_rot,
-            "delta_c": self.delta_c,
-            "theta": self.theta,
-            "fidelity": self.fidelity,
-            "qfi": self.qfi_value,
-            "delta_delta_min": self.delta_delta_min,
-            "bound_schwarzschild_rel": self.bound_schwarzschild_rel,
-            "bound_omega_rel": self.bound_omega_rel,
-            "omega_orders_vs_reference": self.omega_orders_vs_reference,
-            "qber": self.qber_value,
-            "regime": self.regime,
-            "notes": self.notes,
-        }
+        """The fields by name, each DD as its limbs and its float value."""
+        out = self._asdict()
+        for name in ("f", "delta"):
+            x = out[name]
+            out[name] = {"hi": x.hi, "lo": x.lo, "value": x.to_float()}
         return out
 
     def render_text(self) -> str:
@@ -109,7 +91,7 @@ class Report(NamedTuple):
             f"  residual delta_c:         {self.delta_c:.6e}",
             f"packet overlap theta:       {self.theta:.12f}",
             f"single-photon fidelity:     {self.fidelity:.12f}",
-            f"quantum Fisher information: {fmt(self.qfi_value)}",
+            f"quantum Fisher information: {fmt(self.qfi)}",
             f"shift uncertainty floor:    {fmt(self.delta_delta_min)}",
             f"bound on Delta r_S / r_S:   {fmt(self.bound_schwarzschild_rel)}",
             f"bound on Delta w_A / w_A:   {fmt(self.bound_omega_rel)}",
@@ -121,26 +103,12 @@ class Report(NamedTuple):
                 else f"{-orders} orders below (better)" if orders < 0
                 else "same order of magnitude"))
         lines += [
-            f"QBER:                       {fmt(self.qber_value)}",
+            f"QBER:                       {fmt(self.qber)}",
             f"regime:                     {self.regime}",
         ]
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines) + "\n"
-
-
-def _ratios_block(cfg: ScenarioConfig) -> dict:
-    p = cfg.spacetime()
-    out = {
-        "M/r_emitter": p.M_geom / cfg.emitter_radius_m,
-        "M/r_receiver": p.M_geom / cfg.receiver_radius_m,
-        "a/r_emitter": p.a / cfg.emitter_radius_m,
-        "a/r_receiver": p.a / cfg.receiver_radius_m,
-    }
-    if cfg.scheme is LinkScheme.GROUND_TO_SAT:
-        out["r_emitter*omega/c"] = (
-            cfg.emitter_radius_m * cfg.ground_omega_rad_s / C)
-    return out
 
 
 def _link(cfg: ScenarioConfig):
@@ -234,7 +202,7 @@ def assemble_report(cfg: ScenarioConfig) -> Report:
         scheme=cfg.scheme.value,
         emitter_radius_m=cfg.emitter_radius_m,
         receiver_radius_m=cfg.receiver_radius_m,
-        ratios=_ratios_block(cfg),
+        ratios=cfg.ratios(),
         f=result.f,
         delta=result.delta,
         delta_S=delta_S,
@@ -242,12 +210,12 @@ def assemble_report(cfg: ScenarioConfig) -> Report:
         delta_c=delta_c,
         theta=overlap.theta,
         fidelity=overlap.fidelity,
-        qfi_value=qfi_value,
+        qfi=qfi_value,
         delta_delta_min=floor,
         bound_schwarzschild_rel=bound_rs,
         bound_omega_rel=bound_omega,
         omega_orders_vs_reference=orders,
-        qber_value=qber_value,
+        qber=qber_value,
         regime=regime,
         notes=notes,
     )

@@ -18,7 +18,7 @@ from ..geometry import Worldline
 from ..metrology import MetrologyConfig
 from ..record import Frozen
 from ..shift import LinkScenario, LinkScheme
-from ..units import EARTH, SpacetimeParams, geo_radius, geometric_mass, leo_radius
+from ..units import C, EARTH, SpacetimeParams, geo_radius, geometric_mass, leo_radius
 from ..wavepacket import GaussianWavepacket
 
 
@@ -71,6 +71,21 @@ class ScenarioConfig:
     def spacetime(self) -> SpacetimeParams:
         return SpacetimeParams(geometric_mass(self.planet_mass_kg),
                                self.planet_spin_parameter_m)
+
+    def ratios(self) -> dict:
+        """The small ratios steering the perturbative expansion: M/r and a/r
+        at each endpoint, and r omega/c of a ground station."""
+        p = self.spacetime()
+        out = {
+            "M/r_emitter": p.M_geom / self.emitter_radius_m,
+            "M/r_receiver": p.M_geom / self.receiver_radius_m,
+            "a/r_emitter": p.a / self.emitter_radius_m,
+            "a/r_receiver": p.a / self.receiver_radius_m,
+        }
+        if self.scheme is LinkScheme.GROUND_TO_SAT:
+            out["r_emitter*omega/c"] = (
+                self.emitter_radius_m * self.ground_omega_rad_s / C)
+        return out
 
     def link(self) -> LinkScenario:
         if self.scheme is LinkScheme.GROUND_TO_SAT:

@@ -29,9 +29,9 @@ from ..oracle import (
     extract_series_coefficient,
     integrate_schwarzschild_radial,
 )
-from ..perturb import ShiftDecomposition, decompose_ground, decompose_sats
 from ..shift import (
     LinkScenario,
+    LinkScheme,
     find_zero_shift_orbit,
     shift,
     shift_ground_to_sat,
@@ -44,32 +44,20 @@ from ..units import (
     EARTH,
     G,
     SpacetimeParams,
-    dimensionless_params,
     geo_radius,
     geometric_mass,
     kerr_parameter_from_inertia,
     leo_radius,
 )
 from ..wavepacket import GaussianWavepacket, overlap_analytic, overlap_numeric, propagate
+from .report import _link
+from .scenario import PRESETS
 
 
 class Check(NamedTuple):
     name: str
     level: str  # "fast" or "full"
     run: Callable[[int], tuple[bool, str]]  # digits -> (ok, detail)
-
-
-def _earth_scenario(r_B: float, direction: int = +1) -> LinkScenario:
-    return LinkScenario(
-        Worldline.ground_station(EARTH.r_A, EARTH.omega_A),
-        Worldline.circular_orbit(r_B, direction),
-        EARTH.spacetime(),
-    )
-
-
-def _earth_decomposition(r_B: float) -> ShiftDecomposition:
-    delta = shift_ground_to_sat(_earth_scenario(r_B)).delta
-    return decompose_ground(EARTH.spacetime(), EARTH.r_A, EARTH.omega_A, r_B, delta)
 
 
 def _sat_scenario(r_C: float, r_B: float, eta: int = +1, eps: int = +1) -> LinkScenario:
@@ -86,19 +74,19 @@ def _sat_scenario(r_C: float, r_B: float, eta: int = +1, eps: int = +1) -> LinkS
 
 def _check_table(digits: int):
     expected = {
-        "m_over_rA": 6.95e-10,
-        "a_over_rA": 5.11e-7,
-        "rA_omegaA": 1.55e-6,
+        "M/r_emitter": 6.95e-10,
+        "a/r_emitter": 5.11e-7,
+        "r_emitter*omega/c": 1.55e-6,
     }
     per_orbit = {
-        leo_radius(): {"m_over_rB": 5.29e-10, "a_over_rB": 3.89e-7},
-        geo_radius(): {"m_over_rB": 1.05e-10, "a_over_rB": 7.73e-8},
+        "earth-leo": {"M/r_receiver": 5.29e-10, "a/r_receiver": 3.89e-7},
+        "earth-geo": {"M/r_receiver": 1.05e-10, "a/r_receiver": 7.73e-8},
     }
     worst = 0.0
-    for r_B, extra in per_orbit.items():
-        ratios = dimensionless_params(EARTH, r_B)
+    for preset, extra in per_orbit.items():
+        ratios = PRESETS[preset].ratios()
         for name, want in {**expected, **extra}.items():
-            got = getattr(ratios, name)
+            got = ratios[name]
             rel = abs(got / want - 1.0)
             worst = max(worst, rel)
             if rel > 5e-3:  # three significant figures
@@ -216,10 +204,10 @@ def _check_identical_orbits(digits: int):
 
 def _check_contraction_agreement(digits: int):
     worst = 0.0
-    for s in (_earth_scenario(leo_radius()), _earth_scenario(geo_radius()),
-              _sat_scenario(leo_radius(), geo_radius())):
-        closed = shift(s)
-        generic = shift_via_contraction(s)
+    for cfg in PRESETS.values():
+        link = cfg.link()
+        closed = shift(link)
+        generic = shift_via_contraction(link)
         rel = abs((closed.f - generic.f).to_float()) / closed.f.to_float()
         worst = max(worst, rel)
     return worst <= 1e-24, f"closed form vs contraction, worst {worst:.1e} relative"
@@ -227,14 +215,9 @@ def _check_contraction_agreement(digits: int):
 
 def _check_decomposition_identity(digits: int):
     worst = 0.0
-    for r_B in (leo_radius(), geo_radius()):
-        exact = shift_ground_to_sat(_earth_scenario(r_B)).delta
-        dec = decompose_ground(EARTH.spacetime(), EARTH.r_A, EARTH.omega_A,
-                               r_B, exact)
-        worst = max(worst, abs((dec.delta_total - exact).to_float()))
-    exact = shift_sat_to_sat(_sat_scenario(leo_radius(), geo_radius())).delta
-    dec = decompose_sats(EARTH.spacetime(), leo_radius(), geo_radius(), exact)
-    worst = max(worst, abs((dec.delta_total - exact).to_float()))
+    for cfg in PRESETS.values():
+        result, dec = _link(cfg)
+        worst = max(worst, abs((dec.delta_total - result.delta).to_float()))
     return worst <= 1e-28, f"delta_S + delta_rot + delta_c = delta to {worst:.1e}"
 
 
@@ -271,16 +254,20 @@ def _check_qber_refusal(digits: int):
 # --------------------------------------------------------------------------
 
 def _check_oracle_presets(digits: int):
-    p = EARTH.spacetime()
     worst = 0.0
-    for r_B in (leo_radius(), geo_radius()):
-        mine = shift_ground_to_sat(_earth_scenario(r_B)).delta.to_decimal()
-        ref = delta_exact_ground(p.M_geom, p.a, EARTH.r_A, EARTH.omega_A,
-                                 r_B, +1, digits)
+    for cfg in PRESETS.values():
+        p = cfg.spacetime()
+        mine = shift(cfg.link()).delta.to_decimal()
+        if cfg.scheme is LinkScheme.GROUND_TO_SAT:
+            ref = delta_exact_ground(p.M_geom, p.a, cfg.emitter_radius_m,
+                                     cfg.ground_omega_rad_s,
+                                     cfg.receiver_radius_m,
+                                     cfg.receiver_direction, digits)
+        else:
+            ref = delta_exact_sats(p.M_geom, p.a, cfg.emitter_radius_m,
+                                   cfg.receiver_radius_m, cfg.emitter_direction,
+                                   cfg.receiver_direction, digits)
         worst = max(worst, abs(float(mine - ref)))
-    mine = shift_sat_to_sat(_sat_scenario(leo_radius(), geo_radius())).delta.to_decimal()
-    ref = delta_exact_sats(p.M_geom, p.a, leo_radius(), geo_radius(), +1, +1, digits)
-    worst = max(worst, abs(float(mine - ref)))
     return worst <= 1e-28, f"compensated vs {digits}-digit delta, worst {worst:.1e}"
 
 
@@ -321,7 +308,7 @@ def _check_series_mass(digits: int):
     coef = extract_series_coefficient(
         SeriesParam.R_S, 1, M=p.M_geom, a=p.a, r_A=EARTH.r_A,
         omega_A_si=EARTH.omega_A, r_B=leo_radius(), digits=max(80, digits))
-    dec = _earth_decomposition(leo_radius())
+    dec = _link(PRESETS["earth-leo"])[1]
     analytic = dec.delta_S.to_float() / p.r_S
     rel = abs(coef / analytic - 1.0)
     return rel <= 1e-4, f"d delta/d r_S vs mass-term slope: {rel:.1e} relative"
@@ -400,8 +387,8 @@ def _check_residual_magnitude(digits: int):
     # residual is dominated by second-order mass terms and sits near 1e-19,
     # so this check documents a known discrepancy (see the test suite notes).
     worst = 0.0
-    for r_B in (leo_radius(), geo_radius()):
-        dec = _earth_decomposition(r_B)
+    for preset in ("earth-leo", "earth-geo"):
+        dec = _link(PRESETS[preset])[1]
         worst = max(worst, abs(dec.delta_c.to_float()))
     return worst <= 1e-20, f"ground residual magnitude {worst:.1e} vs published 1e-20 bound"
 

@@ -129,21 +129,6 @@ def regime_check(delta: float, cfg: MetrologyConfig) -> RegimeStatus:
     return _IN_REGIME
 
 
-def fidelity_two_mode(d_delta: float, cfg: MetrologyConfig) -> float:
-    """Fidelity between two-mode squeezed states at shift offset d_delta.
-
-    Local expansion: refuses once the quadratic term would drive it negative.
-    """
-    sh = math.sinh(cfg.squeezing)
-    drop = (cfg.omega1 ** 2 + cfg.omega2 ** 2) / (4.0 * cfg.sigma ** 2) \
-        * sh * sh * d_delta * d_delta
-    if drop > 1.0:
-        raise DomainError(
-            f"fidelity expansion out of range: quadratic drop {drop:.3e} exceeds 1"
-        )
-    return 1.0 - drop
-
-
 def qfi(cfg: MetrologyConfig) -> float:
     """Quantum Fisher information for the shift parameter."""
     sh = math.sinh(cfg.squeezing)

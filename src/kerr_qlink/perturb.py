@@ -98,11 +98,12 @@ def decompose_ground(p: SpacetimeParams, r_A: float, omega_si: float,
 
 def decompose_sats(p: SpacetimeParams, r_C, r_B,
                    delta: DD) -> ShiftDecomposition:
-    """Split the exact orbit-to-orbit delta (emitter at r_C below receiver);
-    either radius may be a column, delta then the column of deltas."""
+    """Split the exact orbit-to-orbit delta (emitter at r_C, receiver at r_B
+    not below it, as LinkScenario orders them); either radius may be a
+    column, delta then the column of deltas."""
     for c in floats(r_C):
         for b in floats(r_B):
-            if not b > c:
+            if not b >= c:
                 raise DomainError(
                     f"receiver radius {b} must exceed emitter radius {c}")
     d_s = delta_mass_term_sats(p, r_C, r_B)

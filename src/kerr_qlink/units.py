@@ -1,5 +1,5 @@
-"""Physical constants, SI <-> geometric-unit conversion, planet models and the
-dimensionless perturbative ratios that control every result downstream.
+"""Physical constants, SI <-> geometric-unit conversion, the spacetime
+parameters and the Earth model behind the presets.
 
 Geometric units put G = c = 1 so that masses, angular momenta per unit mass
 and times are all lengths in meters.  Angular velocities convert once at this
@@ -69,11 +69,6 @@ class SpacetimeParams(Frozen):
         """Schwarzschild radius, exactly twice the geometric mass."""
         return 2.0 * self.M_geom
 
-    @property
-    def J_geom(self) -> float:
-        """Angular momentum in geometric units (m^2)."""
-        return self.a * self.M_geom
-
 
 class EarthModel(Frozen):
     """Equatorial Earth figures used by the presets.
@@ -119,31 +114,3 @@ def leo_radius() -> float:
 
 def geo_radius() -> float:
     return EARTH.r_A + GEO_ALTITUDE_M
-
-
-class DimensionlessParams(Frozen):
-    """The five small ratios steering the perturbative expansion."""
-
-    __slots__ = ("m_over_rA", "m_over_rB", "a_over_rA", "a_over_rB", "rA_omegaA")
-
-    def __init__(self, m_over_rA: float, m_over_rB: float, a_over_rA: float,
-                 a_over_rB: float, rA_omegaA: float):
-        for name, v in zip(self.__slots__, (m_over_rA, m_over_rB, a_over_rA,
-                                            a_over_rB, rA_omegaA)):
-            object.__setattr__(self, name, v)
-            if not 0.0 < v < 1.0:
-                raise DomainError(f"DimensionlessParams.{name} = {v} not in (0, 1)")
-
-
-def dimensionless_params(earth: EarthModel, r_B: float) -> DimensionlessParams:
-    """Populate the five ratios for a ground station at r_A and an orbit at r_B."""
-    if r_B <= earth.r_A:
-        raise DomainError(f"orbit radius {r_B} must exceed the surface radius {earth.r_A}")
-    m = geometric_mass(earth.mass_kg)
-    return DimensionlessParams(
-        m_over_rA=m / earth.r_A,
-        m_over_rB=m / r_B,
-        a_over_rA=earth.a_m / earth.r_A,
-        a_over_rB=earth.a_m / r_B,
-        rA_omegaA=earth.r_A * earth.omega_A / C,
-    )

@@ -58,7 +58,6 @@ BOUND_RS_GEO = 5.183125533429985e-6
 BOUND_RS_SATS = 4.37921458455311e-6
 BOUND_OMEGA_GROUND = 1.1579063642519812e-3
 BOUND_OMEGA_SATS = 3.503836614776193e7
-FIDELITY_AT_1E12 = 0.9999967772414776
 
 # key-protocol error rates (inputs: mass term for LEO/GEO, rotation term for
 # the zero-shift orbit)

@@ -56,7 +56,8 @@ from kerr_qlink.shift import (
     shift_schwarzschild,
     shift_via_contraction,
 )
-from kerr_qlink.units import C, EARTH, SpacetimeParams, dimensionless_params, geo_radius, leo_radius
+from kerr_qlink.cli.scenario import PRESETS
+from kerr_qlink.units import C, EARTH, SpacetimeParams, geo_radius, leo_radius
 from kerr_qlink.wavepacket import GaussianWavepacket, overlap_analytic, overlap_numeric, propagate
 
 P = EARTH.spacetime()
@@ -88,16 +89,16 @@ def sig3(x: float) -> float:
 
 def test_1_dimensionless_parameter_table():
     with criterion(1, "dimensionless parameter table to 3 s.f.", 1.0):
-        leo = dimensionless_params(EARTH, leo_radius())
-        geo = dimensionless_params(EARTH, geo_radius())
-        assert sig3(leo.m_over_rA) == 6.95e-10
-        assert sig3(leo.m_over_rB) == 5.29e-10
-        assert sig3(geo.m_over_rB) == 1.05e-10
-        assert sig3(leo.a_over_rA) == 5.11e-7
-        assert sig3(leo.a_over_rB) == 3.89e-7
-        assert sig3(geo.a_over_rB) == 7.73e-8
-        assert sig3(leo.rA_omegaA) == 1.55e-6
-        assert geo.m_over_rA == leo.m_over_rA
+        leo = PRESETS["earth-leo"].ratios()
+        geo = PRESETS["earth-geo"].ratios()
+        assert sig3(leo["M/r_emitter"]) == 6.95e-10
+        assert sig3(leo["M/r_receiver"]) == 5.29e-10
+        assert sig3(geo["M/r_receiver"]) == 1.05e-10
+        assert sig3(leo["a/r_emitter"]) == 5.11e-7
+        assert sig3(leo["a/r_receiver"]) == 3.89e-7
+        assert sig3(geo["a/r_receiver"]) == 7.73e-8
+        assert sig3(leo["r_emitter*omega/c"]) == 1.55e-6
+        assert geo["M/r_emitter"] == leo["M/r_emitter"]
 
 
 def test_2_shift_decomposition_magnitudes():

@@ -59,7 +59,7 @@ from kerr_qlink.oracle import integrate_schwarzschild_radial
 from kerr_qlink.perturb import decompose_ground, decompose_sats
 from kerr_qlink.record import Frozen
 from kerr_qlink.shift import LinkScheme, shift, shift_via_contraction
-from kerr_qlink.units import EARTH, C, dimensionless_params, geo_radius, leo_radius
+from kerr_qlink.units import EARTH, C, geo_radius, leo_radius
 from kerr_qlink.wavepacket import overlap_analytic
 
 
@@ -195,7 +195,7 @@ class TestReport:
         assert rep.delta_S == pytest.approx(expected.DELTA_S_LEO, rel=1e-12)
         assert rep.bound_schwarzschild_rel == pytest.approx(
             expected.BOUND_RS_LEO, rel=1e-12)
-        assert rep.qber_value == pytest.approx(
+        assert rep.qber == pytest.approx(
             float(expected.DELTA_LEO) ** 2 * 7e14 ** 2 / 8e12, rel=1e-9)
         assert rep.regime == "valid"
         text = rep.render_text()
@@ -263,7 +263,7 @@ class TestReport:
         assert any("higher-order" in n for n in rep.notes)
         assert rep.bound_omega_rel == pytest.approx(
             expected.BOUND_OMEGA_GROUND, rel=1e-12)
-        assert rep.qber_value == pytest.approx(expected.QBER_ZERO_ORBIT, rel=0.05)
+        assert rep.qber == pytest.approx(expected.QBER_ZERO_ORBIT, rel=0.05)
         assert "refused" in rep.render_text()
 
     def test_json_twin(self, tmp_path, capsys):
@@ -604,9 +604,9 @@ def _reference_report(cfg: ScenarioConfig) -> Report:
         delta_S=dec.delta_S.to_float(), delta_rot=dec.delta_rot.to_float(),
         delta_c=dec.delta_c.to_float(),
         theta=overlap.theta, fidelity=overlap.fidelity,
-        qfi_value=qfi(m), delta_delta_min=shift_uncertainty_floor(m),
+        qfi=qfi(m), delta_delta_min=shift_uncertainty_floor(m),
         bound_schwarzschild_rel=bound_rs, bound_omega_rel=bound_omega,
-        omega_orders_vs_reference=orders, qber_value=qber_value,
+        omega_orders_vs_reference=orders, qber=qber_value,
         regime="valid" if status else f"invalid: {status.reason}",
         notes=notes,
     )
@@ -630,8 +630,8 @@ def _reference_row(index: int, value: float, cfg: ScenarioConfig) -> str:
         return ",".join(cells)
     values = (value, rep.f.hi, rep.f.lo, rep.delta.hi, rep.delta.lo,
               rep.delta_S, rep.delta_rot, rep.delta_c, rep.theta,
-              rep.qfi_value, rep.delta_delta_min, rep.bound_schwarzschild_rel,
-              rep.bound_omega_rel, rep.qber_value)
+              rep.qfi, rep.delta_delta_min, rep.bound_schwarzschild_rel,
+              rep.bound_omega_rel, rep.qber)
     cells = [str(index), *map(fmt, values), rep.regime,
              _reference_escape("; ".join(rep.notes))]
     return ",".join(cells)
@@ -1014,7 +1014,7 @@ class TestRegimeClassifiedOnce:
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_report_classifies_once(self, calls, preset):
         rep = assemble_report(PRESETS[preset])
-        assert rep.regime == "valid" and rep.qber_value is not None
+        assert rep.regime == "valid" and rep.qber is not None
         assert len(calls) == 1
 
 
@@ -1205,7 +1205,7 @@ def _records() -> dict:
     k, photon = photon_tangent(p, r, 1.0)
     geodesic = integrate_schwarzschild_radial(p.M_geom, cfg.emitter_radius_m, r)
     found = [
-        link, link.emitter, p, EARTH, dimensionless_params(EARTH, r), result,
+        link, link.emitter, p, EARTH, result,
         dec, m, packet, overlap_analytic(packet, delta), regime_check(delta, m),
         bound_schwarzschild_radius(m, dec), metric_at(p, r), k, photon,
         assemble_report(cfg), SweepSpec("r_B", 7.0e6, 4.2e7, 5), CHECKS[0],
@@ -1379,4 +1379,4 @@ def test_readme_tour_runs_and_matches_the_report(capsys):
                          re.S).group(1)
     exec(tour, {})
     last = capsys.readouterr().out.splitlines()[-1]
-    assert float(last) == assemble_report(PRESETS["earth-leo"]).qber_value
+    assert float(last) == assemble_report(PRESETS["earth-leo"]).qber

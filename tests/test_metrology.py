@@ -15,7 +15,6 @@ from kerr_qlink.metrology import (
     bound_angular_velocity,
     bound_schwarzschild_radius,
     cramer_rao,
-    fidelity_two_mode,
     orders_vs_state_of_the_art,
     qber,
     qfi,
@@ -53,24 +52,6 @@ class TestRegime:
         K = CFG.mean_square_peak / (8.0 * CFG.sigma ** 2)
         delta = 5.0 / K
         assert not regime_check(delta, CFG).valid
-
-
-class TestFidelity:
-    def test_unity_at_zero(self):
-        assert fidelity_two_mode(0.0, CFG) == 1.0
-
-    def test_default_drop(self):
-        assert fidelity_two_mode(1e-12, CFG) == pytest.approx(
-            expected.FIDELITY_AT_1E12, rel=1e-14)
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            fidelity_two_mode(1e-3, CFG)
-
-    @given(st.floats(min_value=1e-14, max_value=5e-12))
-    @settings(max_examples=100)
-    def test_monotone_decreasing_in_offset(self, d):
-        assert fidelity_two_mode(2.0 * d, CFG) < fidelity_two_mode(d, CFG)
 
 
 class TestQFI:

@@ -90,8 +90,17 @@ class TestSatDecomposition:
         assert abs((dec.delta_total - exact).to_float()) < 1e-28
 
     def test_rejects_bad_ordering(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="must exceed emitter radius"):
             decompose_sats(P, geo_radius(), leo_radius(), DD(0.0))
+
+    def test_identical_orbits_decompose_into_zeros(self):
+        # LinkScenario accepts identical orbits (a unit shift); so does the
+        # decomposition, which splits their zero delta exactly
+        r = leo_radius()
+        delta = shift_sat_to_sat(sat_link(r, r)).delta
+        dec = decompose_sats(P, r, r, delta)
+        for term in dec:
+            assert (term.hi, term.lo) == (0.0, 0.0)
 
 
 class TestResidualScale:

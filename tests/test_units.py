@@ -1,21 +1,22 @@
 """Constants, unit conversion and the dimensionless parameter table."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import expected
+from kerr_qlink.cli.report import assemble_report
+from kerr_qlink.cli.scenario import PRESETS
 from kerr_qlink.errors import DomainError
 from kerr_qlink.units import (
     C,
     EARTH,
     G,
-    DimensionlessParams,
     EarthModel,
     SpacetimeParams,
-    dimensionless_params,
     geo_radius,
     geometric_mass,
     kerr_parameter_from_inertia,
@@ -117,10 +118,6 @@ class TestSpacetimeParams:
         with pytest.raises(DomainError, match="SpacetimeParams.a must be finite"):
             SpacetimeParams(expected.M_GEOM, bad)
 
-    def test_angular_momentum(self):
-        p = SpacetimeParams(2.0, 3.0)
-        assert p.J_geom == 6.0
-
 
 class TestEarthModel:
     def test_inertia_consistency_enforced(self):
@@ -143,44 +140,45 @@ class TestEarthModel:
 
 
 class TestDimensionlessParams:
+    """The ratio table through ScenarioConfig.ratios(), on the presets."""
+
     def test_leo_table(self):
-        d = dimensionless_params(EARTH, leo_radius())
-        assert sig3(d.m_over_rA) == expected.TABLE["m_over_rA"]
-        assert sig3(d.m_over_rB) == expected.TABLE["m_over_rB_leo"]
-        assert sig3(d.a_over_rA) == expected.TABLE["a_over_rA"]
-        assert sig3(d.a_over_rB) == expected.TABLE["a_over_rB_leo"]
-        assert sig3(d.rA_omegaA) == expected.TABLE["rA_omegaA"]
+        d = PRESETS["earth-leo"].ratios()
+        assert sig3(d["M/r_emitter"]) == expected.TABLE["m_over_rA"]
+        assert sig3(d["M/r_receiver"]) == expected.TABLE["m_over_rB_leo"]
+        assert sig3(d["a/r_emitter"]) == expected.TABLE["a_over_rA"]
+        assert sig3(d["a/r_receiver"]) == expected.TABLE["a_over_rB_leo"]
+        assert sig3(d["r_emitter*omega/c"]) == expected.TABLE["rA_omegaA"]
 
     def test_geo_table(self):
-        d = dimensionless_params(EARTH, geo_radius())
-        assert sig3(d.m_over_rB) == expected.TABLE["m_over_rB_geo"]
-        assert sig3(d.a_over_rB) == expected.TABLE["a_over_rB_geo"]
+        d = PRESETS["earth-geo"].ratios()
+        assert sig3(d["M/r_receiver"]) == expected.TABLE["m_over_rB_geo"]
+        assert sig3(d["a/r_receiver"]) == expected.TABLE["a_over_rB_geo"]
 
     def test_rejects_radius_below_surface(self):
-        with pytest.raises(DomainError):
-            dimensionless_params(EARTH, EARTH.r_A)
+        # the ratios refuse nothing themselves; the report that shows them
+        # refuses a receiver at the surface, in the decomposition
+        at_surface = replace(PRESETS["earth-leo"], receiver_radius_m=EARTH.r_A)
+        with pytest.raises(DomainError, match="must exceed the surface radius"):
+            assemble_report(at_surface)
 
     def test_all_ratios_small(self):
-        d = dimensionless_params(EARTH, leo_radius())
-        for name in ("m_over_rA", "m_over_rB", "a_over_rA", "a_over_rB", "rA_omegaA"):
-            assert 0.0 < getattr(d, name) < 1e-5
-
-    def test_open_interval_enforced(self):
-        with pytest.raises(DomainError):
-            DimensionlessParams(0.0, 0.5, 0.5, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            DimensionlessParams(0.5, 0.5, 0.5, 0.5, 1.0)
+        d = PRESETS["earth-leo"].ratios()
+        for name in ("M/r_emitter", "M/r_receiver", "a/r_emitter",
+                     "a/r_receiver", "r_emitter*omega/c"):
+            assert 0.0 < d[name] < 1e-5
 
     @given(st.floats(min_value=1.01, max_value=50.0))
     def test_ratio_scale_invariance(self, scale):
         # m/r and a/r are invariant when every length rescales together
-        big = EarthModel(mass_kg=EARTH.mass_kg * scale,
-                         r_A=EARTH.r_A * scale,
-                         omega_A=EARTH.omega_A / scale,
-                         a_m=EARTH.a_m * scale,
-                         inertia=EARTH.inertia * scale ** 3)
-        base = dimensionless_params(EARTH, leo_radius())
-        scaled = dimensionless_params(big, leo_radius() * scale)
-        assert scaled.m_over_rA == pytest.approx(base.m_over_rA, rel=1e-12)
-        assert scaled.a_over_rB == pytest.approx(base.a_over_rB, rel=1e-12)
+        leo = PRESETS["earth-leo"]
+        big = replace(leo, planet_mass_kg=leo.planet_mass_kg * scale,
+                      emitter_radius_m=leo.emitter_radius_m * scale,
+                      ground_omega_rad_s=leo.ground_omega_rad_s / scale,
+                      planet_spin_parameter_m=leo.planet_spin_parameter_m * scale,
+                      receiver_radius_m=leo.receiver_radius_m * scale)
+        base = leo.ratios()
+        scaled = big.ratios()
+        assert scaled["M/r_emitter"] == pytest.approx(base["M/r_emitter"], rel=1e-12)
+        assert scaled["a/r_receiver"] == pytest.approx(base["a/r_receiver"], rel=1e-12)
 
