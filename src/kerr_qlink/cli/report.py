@@ -1,4 +1,4 @@
-"""Scenario reports and CSV sweeps.
+"""Scenario reports, and the file of a CSV sweep.
 
 A report aggregates the whole pipeline for one scenario: shift, decomposition,
 packet overlap, Fisher information, Cramer-Rao floor, parameter bounds and the
@@ -7,22 +7,14 @@ order propagation near a vanishing mass term, error rate outside its regime)
 come back as None with the refusal message, so sweeps keep running through
 such points.
 
-A sweep runs one loop over chunks of SWEEP_CHUNK points and shares nothing
-between chunks: a chunk is the config whose swept field holds its values as
-a DDColumn, validated element by element, and takes a report's route into
-the closed form, as columns for a radius sweep.  What every point of a chunk
-shares is computed and formatted once, and each row is one %-formatting of
-the values that vary from point to point.  Each chunk's rows are written as
-soon as they are computed, so a sweep holds one chunk's rows at a time.
-
-CSV rows carry the compensated quantities as (hi, lo) column pairs and every
-fast-path value with 17 significant digits; identical configurations produce
-byte-identical files (modulo the optional timestamp header line).
+A sweep point takes a report's route: ``_link``, ``_metrology``,
+``_rotation`` and ``_outcomes`` here.  ``run_sweep`` opens the CSV file and
+writes each chunk's rows; the rows themselves are computed in ``cli.sweep``,
+which loads only when a sweep runs, so a report never compiles it.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from ..ddouble import DD, DDColumn
@@ -237,146 +229,6 @@ def run_report(cfg: ScenarioConfig, out_path: Optional[str] = None) -> str:
     return text
 
 
-CSV_COLUMNS = (
-    "index", "sweep_value", "f_hi", "f_lo", "delta_hi", "delta_lo",
-    "delta_S", "delta_rot", "delta_c", "theta", "qfi", "delta_delta_min",
-    "bound_schwarzschild_rel", "bound_omega_rel", "qber", "regime", "error",
-)
-
-
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else format(x, ".17e")
-
-
-def _csv_escape(text: str) -> str:
-    if any(ch in text for ch in ",\"\n"):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _error_row(index: int, value: float, exc: KerrQlinkError) -> str:
-    cells = [str(index), _fmt(value)] + [""] * (len(CSV_COLUMNS) - 3) \
-        + [_csv_escape(f"{type(exc).__name__}: {exc}")]
-    return ",".join(cells)
-
-
-# the float cells whose formula may refuse, in the order of a row's key
-_REFUSABLE = ("bound_schwarzschild_rel", "bound_omega_rel", "qber")
-
-
-def _limbs(x, n: int) -> list[tuple[float, float]]:
-    """The (hi, lo) limbs of n points' value x: a column's elements, or a
-    DD's limbs n times."""
-    return x.limbs if type(x) is DDColumn else [(x.hi, x.lo)] * n
-
-
-def _template(constants: dict[str, Optional[float]], refused: set) -> str:
-    """The %-template of a row whose cells named in ``constants`` hold those
-    chunk constants, formatted here.  The other cells take the row's values
-    in order: the index, 17-digit floats, "%.0s" (which prints nothing) for a
-    refused float named in ``refused``, then the regime and notes as text."""
-    return ",".join([
-        "%d",
-        *(_fmt(constants[name]) if name in constants
-          else "%.0s" if name in refused else "%.17e"
-          for name in CSV_COLUMNS[1:-2]),
-        "%s", "%s"])
-
-
-def _rows(start: int, values: list[float], cfg: ScenarioConfig,
-          spec: SweepSpec) -> list[str]:
-    """CSV rows of the sweep points ``values``, the first of them point
-    ``start``, from ``cfg``, whose swept field holds them (a DDColumn, or the
-    one value); raises what any point's evaluation raises.
-
-    The config is validated once and the link runs on it once; a radius
-    sweep's metrology runs once too, any other sweep's per point.  A value
-    that is a DD rather than a DDColumn is a chunk constant, and so is the
-    one metrology and the rotation outcome of a constant rotation term and
-    floor: each is computed and formatted once.  Each row is one
-    %-formatting of its point's values; a refused overlap makes it an error
-    row.
-    """
-    cfg.validate()
-    n = len(values)
-    result, dec = _link(cfg)
-    constants: dict[str, Optional[float]] = {}
-    for name, x in (("f", result.f), ("delta", result.delta)):
-        if type(x) is DD:
-            constants[name + "_hi"], constants[name + "_lo"] = x.hi, x.lo
-    for name in ("delta_S", "delta_rot", "delta_c"):
-        if type(getattr(dec, name)) is DD:
-            constants[name] = getattr(dec, name).to_float()
-    delta_S, delta_rot, delta_c = (
-        [hi + lo for hi, lo in _limbs(x, n)]
-        for x in (dec.delta_S, dec.delta_rot, dec.delta_c))
-    if spec.variable in ("r_B", "r_C"):
-        metrology = [_metrology(cfg)] * n
-        _, constants["qfi"], constants["delta_delta_min"], _ = metrology[0]
-    else:
-        metrology = [_metrology(spec.apply(cfg, v)) for v in values]
-    if "delta_rot" in constants and "delta_delta_min" in constants:
-        rotation = [_rotation(constants["delta_rot"],
-                              constants["delta_delta_min"])] * n
-        constants["bound_omega_rel"] = rotation[0][0]
-    else:
-        rotation = [_rotation(x, m[2]) for x, m in zip(delta_rot, metrology)]
-    cells = itemgetter(*(i for i, name in enumerate(CSV_COLUMNS)
-                         if name not in constants))
-    templates: dict[tuple, str] = {}
-    rows = []
-    for index, (value, (f_hi, f_lo), (d_hi, d_lo), d_s, d_rot, d_c, m,
-                rot) in enumerate(zip(values, _limbs(result.f, n),
-                                      _limbs(result.delta, n), delta_S,
-                                      delta_rot, delta_c, metrology,
-                                      rotation), start):
-        try:
-            overlap, bound_rs, bound_omega, _, qber_value, regime, notes = \
-                _outcomes(d_hi + d_lo, d_s, d_c, rot, m)
-        except KerrQlinkError as exc:
-            rows.append(_error_row(index, value, exc))
-            continue
-        key = (bound_rs is None, bound_omega is None, qber_value is None)
-        template = templates.get(key)
-        if template is None:
-            refused = {name for name, none in zip(_REFUSABLE, key) if none}
-            template = templates[key] = _template(constants, refused)
-        rows.append(template % cells((
-            index, value, f_hi, f_lo, d_hi, d_lo, d_s, d_rot, d_c,
-            overlap.theta, m[1], m[2], bound_rs, bound_omega, qber_value,
-            regime, _csv_escape("; ".join(notes)) if notes else "")))
-    return rows
-
-
-# Sweep points evaluated together, as one column in a radius sweep, and
-# written together.  The chunk size bounds a sweep's working memory whatever
-# its length: the columns, rows and text of one chunk are alive at a time
-# (a tracemalloc peak of about 80 KB for a one-chunk earth-leo r_B sweep);
-# only the list of sweep values grows with the sweep.  A refused chunk costs
-# more as it grows too, since its points then run alone.  A chunk has a
-# fixed cost of about 150 us (validation, the terms and metrology it shares,
-# 120-160 us in least-squares fits of _rows time over 4- to 128-point
-# earth-leo r_B chunks), about 2.4 us a point at 64.
-SWEEP_CHUNK = 64
-
-
-def _chunk_rows(start: int, chunk: list[float], column: ScenarioConfig,
-                cfg: ScenarioConfig, spec: SweepSpec) -> list[str]:
-    """The rows of one chunk: ``_rows`` of its column config, or, when
-    anything in it is refused or arithmetic fails, of each point alone, a
-    refused point as an error row."""
-    try:
-        return _rows(start, chunk, column, spec)
-    except (KerrQlinkError, ArithmeticError):
-        rows = []
-        for index, value in enumerate(chunk, start):
-            try:
-                rows += _rows(index, [value], spec.apply(cfg, value), spec)
-            except KerrQlinkError as exc:
-                rows.append(_error_row(index, value, exc))
-        return rows
-
-
 def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
               no_timestamp: bool = False,
               threads: Optional[int] = None) -> int:
@@ -401,6 +253,8 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
     the sweep starts.  ``threads`` is accepted and ignored; it remains for
     callers written when the sweep ran on a thread pool.
     """
+    from .sweep import CSV_COLUMNS, SWEEP_CHUNK, _chunk_rows
+
     values = spec.values()
     # built before the file opens, so a variable the scenario cannot sweep
     # is refused with nothing written

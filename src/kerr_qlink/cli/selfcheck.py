@@ -12,16 +12,20 @@ import random
 from typing import Callable, NamedTuple
 
 from ..ddouble import DD, DDColumn, floats
-from ..errors import RegimeError
-from ..geometry import (
-    Worldline,
+from ..crosscheck import (
     contract,
     ground_station_velocity,
     metric_at,
     orbit_velocity,
+    overlap_numeric,
     photon_tangent,
+    qfi_numeric_limit,
+    shift_schwarzschild,
+    shift_via_contraction,
 )
-from ..metrology import MetrologyConfig, cramer_rao, qber, qfi, qfi_numeric_limit
+from ..errors import RegimeError
+from ..geometry import Worldline
+from ..metrology import MetrologyConfig, cramer_rao, qber, qfi
 from ..oracle import (
     SeriesParam,
     delta_exact_ground,
@@ -36,8 +40,6 @@ from ..shift import (
     shift,
     shift_ground_to_sat,
     shift_sat_to_sat,
-    shift_schwarzschild,
-    shift_via_contraction,
 )
 from ..units import (
     C,
@@ -49,7 +51,7 @@ from ..units import (
     kerr_parameter_from_inertia,
     leo_radius,
 )
-from ..wavepacket import GaussianWavepacket, overlap_analytic, overlap_numeric, propagate
+from ..wavepacket import GaussianWavepacket, overlap_analytic, propagate
 from .report import _link
 from .scenario import PRESETS
 

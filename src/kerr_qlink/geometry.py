@@ -1,5 +1,7 @@
-"""Equatorial metric of a rotating planet, observer four-velocities, the
-radial-photon tangent vector, and the bilinear metric contraction.
+"""Observers in the equatorial spacetime of a rotating planet: ground-station
+and circular-orbit worldlines, the geodesic orbit angular velocity, and each
+endpoint's deviation from flat space, written once and shared by the closed
+form in ``shift`` and the contraction route in ``crosscheck``.
 
 Everything is evaluated in geometric units (meters) and carried in
 double-double arithmetic: the metric deviations from flat space are of order
@@ -13,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from typing import NamedTuple
 
 from .ddouble import DD, ONE, floats
 from .errors import DomainError
@@ -73,33 +74,6 @@ class Worldline(Frozen):
         return Worldline(WorldlineKind.CIRCULAR_ORBIT, r, DD(0.0), direction)
 
 
-class FourVector(NamedTuple):
-    """Equatorial four-vector; the polar component is identically zero."""
-
-    t_comp: DD
-    r_comp: DD
-    phi_comp: DD
-
-
-class MetricAt(NamedTuple):
-    """Metric components at one equatorial radius.
-
-    ``dev_tt`` keeps the deviation 2M/r separately so that g_tt = -(1 - dev_tt)
-    never buries the 1e-9 physics inside the leading 1.
-    """
-
-    r: float
-    dev_tt: DD  # 2M/r
-    g_rr: DD  # 1/Delta
-    g_phiphi: DD  # r^2 + a^2 + 2 M a^2 / r
-    g_tphi: DD  # -2 M a / r
-    Delta: DD  # 1 - 2M/r + a^2/r^2
-
-    @property
-    def g_tt(self) -> DD:
-        return self.dev_tt - ONE
-
-
 def _check_outside_mass_scale(p: SpacetimeParams, r, what: str) -> None:
     """Refuse a radius, or any radius of a column, at or inside 2M."""
     for x in floats(r):
@@ -107,19 +81,6 @@ def _check_outside_mass_scale(p: SpacetimeParams, r, what: str) -> None:
             raise DomainError(
                 f"{what}: radius {x} m does not exceed 2M = {2.0 * p.M_geom} m"
             )
-
-
-def metric_at(p: SpacetimeParams, r: float) -> MetricAt:
-    """Equatorial metric components at radius r (meters)."""
-    _check_outside_mass_scale(p, r, "metric_at")
-    x = DD.quotient(2.0 * p.M_geom, r)  # 2M/r
-    aa = DD.product(p.a, p.a)
-    rr = DD.product(r, r)
-    delta = ONE - x + aa / rr
-    g_phiphi = rr + aa + aa * x
-    g_tphi = -(x * p.a)
-    return MetricAt(r=r, dev_tt=x, g_rr=ONE / delta, g_phiphi=g_phiphi,
-                    g_tphi=g_tphi, Delta=delta)
 
 
 # below the largest double whose Dekker split, 134217729 x, stays finite
@@ -171,98 +132,3 @@ def _orbit_parts(p: SpacetimeParams, orbit: Worldline) -> tuple[DD, DD, DD]:
     aw = omega * p.a
     dev = DD.product(3.0, p.M_geom) / r - 2.0 * eps * aw
     return omega, aw, dev
-
-
-def ground_station_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, DD]:
-    """Return (gamma, gamma_argument) for a spinning ground station outside
-    2M.
-
-    gamma_argument = 1 - omega^2 (r^2 + a^2) - (2M/r)(1 - a*omega)^2 must be
-    positive, otherwise the station would be superluminal.
-    """
-    _check_outside_mass_scale(p, w.r, "ground-station normalization")
-    arg = ONE - _ground_parts(p, w)[2]
-    for r, x in zip(floats(w.r), floats(arg)):
-        if not x > 0.0:
-            raise DomainError(
-                "ground-station normalization argument is not positive "
-                f"(superluminal worldline at r = {r} m)"
-            )
-    return ONE / arg.sqrt(), arg
-
-
-def orbit_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, DD, DD]:
-    """Return (gamma, gamma_argument, omega_orbit) for a circular orbit
-    outside 2M.
-
-    gamma_argument = 1 - 3M/r + 2 eps a omega must be positive; it fails close
-    to the photon-orbit scale, far inside any planetary application.
-    """
-    _check_outside_mass_scale(p, w.r, "orbit normalization")
-    omega, _, dev = _orbit_parts(p, w)
-    arg = ONE - dev
-    for r, x in zip(floats(w.r), floats(arg)):
-        if not x > 0.0:
-            raise DomainError(
-                "orbit normalization argument is not positive "
-                f"(r = {r} m is inside the photon-orbit pathology)"
-            )
-    return ONE / arg.sqrt(), arg, omega
-
-
-def ground_station_velocity(p: SpacetimeParams, w: Worldline) -> FourVector:
-    """Four-velocity gamma * (1, 0, omega) of a spinning ground station."""
-    if w.kind is not WorldlineKind.GROUND_STATION:
-        raise DomainError("ground_station_velocity requires a ground-station worldline")
-    gamma, _ = ground_station_normalization(p, w)
-    return FourVector(gamma, DD(0.0), gamma * w.omega_geom)
-
-
-def orbit_velocity(p: SpacetimeParams, w: Worldline) -> FourVector:
-    """Four-velocity gamma * (1 + eps a omega, 0, eps omega) of a circular orbit."""
-    if w.kind is not WorldlineKind.CIRCULAR_ORBIT:
-        raise DomainError("orbit_velocity requires a circular-orbit worldline")
-    gamma, _, omega = orbit_normalization(p, w)
-    eps = w.direction
-    return FourVector(gamma * (ONE + eps * omega * p.a), DD(0.0),
-                      gamma * omega * eps)
-
-
-class PhotonState(NamedTuple):
-    """Constants of motion of a geometrically radial photon.
-
-    ``kappa`` is the squared-radial-component factor of the tangent vector;
-    ``L_gamma_at_r`` is the longitudinal angular momentum expression evaluated
-    pointwise at the construction radius.
-    """
-
-    E_gamma: float
-    kappa: DD
-    L_gamma_at_r: DD
-
-
-def photon_tangent(p: SpacetimeParams, r: float, E_gamma: float) -> tuple[FourVector, PhotonState]:
-    """Tangent vector k = E * (1/(1 - 2M/r), sqrt(kappa), 0) of a radial photon."""
-    _check_outside_mass_scale(p, r, "photon_tangent")
-    if E_gamma <= 0.0:
-        raise DomainError("photon energy must be positive")
-    x = DD.quotient(2.0 * p.M_geom, r)
-    one_minus_x = ONE - x
-    aa_over_rr = DD.product(p.a, p.a) / DD.product(r, r)
-    ma_over_rr = DD.product(p.M_geom, p.a) / DD.product(r, r)
-    kappa = ONE + aa_over_rr * (ONE + x) + 4.0 * ma_over_rr * ma_over_rr / one_minus_x
-    k = FourVector(DD.of(E_gamma) / one_minus_x,
-                   E_gamma * kappa.sqrt(),
-                   DD(0.0))
-    ell = -(x * (p.a * E_gamma)) / one_minus_x
-    return k, PhotonState(E_gamma=E_gamma, kappa=kappa, L_gamma_at_r=ell)
-
-
-def contract(g: MetricAt, x: FourVector, y: FourVector) -> DD:
-    """Full bilinear contraction g(x, y) in the equatorial plane."""
-    return (
-        g.g_tt * (x.t_comp * y.t_comp)
-        + g.g_rr * (x.r_comp * y.r_comp)
-        + g.g_phiphi * (x.phi_comp * y.phi_comp)
-        + g.g_tphi * (x.t_comp * y.phi_comp + x.phi_comp * y.t_comp)
-    )

@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .ddouble import DD, ONE
-from .errors import DomainError, NumericalError, RegimeError
+from .errors import DomainError, RegimeError
 from .record import Frozen
 from .perturb import (
     ShiftDecomposition,
@@ -133,38 +132,6 @@ def qfi(cfg: MetrologyConfig) -> float:
     """Quantum Fisher information for the shift parameter."""
     sh = math.sinh(cfg.squeezing)
     return (cfg.omega1 ** 2 + cfg.omega2 ** 2) / cfg.sigma ** 2 * sh * sh
-
-
-# The largest step of qfi_numeric_limit's ladder, and the relative agreement
-# its two Richardson estimates must reach.
-QFI_LIMIT_STEP = 2e-12
-QFI_LIMIT_RTOL = 1e-8
-
-
-def qfi_numeric_limit(cfg: MetrologyConfig) -> float:
-    """QFI as the numeric limit 8 (1 - sqrt(F)) / d_delta^2, d_delta -> 0.
-
-    Evaluated in compensated arithmetic at the steps h, h/2 and h/4, whose
-    limit errors are O(h^2); one Richardson level on each adjacent pair
-    removes that error, and the two refined estimates must agree.
-    """
-    sh = math.sinh(cfg.squeezing)
-    coef = DD.of(cfg.omega1 ** 2 + cfg.omega2 ** 2) / (4.0 * cfg.sigma ** 2) \
-        * (sh * sh)
-
-    def estimate(h: float) -> DD:
-        hh = DD.product(h, h)
-        fid = ONE - coef * hh
-        if fid.sign() <= 0:
-            raise DomainError("qfi_numeric_limit step too large for the expansion")
-        return 8.0 * (ONE - fid.sqrt()) / hh
-
-    e0, e1, e2 = (estimate(QFI_LIMIT_STEP / 2 ** i) for i in range(3))
-    prev = ((4.0 * e1 - e0) / 3.0).to_float()
-    best = ((4.0 * e2 - e1) / 3.0).to_float()
-    if not math.isfinite(best) or abs(best - prev) > QFI_LIMIT_RTOL * abs(best):
-        raise NumericalError("Richardson ladder for the QFI limit did not converge")
-    return best
 
 
 def cramer_rao(H: float, N: float) -> float:

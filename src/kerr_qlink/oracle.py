@@ -41,8 +41,11 @@ def _gamma_ground_arg(M: Decimal, a: Decimal, r: Decimal, w: Decimal) -> Decimal
     return 1 - w * w * (r * r + a * a) - (2 * M / r) * (1 - a * w) ** 2
 
 
-def _gamma_orbit_arg(M: Decimal, a: Decimal, r: Decimal, eps: int) -> Decimal:
-    return 1 - 3 * M / r + 2 * eps * a * _omega_orbit(M, r)
+def _gamma_orbit_arg(M: Decimal, a: Decimal, r: Decimal, eps: int,
+                     omega: Decimal) -> Decimal:
+    """Normalization argument of the orbit at r whose angular velocity
+    ``_omega_orbit(M, r)`` the caller has taken once."""
+    return 1 - 3 * M / r + 2 * eps * a * omega
 
 
 def _require_positive(x: Decimal, what: str) -> None:
@@ -52,12 +55,13 @@ def _require_positive(x: Decimal, what: str) -> None:
 
 def _ground_shift(M, a, r_A, w, r_B, eps) -> Decimal:
     arg_a = _gamma_ground_arg(M, a, r_A, w)
-    arg_b = _gamma_orbit_arg(M, a, r_B, eps)
+    w_b = _omega_orbit(M, r_B)
+    arg_b = _gamma_orbit_arg(M, a, r_B, eps, w_b)
     _require_positive(arg_a, "the ground-station normalization argument")
     _require_positive(arg_b, "the receiver-orbit normalization argument")
     x_a = 2 * M / r_A
     x_b = 2 * M / r_B
-    pref = (1 + eps * a * _omega_orbit(M, r_B) / (1 - x_b)) \
+    pref = (1 + eps * a * w_b / (1 - x_b)) \
         / (1 + x_a * a * w / (1 - x_a))
     return pref * (arg_a / arg_b).sqrt()
 
@@ -94,14 +98,16 @@ def shift_exact_sats(M: float, a: float, r_C: float, r_B: float,
                      digits: int = MIN_DIGITS) -> Decimal:
     """Shift f from an orbit at r_C (direction eta) to one at r_B (eps)."""
     with _exact(digits, M, a, r_C, r_B, eta, eps) as (M, a, r_C, r_B, eta, eps):
-        arg_c = _gamma_orbit_arg(M, a, r_C, eta)
-        arg_b = _gamma_orbit_arg(M, a, r_B, eps)
+        w_c = _omega_orbit(M, r_C)
+        arg_c = _gamma_orbit_arg(M, a, r_C, eta, w_c)
+        w_b = _omega_orbit(M, r_B)
+        arg_b = _gamma_orbit_arg(M, a, r_B, eps, w_b)
         _require_positive(arg_c, "the emitter-orbit normalization argument")
         _require_positive(arg_b, "the receiver-orbit normalization argument")
         x_c = 2 * M / r_C
         x_b = 2 * M / r_B
-        pref = (1 + eps * a * _omega_orbit(M, r_B) / (1 - x_b)) \
-            / (1 + eta * a * _omega_orbit(M, r_C) / (1 - x_c))
+        pref = (1 + eps * a * w_b / (1 - x_b)) \
+            / (1 + eta * a * w_c / (1 - x_c))
         return pref * (arg_c / arg_b).sqrt()
 
 
@@ -129,7 +135,7 @@ def gamma_exact_orbit(M: float, a: float, r: float, eps: int = +1,
                       digits: int = MIN_DIGITS) -> Decimal:
     """Normalization gamma of a circular orbit at r in direction eps."""
     with _exact(digits, M, a, r, eps) as (M, a, r, eps):
-        arg = _gamma_orbit_arg(M, a, r, eps)
+        arg = _gamma_orbit_arg(M, a, r, eps, _omega_orbit(M, r))
         _require_positive(arg, "the orbit normalization argument")
         return 1 / arg.sqrt()
 

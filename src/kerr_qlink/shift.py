@@ -1,6 +1,7 @@
 """Exact frequency shift f and cancellation-safe delta = f - 1 for both link
-schemes, the Schwarzschild and flat limits, an independent contraction-based
-evaluation, and zero-shift orbit finding.
+schemes, and zero-shift orbit finding.  The independent routes that check it
+(the metric contraction and the written-out Schwarzschild limit) are in
+``crosscheck``.
 
 The shift for both schemes factors as
 
@@ -32,11 +33,6 @@ from .geometry import (
     _check_outside_mass_scale,
     _ground_parts,
     _orbit_parts,
-    contract,
-    ground_station_velocity,
-    metric_at,
-    orbit_velocity,
-    photon_tangent,
 )
 from .record import Frozen
 from .units import SpacetimeParams
@@ -158,50 +154,11 @@ def shift_sat_to_sat(s: LinkScenario) -> ShiftResult:
     return _closed_form(s)
 
 
-def shift_schwarzschild(M_geom: float, r_A: float, r_B: float) -> ShiftResult:
-    """Non-rotating limit: f = sqrt((1 - 2M/r_A)/(1 - 3M/r_B))."""
-    if M_geom < 0.0:
-        raise DomainError("geometric mass must be non-negative")
-    if M_geom > 0.0 and r_A <= 2.0 * M_geom:
-        raise DomainError(f"emitter radius {r_A} m does not exceed 2M")
-    if M_geom > 0.0 and r_B <= 3.0 * M_geom:
-        raise DomainError(f"receiver radius {r_B} m does not exceed 3M")
-    dev_emit = DD.quotient(2.0 * M_geom, r_A) if M_geom else DD(0.0)
-    dev_recv = (DD.product(3.0, M_geom) / r_B) if M_geom else DD(0.0)
-    return _assemble(DD(0.0), DD(0.0), dev_emit, dev_recv,
-                     "the emitter factor", "the receiver factor")
-
-
 def shift(s: LinkScenario) -> ShiftResult:
     """Closed-form shift for the scheme the scenario's emitter fixes."""
     if s.scheme is LinkScheme.GROUND_TO_SAT:
         return shift_ground_to_sat(s)
     return shift_sat_to_sat(s)
-
-
-def _endpoint_velocity(p: SpacetimeParams, w: Worldline):
-    if w.kind is WorldlineKind.GROUND_STATION:
-        return ground_station_velocity(p, w)
-    return orbit_velocity(p, w)
-
-
-def shift_via_contraction(s: LinkScenario) -> ShiftResult:
-    """f rebuilt from first principles: metric contraction of the photon
-    tangent with the endpoint four-velocities.
-
-    Independent code path used to cross-validate the closed form; its delta is
-    a plain difference and carries the ~1e-32 relative noise of f, not the
-    enhanced accuracy of the restructured assembly.
-    """
-    p = s.params
-    g_emit = metric_at(p, s.emitter.r)
-    g_recv = metric_at(p, s.receiver.r)
-    k_emit, _ = photon_tangent(p, s.emitter.r, 1.0)
-    k_recv, _ = photon_tangent(p, s.receiver.r, 1.0)
-    u_emit = _endpoint_velocity(p, s.emitter)
-    u_recv = _endpoint_velocity(p, s.receiver)
-    f = contract(g_recv, k_recv, u_recv) / contract(g_emit, k_emit, u_emit)
-    return ShiftResult(f=f, delta=f - ONE)
 
 
 # |delta| below which a bisection midpoint is taken as the zero-shift radius

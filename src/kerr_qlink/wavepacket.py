@@ -8,7 +8,7 @@ A packet is the normalised Gaussian amplitude
 and propagation through a link with shift ratio f maps (peak, width) to
 (f*peak, f*width) -- the unique Gaussian image under the frequency rescaling
 W -> W/f with unit L2 norm.  Distributions stay parametric; grids appear only
-in the quadrature oracle.
+in the quadrature cross-check, ``crosscheck.overlap_numeric``.
 
 Peak and width are stored compensated: the physically meaningful peak offset
 delta*peak (~1e5 Hz on a 7e14 Hz carrier) sits a few decades below the float
@@ -18,11 +18,10 @@ ulp of the carrier, and the quadrature cross-check needs it exactly.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 from .ddouble import DD
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .record import Frozen
 
 
@@ -105,79 +104,3 @@ def overlap_analytic(sent: GaussianWavepacket, delta: float) -> OverlapResult:
     # positional: keywords make the call slower, and a sweep makes it once
     # per point
     return OverlapResult(theta, theta * theta, deficit)
-
-
-# Half-width of the quadrature window in units of the product's width.
-_WINDOW_SIGMAS = 12.0
-# Tanh-sinh nodes run over |t| <= _T_MAX, where the weights are below 1e-35;
-# the step halves from 1 down to 2**-_MAX_LEVEL.
-_T_MAX = 4
-_MAX_LEVEL = 12
-_TOLERANCE = 1e-13  # relative to theta, which is at most 1
-
-
-def overlap_numeric(received: GaussianWavepacket,
-                    reference: GaussianWavepacket) -> OverlapResult:
-    """Overlap by tanh-sinh quadrature of the two amplitudes.
-
-    The product of the two amplitudes is itself a Gaussian in W, centred at
-    mu = (p1 s2^2 + p2 s1^2) / S and of width tau = sqrt(2) s1 s2 / sqrt(S),
-    with S = s1^2 + s2^2.  The integration runs in coordinates centred at mu
-    and scaled by tau, with mu's offsets from the peaks taken from their
-    compensated separation, so the integrand only ever sees
-    well-conditioned quantities and spans the window however far apart the
-    two widths are.  Integration covers [max(0, mu - 12 tau), mu + 12 tau].
-
-    The rule is the trapezoid rule in t after x = c + d tanh(pi/2 sinh t)
-    maps the window onto the real line (Takahashi & Mori 1974).  Its error
-    falls exponentially as the step shrinks, also when the zero-frequency cut
-    leaves the integrand large at the lower end.  The step halves from 1,
-    reusing every node; the error estimate is the difference of the last two
-    levels, which must fall to 1e-13 of theta (at most 1, so this bounds the
-    absolute error too) by step 2**-12, or NumericalError is raised.
-    """
-    s1 = received.width.to_float()
-    s2 = reference.width.to_float()
-    if s1 <= 0.0 or s2 <= 0.0:
-        raise DomainError("wavepacket widths must be positive")
-    sep = (received.peak - reference.peak).to_float()  # exact peak offset
-    sbar = math.hypot(s1, s2)
-    tau = math.sqrt(2.0) * s1 * (s2 / sbar)
-    # mu - p1 and mu - p2
-    off1 = -sep * (s1 / sbar) ** 2
-    off2 = sep * (s2 / sbar) ** 2
-    mu = reference.peak.to_float() + off2
-    norm = (2.0 * math.pi * s1 * s2) ** -0.5
-
-    def integrand(x: float) -> float:
-        w = tau * x  # frequency offset from mu
-        z1 = (w + off1) / (2.0 * s1)
-        z2 = (w + off2) / (2.0 * s2)
-        return math.exp(-z1 * z1 - z2 * z2)
-
-    x_lo = max(-_WINDOW_SIGMAS, -mu / tau)
-    c = 0.5 * (_WINDOW_SIGMAS + x_lo)
-    d = 0.5 * (_WINDOW_SIGMAS - x_lo)
-
-    def pair(t: float) -> float:
-        # the weight dx/dt without its factor d pi/2, times f at both nodes +-t
-        u = 0.5 * math.pi * math.sinh(t)
-        dx = d * math.tanh(u)
-        return math.cosh(t) / math.cosh(u) ** 2 * (integrand(c - dx) + integrand(c + dx))
-
-    scale = 0.5 * math.pi * d * norm * tau  # Jacobian dW = tau dx
-    total = integrand(c) + math.fsum(pair(k) for k in range(1, _T_MAX + 1))
-    theta = scale * total
-    for level in range(1, _MAX_LEVEL + 1):
-        h = 0.5 ** level
-        total += math.fsum(pair(k * h) for k in range(1, _T_MAX << level, 2))
-        theta, previous = scale * h * total, theta
-        # relative, so a tiny overlap is resolved too; below the smallest
-        # normal float there are no more digits to resolve
-        if abs(theta - previous) <= _TOLERANCE * max(theta, sys.float_info.min):
-            return OverlapResult(theta=theta, fidelity=theta * theta,
-                                 deficit=1.0 - theta * theta)
-    raise NumericalError(
-        f"overlap quadrature still moved by {abs(theta - previous):.3e} "
-        f"at step 2**-{_MAX_LEVEL}"
-    )

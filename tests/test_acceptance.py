@@ -25,15 +25,18 @@ import pytest
 
 import expected
 from conftest import earth_decomposition, earth_link, sat_link, sats_decomposition
-from kerr_qlink.ddouble import DD, ONE
-from kerr_qlink.geometry import (
-    Worldline,
+from kerr_qlink.crosscheck import (
     contract,
     ground_station_velocity,
     metric_at,
     orbit_velocity,
+    overlap_numeric,
     photon_tangent,
+    shift_schwarzschild,
+    shift_via_contraction,
 )
+from kerr_qlink.ddouble import DD, ONE
+from kerr_qlink.geometry import Worldline
 from kerr_qlink.metrology import (
     MetrologyConfig,
     bound_angular_velocity,
@@ -53,12 +56,10 @@ from kerr_qlink.shift import (
     shift,
     shift_ground_to_sat,
     shift_sat_to_sat,
-    shift_schwarzschild,
-    shift_via_contraction,
 )
 from kerr_qlink.cli.scenario import PRESETS
 from kerr_qlink.units import C, EARTH, SpacetimeParams, geo_radius, leo_radius
-from kerr_qlink.wavepacket import GaussianWavepacket, overlap_analytic, overlap_numeric, propagate
+from kerr_qlink.wavepacket import GaussianWavepacket, overlap_analytic, propagate
 
 P = EARTH.spacetime()
 CFG = MetrologyConfig()

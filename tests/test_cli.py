@@ -21,14 +21,9 @@ from hypothesis import strategies as st
 import expected
 import kerr_qlink
 from kerr_qlink.cli import report as report_module
+from kerr_qlink.cli import sweep as sweep_module
 from kerr_qlink.cli.main import main
-from kerr_qlink.cli.report import (
-    CSV_COLUMNS,
-    SWEEP_CHUNK,
-    Report,
-    assemble_report,
-    run_sweep,
-)
+from kerr_qlink.cli.report import Report, assemble_report, run_sweep
 from kerr_qlink.cli.scenario import (
     PRESETS,
     SWEEP_VARIABLES,
@@ -38,13 +33,14 @@ from kerr_qlink.cli.scenario import (
     parse_config_text,
 )
 from kerr_qlink.cli.selfcheck import CHECKS, run_verify
+from kerr_qlink.cli.sweep import CSV_COLUMNS, SWEEP_CHUNK
+from kerr_qlink.crosscheck import metric_at, photon_tangent, shift_via_contraction
 from kerr_qlink.ddouble import DDColumn
 from kerr_qlink.errors import (
     ConfigError,
     DomainError,
     KerrQlinkError,
 )
-from kerr_qlink.geometry import metric_at, photon_tangent
 from kerr_qlink.metrology import (
     MetrologyConfig,
     bound_angular_velocity,
@@ -58,7 +54,7 @@ from kerr_qlink.metrology import (
 from kerr_qlink.oracle import integrate_schwarzschild_radial
 from kerr_qlink.perturb import decompose_ground, decompose_sats
 from kerr_qlink.record import Frozen
-from kerr_qlink.shift import LinkScheme, shift, shift_via_contraction
+from kerr_qlink.shift import LinkScheme, shift
 from kerr_qlink.units import EARTH, C, geo_radius, leo_radius
 from kerr_qlink.wavepacket import overlap_analytic
 
@@ -1062,7 +1058,7 @@ class TestCliEntry:
         def no_rows(*args):
             raise AssertionError("a row was computed for an unwritable --out")
 
-        monkeypatch.setattr(report_module, "_rows", no_rows)
+        monkeypatch.setattr(sweep_module, "_rows", no_rows)
         cfgp = tmp_path / "sweep.cfg"
         cfgp.write_text("sweep_variable = N\nsweep_lo = 1e8\nsweep_hi = 1e12\n"
                         "sweep_points = 3\n")
@@ -1280,20 +1276,27 @@ class TestLeanReportPath:
         code = ("import sys\n"
                 "from kerr_qlink.cli.main import main\n"
                 "code = main(['verify', 'full'])\n"
-                "print(code, sorted({'scipy', 'numpy'} & set(sys.modules)))\n")
+                "print(code, sorted({'scipy', 'numpy'} & set(sys.modules)),\n"
+                "      'kerr_qlink.crosscheck' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         lines = proc.stdout.strip().splitlines()
-        assert lines[-2:] == ["27/28 checks passed", "4 []"]
+        assert lines[-2:] == ["27/28 checks passed", "4 [] True"]
 
     def test_report_loads_neither_the_verify_suite_nor_the_oracle(self):
         src = os.path.dirname(os.path.dirname(kerr_qlink.__file__))
         env = {**os.environ, "PYTHONPATH": src}
-        code = ("import sys\n"
+        # nor the cross-check routes or the sweep rows, after a report and
+        # after a zero-orbit search
+        code = ("import contextlib, io, sys\n"
                 "from kerr_qlink.cli.main import main\n"
+                "lazy = {'kerr_qlink.oracle', 'kerr_qlink.cli.selfcheck',\n"
+                "        'kerr_qlink.crosscheck', 'kerr_qlink.cli.sweep'}\n"
                 "code = main(['report', '--preset', 'earth-leo'])\n"
-                "print(code, sorted({'kerr_qlink.oracle', 'kerr_qlink.cli.selfcheck'}"
-                " & set(sys.modules)))\n"
+                "print(code, sorted(lazy & set(sys.modules)))\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = main(['zero-orbit', '--preset', 'earth-leo'])\n"
+                "print(code, sorted(lazy & set(sys.modules)))\n"
                 # a report without --out uses none of these
                 "print(sorted({'json', 'datetime', 'decimal'} & set(sys.modules)))\n"
                 # the one dataclass left on the path
@@ -1306,9 +1309,22 @@ class TestLeanReportPath:
                 "print(len(CHECKS), run_verify.__module__)\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.splitlines()[-4:] == [
-            "0 []", "[]", "['ScenarioConfig']",
+        assert proc.stdout.splitlines()[-5:] == [
+            "0 []", "0 []", "[]", "['ScenarioConfig']",
             f"{len(CHECKS)} kerr_qlink.cli.selfcheck"]
+
+    @pytest.mark.parametrize("name", [
+        "FourVector", "MetricAt", "PhotonState", "contract",
+        "ground_station_velocity", "metric_at", "orbit_velocity",
+        "photon_tangent", "shift_schwarzschild", "shift_via_contraction",
+        "overlap_numeric", "qfi_numeric_limit"])
+    def test_package_serves_the_cross_check_routes(self, name):
+        crosscheck = importlib.import_module("kerr_qlink.crosscheck")
+        assert getattr(kerr_qlink, name) is getattr(crosscheck, name)
+
+    def test_package_refuses_an_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_route"):
+            kerr_qlink.no_such_route
 
     def test_python_m_kerr_qlink_runs_the_cli_without_a_warning(self):
         src = os.path.dirname(os.path.dirname(kerr_qlink.__file__))

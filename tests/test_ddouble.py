@@ -407,12 +407,24 @@ wide_double = st.one_of(
 
 @st.composite
 def wide_dd(draw):
-    """A canonical DD over the whole double range: a lo limb of either
-    signed zero or below half an ulp of hi."""
+    """A canonical DD over the whole double range, fl(hi + lo) == hi: a lo
+    limb of either signed zero, or the quick_two_sum of hi and an offset
+    below half an ulp of hi.  Below a power of two the spacing halves, so
+    an offset there can round hi + lo to the double below hi;
+    quick_two_sum moves hi there instead of drawing that non-canonical
+    pair."""
     hi = draw(wide_double)
     lo = draw(st.sampled_from([0.0, -0.0])
               | st.floats(-0.49, 0.49).map(lambda f: f * math.ulp(hi)))
-    return DD(hi, lo)
+    if lo == 0.0:
+        return DD(hi, lo)
+    return DD(*quick_two_sum(hi, lo))
+
+
+@given(wide_dd())
+@settings(max_examples=500)
+def test_wide_dd_draws_only_canonical_values(x):
+    assert x.hi + x.lo == x.hi
 
 
 @given(wide_dd(), st.sampled_from([2, 3]))

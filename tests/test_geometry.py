@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 import expected
 from kerr_qlink.ddouble import DD, ONE, DDColumn
 from kerr_qlink.errors import DomainError
-from kerr_qlink.geometry import (
+from kerr_qlink.crosscheck import (
     FourVector,
-    Worldline,
-    WorldlineKind,
     contract,
     ground_station_normalization,
     ground_station_velocity,
     metric_at,
-    orbit_angular_velocity,
     orbit_normalization,
     orbit_velocity,
     photon_tangent,
 )
+from kerr_qlink.geometry import Worldline, WorldlineKind, orbit_angular_velocity
 from kerr_qlink.units import EARTH, SpacetimeParams, geo_radius, leo_radius
 
 P = EARTH.spacetime()

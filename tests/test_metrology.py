@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import expected
 from conftest import earth_decomposition, sats_decomposition
+from kerr_qlink.crosscheck import qfi_numeric_limit
 from kerr_qlink.errors import DomainError, RegimeError
 from kerr_qlink.metrology import (
     STATE_OF_THE_ART_OMEGA_RELATIVE,
@@ -18,7 +19,6 @@ from kerr_qlink.metrology import (
     orders_vs_state_of_the_art,
     qber,
     qfi,
-    qfi_numeric_limit,
     regime_check,
     shift_uncertainty_floor,
 )

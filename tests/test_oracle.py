@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import expected
 from conftest import earth_decomposition
+from kerr_qlink.crosscheck import shift_schwarzschild
 from kerr_qlink.errors import DomainError
 from kerr_qlink.geometry import Worldline
 from kerr_qlink.oracle import (
@@ -30,7 +31,6 @@ from kerr_qlink.shift import (
     shift,
     shift_ground_to_sat,
     shift_sat_to_sat,
-    shift_schwarzschild,
 )
 from kerr_qlink.units import C, EARTH, SpacetimeParams, geo_radius, leo_radius
 
@@ -90,7 +90,7 @@ class TestEvalExact:
             assert abs(float(mine - ref)) <= 1e-28
 
     def test_orbit_normalization_against_oracle(self):
-        from kerr_qlink.geometry import orbit_normalization
+        from kerr_qlink.crosscheck import orbit_normalization
         for eps in (+1, -1):
             gamma, _, _ = orbit_normalization(
                 P, Worldline.circular_orbit(leo_radius(), eps))

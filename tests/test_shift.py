@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import expected
 from conftest import earth_link, sat_link
+from kerr_qlink.crosscheck import shift_schwarzschild, shift_via_contraction
 from kerr_qlink.ddouble import DD
 from kerr_qlink.errors import DomainError, NoRootInBracketError, NumericalError
 from kerr_qlink.geometry import Worldline
@@ -20,8 +21,6 @@ from kerr_qlink.shift import (
     shift,
     shift_ground_to_sat,
     shift_sat_to_sat,
-    shift_schwarzschild,
-    shift_via_contraction,
 )
 from kerr_qlink.units import EARTH, SpacetimeParams, geo_radius, leo_radius
 

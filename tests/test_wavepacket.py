@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import expected
+from kerr_qlink.crosscheck import overlap_numeric
 from kerr_qlink.ddouble import DD
 from kerr_qlink.errors import DomainError, NumericalError
-from kerr_qlink.wavepacket import (
-    GaussianWavepacket,
-    overlap_analytic,
-    overlap_numeric,
-    propagate,
-)
+from kerr_qlink.wavepacket import GaussianWavepacket, overlap_analytic, propagate
 
 PACKET = GaussianWavepacket.of(7e14, 1e6)
 
