@@ -1,30 +1,26 @@
 """Command-line layer: scenario configuration, report/sweep assembly and the
-built-in verification suites."""
+built-in verification suites.
 
+The package serves what the console script and the benchmark harness read
+from it.  Everything else is imported from its module (``cli.report``,
+``cli.scenario``, ``cli.selfcheck``, ``cli.sweep``).
+"""
+
+# eager: a lazy ``main`` would be shadowed by the submodule of the same name
 from .main import main
-from .report import Report, assemble_report, run_report, run_sweep
-from .scenario import PRESETS, ScenarioConfig, SweepSpec, build_config, load_config
+from .scenario import PRESETS, SweepSpec
 
-__all__ = [
-    "main",
-    "Report",
-    "assemble_report",
-    "run_report",
-    "run_sweep",
-    "PRESETS",
-    "ScenarioConfig",
-    "SweepSpec",
-    "build_config",
-    "load_config",
-    "CHECKS",
-    "run_verify",
-]
+__all__ = ["main", "PRESETS", "SweepSpec", "run_report", "run_sweep", "run_verify"]
 
 
 def __getattr__(name: str):
-    # the verification suite and the Decimal oracle it runs load only when
-    # asked for, so report, sweep and zero-orbit never compile them
-    if name in ("CHECKS", "run_verify"):
-        from . import selfcheck
-        return getattr(selfcheck, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the report and the verification suite load only when asked for, so
+    # zero-orbit compiles neither, and report, sweep and zero-orbit never
+    # compile the suite or the Decimal oracle it runs
+    if name in ("run_report", "run_sweep"):
+        from . import report as module
+    elif name == "run_verify":
+        from . import selfcheck as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

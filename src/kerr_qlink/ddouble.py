@@ -364,33 +364,49 @@ class DD:
 
     # -- comparisons -------------------------------------------------------
 
-    def _parts(self, other) -> tuple[float, float]:
-        o = DD.of(other)
-        return o.hi, o.lo
+    # A DD compares with a DD, float or int only; for anything else Python
+    # falls back to the other operand's method, then to identity.
+
+    def _parts(self, other) -> tuple[float, float] | None:
+        if isinstance(other, DD):
+            return other.hi, other.lo
+        if isinstance(other, (float, int)):
+            return float(other), 0.0
+        return None
 
     def __eq__(self, other) -> bool:
-        ohi, olo = self._parts(other)
-        return self.hi == ohi and self.lo == olo
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return self.hi == o[0] and self.lo == o[1]
 
     def __lt__(self, other) -> bool:
-        ohi, olo = self._parts(other)
-        return self.hi < ohi or (self.hi == ohi and self.lo < olo)
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return self.hi < o[0] or (self.hi == o[0] and self.lo < o[1])
 
     def __le__(self, other) -> bool:
-        ohi, olo = self._parts(other)
-        return self.hi < ohi or (self.hi == ohi and self.lo <= olo)
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return self.hi < o[0] or (self.hi == o[0] and self.lo <= o[1])
 
     def __gt__(self, other) -> bool:
-        return not self.__le__(other)
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return self.hi > o[0] or (self.hi == o[0] and self.lo > o[1])
 
     def __ge__(self, other) -> bool:
-        return not self.__lt__(other)
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return self.hi > o[0] or (self.hi == o[0] and self.lo >= o[1])
 
     def __hash__(self):
-        return hash((self.hi, self.lo))
+        # equal to a float exactly when lo is zero, so hash as that float
+        return hash(self.hi) if self.lo == 0.0 else hash((self.hi, self.lo))
 
     def sign(self) -> int:
         """-1, 0 or +1; the lo part decides when hi is exactly zero."""

@@ -877,7 +877,6 @@ class TestSweepPlanStages:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        # the package re-exports the function shift, which hides the module
         shift_module = importlib.import_module("kerr_qlink.shift")
         counts = Counter()
 
@@ -1286,16 +1285,18 @@ class TestLeanReportPath:
     def test_report_loads_neither_the_verify_suite_nor_the_oracle(self):
         src = os.path.dirname(os.path.dirname(kerr_qlink.__file__))
         env = {**os.environ, "PYTHONPATH": src}
-        # nor the cross-check routes or the sweep rows, after a report and
-        # after a zero-orbit search
+        # nor the cross-check routes or the sweep rows, after a zero-orbit
+        # search, which loads not even the report, and after a report
         code = ("import contextlib, io, sys\n"
                 "from kerr_qlink.cli.main import main\n"
                 "lazy = {'kerr_qlink.oracle', 'kerr_qlink.cli.selfcheck',\n"
                 "        'kerr_qlink.crosscheck', 'kerr_qlink.cli.sweep'}\n"
-                "code = main(['report', '--preset', 'earth-leo'])\n"
-                "print(code, sorted(lazy & set(sys.modules)))\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    code = main(['zero-orbit', '--preset', 'earth-leo'])\n"
+                "print(code, sorted((lazy | {'kerr_qlink.cli.report'})\n"
+                "                   & set(sys.modules)))\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = main(['report', '--preset', 'earth-leo'])\n"
                 "print(code, sorted(lazy & set(sys.modules)))\n"
                 # a report without --out uses none of these
                 "print(sorted({'json', 'datetime', 'decimal'} & set(sys.modules)))\n"
@@ -1305,7 +1306,8 @@ class TestLeanReportPath:
                 "             for name, obj in vars(module).items()\n"
                 "             if isinstance(obj, type) and obj.__module__ == m\n"
                 "             and '__dataclass_fields__' in vars(obj)))\n"
-                "from kerr_qlink.cli import CHECKS, run_verify\n"
+                "from kerr_qlink.cli import run_verify\n"
+                "from kerr_qlink.cli.selfcheck import CHECKS\n"
                 "print(len(CHECKS), run_verify.__module__)\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
@@ -1313,14 +1315,29 @@ class TestLeanReportPath:
             "0 []", "0 []", "[]", "['ScenarioConfig']",
             f"{len(CHECKS)} kerr_qlink.cli.selfcheck"]
 
-    @pytest.mark.parametrize("name", [
-        "FourVector", "MetricAt", "PhotonState", "contract",
-        "ground_station_velocity", "metric_at", "orbit_velocity",
-        "photon_tangent", "shift_schwarzschild", "shift_via_contraction",
-        "overlap_numeric", "qfi_numeric_limit"])
-    def test_package_serves_the_cross_check_routes(self, name):
-        crosscheck = importlib.import_module("kerr_qlink.crosscheck")
-        assert getattr(kerr_qlink, name) is getattr(crosscheck, name)
+    def test_cli_serves_what_the_console_script_and_the_harness_read(self):
+        import kerr_qlink.cli as cli
+        from kerr_qlink.cli import report, scenario, selfcheck
+        served = {name: getattr(cli, name) for name in cli.__all__}
+        assert served == {
+            "main": main, "PRESETS": scenario.PRESETS,
+            "SweepSpec": scenario.SweepSpec, "run_report": report.run_report,
+            "run_sweep": report.run_sweep, "run_verify": selfcheck.run_verify}
+        for name in ("Report", "assemble_report", "ScenarioConfig",
+                     "build_config", "load_config", "CHECKS"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(cli, name)
+
+    def test_package_binds_its_modules_not_their_functions(self):
+        src = os.path.dirname(os.path.dirname(kerr_qlink.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys, types, kerr_qlink\n"
+                "print(sorted(m for m in sys.modules if m.startswith('kerr_qlink.')))\n"
+                "import kerr_qlink.shift\n"
+                "print(isinstance(kerr_qlink.shift, types.ModuleType))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines() == ["[]", "True"]
 
     def test_package_refuses_an_unknown_name(self):
         with pytest.raises(AttributeError, match="no_such_route"):
@@ -1340,7 +1357,6 @@ class TestLeanReportPath:
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_report_assembles_the_shift_once(self, monkeypatch, preset):
-        # the package re-exports the function shift, which hides the module
         shift_module = importlib.import_module("kerr_qlink.shift")
         calls = []
         original = shift_module._assemble
@@ -1364,18 +1380,19 @@ class TestVerify:
     def test_fast_has_at_least_12_checks(self):
         assert sum(1 for c in CHECKS if c.level == "fast") >= 12
 
-    def test_injected_sign_flip_is_caught(self, monkeypatch, capsys):
-        # flip the sign of the mass term: the series check must go red
+    @pytest.mark.parametrize("term, wrong, check", [
+        ("delta_mass_term_ground", lambda d: -d, "_check_series_mass"),
+        ("delta_mass_term_ground", lambda d: d * (1.0 + 1e-6), "_check_series_mass"),
+        ("delta_rotation_term_ground", lambda d: -d, "_check_series_rotation"),
+    ], ids=["mass-negated", "mass-scaled", "rotation-negated"])
+    def test_injected_sign_flip_is_caught(self, monkeypatch, term, wrong, check):
+        # break one term of the decomposition: its series check must go red
         import kerr_qlink.cli.selfcheck as sc
         import kerr_qlink.perturb as perturb
-        real = perturb.delta_mass_term_ground
-
-        def flipped(p, r_a, r_b):
-            return -real(p, r_a, r_b)
-
-        monkeypatch.setattr(perturb, "delta_mass_term_ground", flipped)
-        ok, detail = sc._check_series_mass(80)
-        assert not ok
+        real = getattr(perturb, term)
+        monkeypatch.setattr(perturb, term, lambda *args: wrong(real(*args)))
+        ok, detail = getattr(sc, check)(80)
+        assert not ok, detail
 
     def test_full_suite_reports_known_residual_discrepancy(self, capsys):
         code = run_verify("full")

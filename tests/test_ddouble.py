@@ -1,6 +1,7 @@
 """Double-double arithmetic against exact rationals."""
 
 import math
+import operator
 import struct
 import sys
 from fractions import Fraction
@@ -145,6 +146,32 @@ def test_comparisons_use_both_limbs():
     assert DD(1.0, -1e-20) < 1.0
     assert DD(0.0, 0.0).sign() == 0
     assert DD(0.0, -1e-30).sign() == -1
+
+
+def test_a_string_is_not_equal_to_the_number_it_spells():
+    assert DD(1.5) != "1.5"
+    assert not DD(1.5) == "1.5"
+
+
+def test_comparing_with_none_is_false_not_an_error():
+    assert not DD(1.0) == None  # noqa: E711
+    assert DD(1.0) != None  # noqa: E711
+    for order in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            order(DD(1.0), None)
+
+
+def test_comparing_with_a_column_leaves_it_to_the_column():
+    column = DDColumn.of([1.0])
+    assert not DD(1.0) == column
+    assert DD(1.0) != column
+
+
+def test_a_dd_equal_to_a_float_hashes_as_that_float():
+    assert DD(1.0) == 1.0 and hash(DD(1.0)) == hash(1.0)
+    assert DD(-0.0, 0.0) == 0 and hash(DD(-0.0, 0.0)) == hash(0)
+    assert {DD(2.5): "dd"}[2.5] == "dd"
+    assert hash(DD(1.0, 1e-20)) == hash(DD(1.0, 1e-20))
 
 
 def test_int_powers():
