@@ -108,15 +108,10 @@ def _link(cfg: ScenarioConfig):
     link, and the scheme's decomposition.  In a sweep chunk's config whose
     swept radius is a DDColumn, what that radius reaches is a column."""
     link = cfg.link()
-    p = link.params
     result = shift(link)
-    if cfg.scheme is LinkScheme.GROUND_TO_SAT:
-        dec = decompose_ground(p, cfg.emitter_radius_m, cfg.ground_omega_rad_s,
-                               cfg.receiver_radius_m, result.delta)
-    else:
-        dec = decompose_sats(p, cfg.emitter_radius_m, cfg.receiver_radius_m,
-                             result.delta)
-    return result, dec
+    decompose = (decompose_ground if link.scheme is LinkScheme.GROUND_TO_SAT
+                 else decompose_sats)
+    return result, decompose(link, result.delta)
 
 
 def _metrology(cfg: ScenarioConfig):

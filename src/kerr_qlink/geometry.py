@@ -30,48 +30,53 @@ class WorldlineKind(enum.Enum):
 class Worldline(Frozen):
     """An observer: a co-rotating ground station or a circular geodesic orbit.
 
-    Ground stations carry their spin angular velocity, already converted to
-    geometric units (1/m) as a compensated value: a single float rounding of
-    omega/c would already move the rotation term of the shift by ~1e-28.
+    Ground stations keep their spin rate as given, ``omega_si`` in rad/s;
+    ``omega_geom`` is omega/c in 1/m as a compensated value: a single float
+    rounding would already move the rotation term of the shift by ~1e-28.
     Circular orbits never store an angular velocity; the geodesic value
     sqrt(M/r^3) is recomputed wherever needed so it cannot go stale.
     ``direction`` is +1 for co-rotating orbits, -1 for retrograde.  ``r`` may
     be a column of radii, one orbit per element, each element checked.
     """
 
-    __slots__ = ("kind", "r", "omega_geom", "direction")
+    __slots__ = ("kind", "r", "omega_si", "direction")
 
-    def __init__(self, kind: WorldlineKind, r: float, omega_geom: DD = DD(0.0),
+    def __init__(self, kind: WorldlineKind, r: float, omega_si: float = 0.0,
                  direction: int = +1):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "omega_geom", omega_geom)
+        object.__setattr__(self, "omega_si", omega_si)
         object.__setattr__(self, "direction", direction)
         radii = floats(r)
         for x in radii:
             if not math.isfinite(x):
                 raise DomainError(f"Worldline.r must be finite, got {x}")
-        if not math.isfinite(float(omega_geom)):
+        # by type too: a DD would pass as finite and nest inside omega_geom
+        if type(omega_si) not in (int, float) or not math.isfinite(omega_si):
             raise DomainError(
-                f"Worldline.omega_geom must be finite, got {omega_geom!r}")
+                f"Worldline.omega_si must be a finite float, got {omega_si!r}")
         if any(x <= 0.0 for x in radii):
             raise DomainError("worldline radius must be positive")
         # by type too: True == 1 and 1.0 == 1 would otherwise pass as signs
         if type(direction) is not int or direction not in (+1, -1):
             raise DomainError(
                 f"Worldline.direction must be the int +1 or -1, got {direction!r}")
-        if kind is WorldlineKind.CIRCULAR_ORBIT and omega_geom.sign() != 0:
+        if kind is WorldlineKind.CIRCULAR_ORBIT and omega_si != 0.0:
             raise DomainError("circular orbits must not store an angular velocity")
+
+    @property
+    def omega_geom(self) -> DD:
+        """The spin angular velocity omega_si / c, in 1/m."""
+        return DD.quotient(self.omega_si, C)
 
     @staticmethod
     def ground_station(r: float, omega_si: float) -> "Worldline":
         """Ground station at radius r spinning at omega_si rad/s (SI)."""
-        return Worldline(WorldlineKind.GROUND_STATION, r,
-                         DD.quotient(omega_si, C), +1)
+        return Worldline(WorldlineKind.GROUND_STATION, r, omega_si, +1)
 
     @staticmethod
     def circular_orbit(r: float, direction: int = +1) -> "Worldline":
-        return Worldline(WorldlineKind.CIRCULAR_ORBIT, r, DD(0.0), direction)
+        return Worldline(WorldlineKind.CIRCULAR_ORBIT, r, 0.0, direction)
 
 
 def _check_outside_mass_scale(p: SpacetimeParams, r, what: str) -> None:
@@ -95,11 +100,11 @@ def orbit_angular_velocity(p: SpacetimeParams, r):
             raise DomainError("orbit radius must be positive")
     r3 = DD.of(r) ** 3
     # below the normal range r^3 has lost digits, and a zero would divide;
-    # from about 2^997 the Dekker split of the divisor overflows into NaN
-    for x in floats(r3):
-        if not sys.float_info.min <= x < _SPLIT_LIMIT:
-            raise DomainError(
-                f"orbit radius: r^3 = {x:.3e} m^3 leaves the double-double range")
+    # from about 2^997 its Dekker split overflows into NaN: show r * r * r
+    for x, x3 in zip(floats(r), floats(r3)):
+        if not sys.float_info.min <= x3 < _SPLIT_LIMIT:
+            raise DomainError(f"orbit radius: r^3 = {x * x * x:.3e} m^3 "
+                              "leaves the double-double range")
     return (DD.of(p.M_geom) / r3).sqrt()
 
 

@@ -12,7 +12,8 @@ rotation term and a residual:
 The residual is defined as the exact delta minus the two modelled terms (not
 as a truncated series), so the sum identity holds to compensated-arithmetic
 accuracy and the residual is directly testable against the oracle.  The
-caller passes that exact delta in (from ``shift``), so it is evaluated once.
+caller passes a link, which has refused its radii already, and its exact
+delta (from ``shift``), so delta is evaluated once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import DomainError, HigherOrderRegimeError
 # shift_ground_to_sat is not called here.  perfbench/test_perfbench.py uses
 # this binding to check that tracing rebinds names imported into other
 # modules; drop it once that test points at another module.
-from .shift import shift_ground_to_sat  # noqa: F401
+from .shift import LinkScenario, shift_ground_to_sat  # noqa: F401
 from .units import C, SpacetimeParams
 
 
@@ -82,30 +83,19 @@ def delta_rotation_term_sats(p: SpacetimeParams, r_C, r_B) -> DD:
     return term
 
 
-def decompose_ground(p: SpacetimeParams, r_A: float, omega_si: float,
-                     r_B, delta: DD) -> ShiftDecomposition:
-    """Split the exact ground-to-orbit delta of a station at r_A spinning at
-    omega_si (rad/s) and a receiver orbit at r_B; r_B may be a column of
-    radii, delta then the column of their deltas."""
-    for x in floats(r_B):
-        if x <= r_A:
-            raise DomainError(
-                f"receiver radius {x} must exceed the surface radius {r_A}")
-    d_s = delta_mass_term_ground(p, r_A, r_B)
-    d_rot = delta_rotation_term_ground(r_A, omega_si)
+def decompose_ground(link: LinkScenario, delta: DD) -> ShiftDecomposition:
+    """Split the exact delta of a ground-to-orbit link, whose receiver radius
+    may be a column, delta then the column of their deltas."""
+    r_A = link.emitter.r
+    d_s = delta_mass_term_ground(link.params, r_A, link.receiver.r)
+    d_rot = delta_rotation_term_ground(r_A, link.emitter.omega_si)
     return ShiftDecomposition(d_s, d_rot, delta - d_s - d_rot)
 
 
-def decompose_sats(p: SpacetimeParams, r_C, r_B,
-                   delta: DD) -> ShiftDecomposition:
-    """Split the exact orbit-to-orbit delta (emitter at r_C, receiver at r_B
-    not below it, as LinkScenario orders them); either radius may be a
-    column, delta then the column of deltas."""
-    for c in floats(r_C):
-        for b in floats(r_B):
-            if not b >= c:
-                raise DomainError(
-                    f"receiver radius {b} must exceed emitter radius {c}")
+def decompose_sats(link: LinkScenario, delta: DD) -> ShiftDecomposition:
+    """Split the exact delta of an orbit-to-orbit link; either radius may be
+    a column, delta then the column of deltas."""
+    p, r_C, r_B = link.params, link.emitter.r, link.receiver.r
     d_s = delta_mass_term_sats(p, r_C, r_B)
     d_rot = delta_rotation_term_sats(p, r_C, r_B)
     return ShiftDecomposition(d_s, d_rot, delta - d_s - d_rot)

@@ -45,7 +45,9 @@ class LinkScheme(enum.Enum):
 
 class LinkScenario(Frozen):
     """Emitter/receiver pairing for one photon link; its scheme is read from
-    the emitter."""
+    the emitter.  It refuses what its radii alone decide, before any
+    arithmetic: a sat-to-sat receiver below its emitter, either end at or
+    inside 2M, a ground-to-sat receiver at or below its station."""
 
     __slots__ = ("emitter", "receiver", "params")
 
@@ -56,17 +58,23 @@ class LinkScenario(Frozen):
         object.__setattr__(self, "params", params)
         if receiver.kind is not WorldlineKind.CIRCULAR_ORBIT:
             raise DomainError("links need an orbiting receiver")
-        if self.scheme is LinkScheme.SAT_TO_SAT:
-            # equality is allowed: identical orbits form a degenerate link
-            # with unit shift.  At most one radius is a column: its extreme
-            # element decides.
-            r_recv = min(floats(receiver.r))
-            r_emit = max(floats(emitter.r))
-            if r_recv < r_emit:
-                raise DomainError(
-                    "sat-to-sat links need receiver radius at or above emitter "
-                    f"radius ({r_recv} < {r_emit})"
-                )
+        ground = emitter.kind is WorldlineKind.GROUND_STATION
+        r_recv, r_emit = min(floats(receiver.r)), max(floats(emitter.r))
+        # at most one radius is a column: its extreme element decides; equal
+        # orbits are allowed, a degenerate link with unit shift
+        if not ground and r_recv < r_emit:
+            raise DomainError(
+                "sat-to-sat links need receiver radius at or above emitter "
+                f"radius ({r_recv} < {r_emit})"
+            )
+        _check_outside_mass_scale(
+            params, emitter.r, "ground station" if ground else "emitter orbit")
+        _check_outside_mass_scale(params, receiver.r, "receiver orbit")
+        if ground:
+            for x in floats(receiver.r):
+                if x <= r_emit:
+                    raise DomainError(
+                        f"receiver radius {x} must exceed the surface radius {r_emit}")
 
     @property
     def scheme(self) -> LinkScheme:
@@ -121,20 +129,16 @@ def _orbit_terms(p: SpacetimeParams, orbit: Worldline) -> tuple[DD, DD]:
 
 def _closed_form(s: LinkScenario) -> ShiftResult:
     """Closed-form shift of a link, one of whose orbit radii may be a column:
-    the emitter's terms, once it is checked to lie outside 2M, then the
-    receiver's.  The prefactor terms are the closed form's own; the
-    deviations are shared with the observer layer."""
+    the emitter's terms, then the receiver's.  The prefactor terms are the
+    closed form's own; the deviations are shared with the observer layer."""
     p, emitter, receiver = s.params, s.emitter, s.receiver
     if emitter.kind is WorldlineKind.GROUND_STATION:
-        _check_outside_mass_scale(p, emitter.r, "ground station")
         x, aw, dev_emit = _ground_parts(p, emitter)
         pd = x * aw / (ONE - x)  # (2M/r) a omega / (1 - 2M/r)
         emit_name = "the ground-station normalization"
     else:
-        _check_outside_mass_scale(p, emitter.r, "emitter orbit")
         pd, dev_emit = _orbit_terms(p, emitter)
         emit_name = "the emitter-orbit normalization"
-    _check_outside_mass_scale(p, receiver.r, "receiver orbit")
     pn, dev_recv = _orbit_terms(p, receiver)
     return _assemble(pn, pd, dev_emit, dev_recv, emit_name,
                      "the receiver-orbit normalization")

@@ -34,14 +34,14 @@ def sat_link(r_C: float, r_B: float, eta: int = +1, eps: int = +1) -> LinkScenar
 
 def earth_decomposition(r_B: float) -> ShiftDecomposition:
     """decompose_ground for the Earth station, fed the exact shift of earth_link."""
-    return decompose_ground(EARTH.spacetime(), EARTH.r_A, EARTH.omega_A, r_B,
-                            shift(earth_link(r_B)).delta)
+    link = earth_link(r_B)
+    return decompose_ground(link, shift(link).delta)
 
 
 def sats_decomposition(r_C: float, r_B: float) -> ShiftDecomposition:
     """decompose_sats for two Earth orbits, fed the exact shift of sat_link."""
-    return decompose_sats(EARTH.spacetime(), r_C, r_B,
-                          shift(sat_link(r_C, r_B)).delta)
+    link = sat_link(r_C, r_B)
+    return decompose_sats(link, shift(link).delta)
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ from kerr_qlink.cli.scenario import (
 from kerr_qlink.cli.selfcheck import CHECKS, run_verify
 from kerr_qlink.cli.sweep import CSV_COLUMNS, SWEEP_CHUNK
 from kerr_qlink.crosscheck import metric_at, photon_tangent, shift_via_contraction
-from kerr_qlink.ddouble import DDColumn
+from kerr_qlink.ddouble import DD, ONE, DDColumn
 from kerr_qlink.errors import (
     ConfigError,
     DomainError,
@@ -54,7 +54,7 @@ from kerr_qlink.metrology import (
 from kerr_qlink.oracle import integrate_schwarzschild_radial
 from kerr_qlink.perturb import decompose_ground, decompose_sats
 from kerr_qlink.record import Frozen
-from kerr_qlink.shift import LinkScheme, shift
+from kerr_qlink.shift import LinkScheme, ShiftResult, shift
 from kerr_qlink.units import EARTH, C, geo_radius, leo_radius
 from kerr_qlink.wavepacket import overlap_analytic
 
@@ -316,7 +316,7 @@ class TestReport:
 
     @pytest.mark.parametrize("preset, fields, sweep, refused", [
         # r^3 of the receiver radius underflows to zero
-        ("earth-geo", "emitter_radius_m = 5.6\nreceiver_radius_m = 1e-225\n"
+        ("earth-geo", "emitter_radius_m = 5e-227\nreceiver_radius_m = 1e-225\n"
          "planet_mass_kg = 1e-250\n",
          "sweep_variable = r_B\nsweep_lo = 1e-226\nsweep_hi = 1e-224\n"
          "sweep_scale = log\n", "DomainError: orbit radius: r^3 = "),
@@ -338,9 +338,13 @@ class TestReport:
         ("leo-geo-sat", "emitter_radius_m = 1e102\nreceiver_radius_m = 2e102\n",
          "sweep_variable = r_C\nsweep_lo = 1e102\nsweep_hi = 1.5e102\n",
          "DomainError: orbit radius: r^3 = "),
+        # r^3 overflows, and the split of the overflow is NaN
+        ("leo-geo-sat", "emitter_radius_m = 1e300\nreceiver_radius_m = 1.5e300\n",
+         "sweep_variable = r_B\nsweep_lo = 1.5e300\nsweep_hi = 1.6e300\n",
+         "DomainError: orbit radius: r^3 = "),
     ], ids=["r3-underflows", "a2-overflows", "a2-split-overflows",
             "station-a2-overflows", "receiver-r3-split-overflows",
-            "emitter-r3-split-overflows"])
+            "emitter-r3-split-overflows", "r3-overflows"])
     def test_term_out_of_range_is_refused_in_report_and_sweep(
             self, tmp_path, capsys, preset, fields, sweep, refused):
         cfg = tmp_path / "edge.cfg"
@@ -348,7 +352,8 @@ class TestReport:
         out = tmp_path / "edge.json"
         assert main(["report", "--preset", preset, "--config", str(cfg),
                      "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith(refused)
+        err = capsys.readouterr().err
+        assert err.startswith(refused) and "nan" not in err
         assert not out.exists()  # no NaN reaches the JSON
         cfg.write_text(fields + sweep + "sweep_points = 3\n")
         out = tmp_path / "edge.csv"
@@ -356,7 +361,8 @@ class TestReport:
                      "--out", str(out), "--no-timestamp"]) == 0
         rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
         assert len(rows) == 3
-        assert all(r[-1].startswith(refused) for r in rows)
+        assert all(r[-1].startswith(refused) and "nan" not in r[-1]
+                   for r in rows)
 
     # the repro cases: a square, a sinh and the information of all N probes
     # overflow, a squared bandwidth underflows
@@ -554,12 +560,9 @@ def _reference_report(cfg: ScenarioConfig) -> Report:
     result = shift(link)
     delta_f = result.delta.to_float()
     if cfg.scheme is LinkScheme.GROUND_TO_SAT:
-        dec = decompose_ground(link.params, cfg.emitter_radius_m,
-                               cfg.ground_omega_rad_s, cfg.receiver_radius_m,
-                               result.delta)
+        dec = decompose_ground(link, result.delta)
     else:
-        dec = decompose_sats(link.params, cfg.emitter_radius_m,
-                             cfg.receiver_radius_m, result.delta)
+        dec = decompose_sats(link, result.delta)
     overlap = overlap_analytic(cfg.packet(), delta_f)
     m = cfg.metrology()
     notes = []
@@ -1104,6 +1107,16 @@ class TestCliEntry:
     def test_zero_orbit_sat_scheme_has_no_root(self, capsys):
         assert main(["zero-orbit", "--preset", "leo-geo-sat"]) == 3
 
+    def test_zero_orbit_refuses_a_receiver_below_the_station(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "below.cfg"
+        path.write_text("receiver_radius_m = 6.0e6\n")
+        assert main(["zero-orbit", "--preset", "earth-leo", "--config",
+                     str(path)]) == 3
+        assert capsys.readouterr() == ("", (
+            "DomainError: receiver radius 6000000.0 must exceed the surface "
+            "radius 6378000.0\n"))
+
     def test_presets_listing(self, capsys):
         assert main(["presets"]) == 0
         out = capsys.readouterr().out
@@ -1355,8 +1368,9 @@ class TestLeanReportPath:
             assert (proc.returncode, proc.stdout, proc.stderr) == \
                 (0, fh.read(), "")
 
-    @pytest.mark.parametrize("preset", sorted(PRESETS))
-    def test_report_assembles_the_shift_once(self, monkeypatch, preset):
+    @pytest.fixture
+    def assemble_calls(self, monkeypatch):
+        """The arguments of each call of the closed form's last step."""
         shift_module = importlib.import_module("kerr_qlink.shift")
         calls = []
         original = shift_module._assemble
@@ -1366,8 +1380,101 @@ class TestLeanReportPath:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(shift_module, "_assemble", counting)
+        return calls
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_report_assembles_the_shift_once(self, assemble_calls, preset):
         assemble_report(PRESETS[preset])
-        assert len(calls) == 1
+        assert len(assemble_calls) == 1
+
+    def test_a_refused_sweep_point_never_reaches_the_shift(self, assemble_calls,
+                                                           tmp_path):
+        # 0.5, 0.75 and 1.0 r_A lie at or below the station: their links
+        # refuse them, so the closed form runs for the other six points alone
+        out = tmp_path / "r.csv"
+        spec = SweepSpec("r_B", 0.5 * EARTH.r_A, 2.5 * EARTH.r_A, 9)
+        assert run_sweep(PRESETS["earth-leo"], spec, str(out),
+                         no_timestamp=True) == 9
+        rows = csv.DictReader(out.read_text().splitlines())
+        refused = [row for row in rows
+                   if "must exceed the surface radius" in row["error"]]
+        assert len(refused) == 3
+        assert len(assemble_calls) == 9 - len(refused)
+
+
+def _qfi_without_one_sinh(real):
+    return lambda cfg: real(cfg) / math.sinh(cfg.squeezing)
+
+
+def _assemble_without_cross_term(real):
+    # delta = u1 + w, the u1 * w of the closed form dropped
+    def broken(pn, pd, dev_emit, dev_recv, emit_name, recv_name):
+        real(pn, pd, dev_emit, dev_recv, emit_name, recv_name)  # its refusals
+        u1 = (pn - pd) / (ONE + pd)
+        u2 = (dev_recv - dev_emit) / (ONE - dev_recv)
+        delta = u1 + u2 / (ONE + (ONE + u2).sqrt())
+        return ShiftResult(f=ONE + delta, delta=delta)
+    return broken
+
+
+def _orbit_with_3m_scaled(real):
+    # the deviation 3M/r - 2 eps a omega with 3M (1 + 1e-7)
+    def broken(p, orbit):
+        omega, aw, dev = real(p, orbit)
+        return omega, aw, dev + DD.product(3e-7, p.M_geom) / orbit.r
+    return broken
+
+
+def _ground_without_a2(real):
+    # the deviation omega^2 r^2 + 2M/r (1 - a omega)^2, a^2 dropped
+    def broken(p, station):
+        x, aw, dev = real(p, station)
+        wg = station.omega_geom
+        return x, aw, dev - wg * wg * DD.product(p.a, p.a)
+    return broken
+
+
+_ORACLES = {"oracle agreement on presets", "oracle agreement on random cloud"}
+_PARTS = ("kerr_qlink.geometry", "kerr_qlink.shift", "kerr_qlink.crosscheck")
+
+# each mutant: the function's name, the modules whose binding of it is
+# patched (every module that imported the name), how it is broken, and the
+# verify checks that must catch it
+_MUTANTS = {
+    "mass-negated": (
+        "delta_mass_term_ground", ("kerr_qlink.perturb",),
+        lambda real: lambda *args: -real(*args),
+        {"series: mass coefficient"}),
+    "mass-scaled": (
+        "delta_mass_term_ground", ("kerr_qlink.perturb",),
+        lambda real: lambda *args: real(*args) * (1.0 + 1e-6),
+        {"series: mass coefficient"}),
+    "rotation-negated": (
+        "delta_rotation_term_ground", ("kerr_qlink.perturb",),
+        lambda real: lambda *args: -real(*args),
+        {"series: rotation coefficient"}),
+    "qfi-one-sinh": (
+        "qfi", ("kerr_qlink.metrology", "kerr_qlink.cli.selfcheck"),
+        _qfi_without_one_sinh,
+        {"QFI numeric limit"}),
+    "qber-doubled": (
+        "_qber_in_regime", ("kerr_qlink.metrology", "kerr_qlink.cli.report"),
+        lambda real: lambda *args: 2.0 * real(*args),
+        {"QBER vs overlap deficit"}),
+    "assemble-no-cross-term": (
+        "_assemble", ("kerr_qlink.shift", "kerr_qlink.crosscheck"),
+        _assemble_without_cross_term,
+        {"closed form vs contraction"} | _ORACLES),
+    "orbit-3m-scaled": (
+        "_orbit_parts", _PARTS,
+        _orbit_with_3m_scaled,
+        {"non-rotating reduction, bit-exact", "observer norms",
+         "zero-shift orbit at 1.5 r_A"} | _ORACLES),
+    "ground-no-a2": (
+        "_ground_parts", _PARTS,
+        _ground_without_a2,
+        {"observer norms"} | _ORACLES),
+}
 
 
 class TestVerify:
@@ -1380,19 +1487,26 @@ class TestVerify:
     def test_fast_has_at_least_12_checks(self):
         assert sum(1 for c in CHECKS if c.level == "fast") >= 12
 
-    @pytest.mark.parametrize("term, wrong, check", [
-        ("delta_mass_term_ground", lambda d: -d, "_check_series_mass"),
-        ("delta_mass_term_ground", lambda d: d * (1.0 + 1e-6), "_check_series_mass"),
-        ("delta_rotation_term_ground", lambda d: -d, "_check_series_rotation"),
-    ], ids=["mass-negated", "mass-scaled", "rotation-negated"])
-    def test_injected_sign_flip_is_caught(self, monkeypatch, term, wrong, check):
-        # break one term of the decomposition: its series check must go red
-        import kerr_qlink.cli.selfcheck as sc
-        import kerr_qlink.perturb as perturb
-        real = getattr(perturb, term)
-        monkeypatch.setattr(perturb, term, lambda *args: wrong(real(*args)))
-        ok, detail = getattr(sc, check)(80)
-        assert not ok, detail
+    @pytest.mark.parametrize("name, bindings, breaker, caught",
+                             _MUTANTS.values(), ids=_MUTANTS.keys())
+    def test_injected_sign_flip_is_caught(self, monkeypatch, name, bindings,
+                                          breaker, caught):
+        # break one function where every module that imported it calls it:
+        # exactly the row's checks must go red, beside the residual check
+        # that fails for the correct program too
+        modules = [importlib.import_module(m) for m in bindings]
+        real = getattr(modules[0], name)
+        holders = {m.__name__ for m in list(sys.modules.values())
+                   if m is not None and m.__name__.startswith("kerr_qlink")
+                   and getattr(m, name, None) is real}
+        assert holders == set(bindings)
+        for module in modules:
+            monkeypatch.setattr(module, name, breaker(real))
+        lines = []
+        assert run_verify("full", echo=lines.append) == 4
+        failed = {c.name for c in CHECKS for line in lines
+                  if line.startswith(f"[ FAIL] {c.name}: ")}
+        assert failed == caught | {"delta_c residual <= 1e-20"}
 
     def test_full_suite_reports_known_residual_discrepancy(self, capsys):
         code = run_verify("full")

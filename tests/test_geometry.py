@@ -65,8 +65,8 @@ class TestWorldline:
             EARTH.omega_A / 2.99792458e8, rel=1e-15)
 
     def test_orbit_never_stores_omega(self):
-        with pytest.raises(DomainError):
-            Worldline(WorldlineKind.CIRCULAR_ORBIT, leo_radius(), DD(1e-12), +1)
+        with pytest.raises(DomainError, match="must not store an angular velocity"):
+            Worldline(WorldlineKind.CIRCULAR_ORBIT, leo_radius(), 1e-12, +1)
 
     def test_direction_validated(self):
         with pytest.raises(DomainError):
@@ -87,7 +87,12 @@ class TestWorldline:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_spin_rate_refused(self, bad):
-        with pytest.raises(DomainError, match="Worldline.omega_geom must be finite"):
+        with pytest.raises(DomainError, match="Worldline.omega_si must be a finite float"):
+            Worldline.ground_station(EARTH.r_A, bad)
+
+    @pytest.mark.parametrize("bad", [DD(7.29e-5), True, "7.29e-5"])
+    def test_spin_rate_must_be_a_number(self, bad):
+        with pytest.raises(DomainError, match="Worldline.omega_si must be a finite float"):
             Worldline.ground_station(EARTH.r_A, bad)
 
     def test_orbit_omega_recomputed(self):

@@ -55,8 +55,8 @@ class TestGroundDecomposition:
 
     def test_rejects_radius_below_surface(self):
         with pytest.raises(DomainError):
-            decompose_ground(P, EARTH.r_A, EARTH.omega_A, EARTH.r_A,
-                             shift_ground_to_sat(earth_link(EARTH.r_A)).delta)
+            link = earth_link(EARTH.r_A)
+            decompose_ground(link, shift_ground_to_sat(link).delta)
 
 
 class TestSatDecomposition:
@@ -90,15 +90,15 @@ class TestSatDecomposition:
         assert abs((dec.delta_total - exact).to_float()) < 1e-28
 
     def test_rejects_bad_ordering(self):
-        with pytest.raises(DomainError, match="must exceed emitter radius"):
-            decompose_sats(P, geo_radius(), leo_radius(), DD(0.0))
+        with pytest.raises(DomainError, match="need receiver radius at or above emitter"):
+            decompose_sats(sat_link(geo_radius(), leo_radius()), DD(0.0))
 
     def test_identical_orbits_decompose_into_zeros(self):
         # LinkScenario accepts identical orbits (a unit shift); so does the
         # decomposition, which splits their zero delta exactly
         r = leo_radius()
-        delta = shift_sat_to_sat(sat_link(r, r)).delta
-        dec = decompose_sats(P, r, r, delta)
+        link = sat_link(r, r)
+        dec = decompose_sats(link, shift_sat_to_sat(link).delta)
         for term in dec:
             assert (term.hi, term.lo) == (0.0, 0.0)
 
@@ -166,10 +166,8 @@ class TestErrorPropagation:
 
     def test_zero_rotation_term_rejected(self):
         still = EarthModel_still()
-        delta = shift_ground_to_sat(
-            earth_link(leo_radius(), omega=still.omega_A, a=still.a_m)).delta
-        dec = decompose_ground(still.spacetime(), still.r_A, still.omega_A,
-                               leo_radius(), delta)
+        link = earth_link(leo_radius(), omega=still.omega_A, a=still.a_m)
+        dec = decompose_ground(link, shift_ground_to_sat(link).delta)
         with pytest.raises(DomainError):
             error_angular_velocity(dec.delta_rot.to_float(), 1e-15)
 

@@ -13,6 +13,7 @@ from kerr_qlink.crosscheck import shift_schwarzschild, shift_via_contraction
 from kerr_qlink.ddouble import DD
 from kerr_qlink.errors import DomainError, NoRootInBracketError, NumericalError
 from kerr_qlink.geometry import Worldline
+from kerr_qlink.perturb import decompose_ground, decompose_sats
 from kerr_qlink.shift import (
     LinkScenario,
     LinkScheme,
@@ -22,7 +23,13 @@ from kerr_qlink.shift import (
     shift_ground_to_sat,
     shift_sat_to_sat,
 )
-from kerr_qlink.units import EARTH, SpacetimeParams, geo_radius, leo_radius
+from kerr_qlink.units import (
+    EARTH,
+    SpacetimeParams,
+    geo_radius,
+    geometric_mass,
+    leo_radius,
+)
 
 P = EARTH.spacetime()
 
@@ -233,6 +240,40 @@ def test_inconsistent_result_is_numerical_error():
 
 
 def test_radius_inside_2m_is_refused_by_the_geometry_check():
-    s = earth_link(2.0 * P.M_geom)
     with pytest.raises(DomainError, match=r"^receiver orbit: radius .* does not exceed 2M"):
-        shift_ground_to_sat(s)
+        earth_link(2.0 * P.M_geom)
+
+
+_STATION = Worldline.ground_station(EARTH.r_A, EARTH.omega_A)
+
+
+@pytest.mark.parametrize("emitter, receiver, params, refused", [
+    # a receiver inside 2M and below the station: 2M is checked first
+    (_STATION, Worldline.circular_orbit(2.0 * P.M_geom), P,
+     r"^receiver orbit: radius .* does not exceed 2M"),
+    # a sat-to-sat receiver below an emitter inside 2M: the ordering first
+    (Worldline.circular_orbit(P.M_geom), Worldline.circular_orbit(0.5 * P.M_geom),
+     P, r"^sat-to-sat links need receiver radius at or above emitter radius "),
+    # both ends inside 2M: the station first
+    (Worldline.ground_station(P.M_geom, EARTH.omega_A),
+     Worldline.circular_orbit(1.5 * P.M_geom), P,
+     r"^ground station: radius .* does not exceed 2M"),
+    # a receiver below the station whose r^3 underflows: the link refuses
+    # it before the closed form reaches r^3
+    (Worldline.ground_station(5.6, EARTH.omega_A), Worldline.circular_orbit(1e-225),
+     SpacetimeParams(geometric_mass(1e-250), EARTH.a_m),
+     r"^receiver radius 1e-225 must exceed the surface radius 5\.6$"),
+    # a receiver inside 2M beside a station deviation out of range: the link
+    # refuses the receiver before the station's deviation is computed
+    (_STATION, Worldline.circular_orbit(P.M_geom), SpacetimeParams(P.M_geom, 1e160),
+     r"^receiver orbit: radius .* does not exceed 2M"),
+], ids=["2M-before-surface", "ordering-before-2M", "station-before-receiver",
+        "surface-before-r3", "2M-before-deviation"])
+def test_which_refusal_wins_where_two_apply(emitter, receiver, params, refused):
+    # what the radii decide is refused where the link is built, before any
+    # range refusal the arithmetic can raise
+    with pytest.raises(DomainError, match=refused):
+        link = LinkScenario(emitter, receiver, params)
+        decompose = (decompose_ground if link.scheme is LinkScheme.GROUND_TO_SAT
+                     else decompose_sats)
+        decompose(link, shift(link).delta)

@@ -157,7 +157,7 @@ class TestDimensionlessParams:
 
     def test_rejects_radius_below_surface(self):
         # the ratios refuse nothing themselves; the report that shows them
-        # refuses a receiver at the surface, in the decomposition
+        # refuses a receiver at the surface, where it builds the link
         at_surface = replace(PRESETS["earth-leo"], receiver_radius_m=EARTH.r_A)
         with pytest.raises(DomainError, match="must exceed the surface radius"):
             assemble_report(at_surface)
