@@ -31,7 +31,7 @@ def _resolve_config(args) -> tuple[ScenarioConfig, Optional[object]]:
         cfg = base
     else:
         raise ConfigError("provide --preset, --config, or both")
-    return cfg.validate(), sweep
+    return cfg, sweep
 
 
 def build_parser() -> argparse.ArgumentParser:

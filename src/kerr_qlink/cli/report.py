@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from ..ddouble import DD, DDColumn
+from ..ddouble import DD
 from ..errors import DomainError, KerrQlinkError
 from ..metrology import _qber_in_regime, orders_vs_state_of_the_art, regime_check
 from ..perturb import (
@@ -104,9 +104,10 @@ class Report(NamedTuple):
 
 
 def _link(cfg: ScenarioConfig):
-    """(shift result, decomposition) of a validated config: ``shift`` of its
-    link, and the scheme's decomposition.  In a sweep chunk's config whose
-    swept radius is a DDColumn, what that radius reaches is a column."""
+    """(shift result, decomposition) of a config: ``shift`` of its link,
+    which refuses what the radii decide, and the scheme's decomposition.  In
+    a sweep chunk's config whose swept radius is a DDColumn, what that
+    radius reaches is a column."""
     link = cfg.link()
     result = shift(link)
     decompose = (decompose_ground if link.scheme is LinkScheme.GROUND_TO_SAT
@@ -114,10 +115,11 @@ def _link(cfg: ScenarioConfig):
     return result, decompose(link, result.delta)
 
 
-def _metrology(cfg: ScenarioConfig):
-    """(metrology config, QFI, shift floor, packet) of a config."""
-    m = cfg.metrology()
-    return m, m.qfi_value, m.floor, cfg.packet()
+def _metrology(cfg: ScenarioConfig, **point):
+    """(metrology config, QFI, shift floor, packet) of a config, or of one
+    point of a sweep chunk's config (see ``ScenarioConfig.metrology``)."""
+    m = cfg.metrology(**point)
+    return m, m.qfi_value, m.floor, cfg.packet(**point)
 
 
 _BELOW_EPSILON = ("rotation term sits below double epsilon of the unit shift "
@@ -175,7 +177,6 @@ def assemble_report(cfg: ScenarioConfig) -> Report:
     Raises DomainError when the scenario itself is unphysical; per-quantity
     refusals are recorded in the report instead of raised.
     """
-    cfg = cfg.validate()
     result, dec = _link(cfg)
     metrology = _metrology(cfg)
     delta_S, delta_rot, delta_c = (dec.delta_S.to_float(),
@@ -232,15 +233,15 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
     One loop evaluates SWEEP_CHUNK points at a time and writes each chunk's
     rows to ``out_path`` as soon as they are computed, so memory stays flat
     however long the sweep.  Each chunk is one config whose swept field
-    holds the chunk's values as a DDColumn, validated element by element;
-    the link runs on it once, as columns for a receiver (r_B) or emitter
-    (r_C) radius sweep, with the same bits as point by point.  When
-    anything in a chunk is refused, or arithmetic fails, each of its points
-    runs alone on its own config, so a refused point keeps its text and a
-    crash stays a crash, leaving the rows of the chunks before it in the
-    file.  Rows come in sweep order, computed in the calling thread.
-    Per-point domain failures leave their value cells empty and carry the
-    message in the error column.
+    holds the chunk's values as a DDColumn, checked element by element when
+    it is built; the link runs on it once, as columns for a receiver (r_B)
+    or emitter (r_C) radius sweep, with the same bits as point by point.
+    When anything in a chunk is refused, the config or its link, or
+    arithmetic fails, each of its points runs alone on its own config, so a
+    refused point keeps its text and a crash stays a crash, leaving the rows
+    of the chunks before it in the file.  Rows come in sweep order,
+    computed in the calling thread.  Per-point domain failures leave their
+    value cells empty and carry the message in the error column.
 
     Sweeping r_C on a ground-to-sat config is refused before the file is
     opened, and a file that cannot be opened is refused before any row is
@@ -251,9 +252,7 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
     from .sweep import CSV_COLUMNS, SWEEP_CHUNK, _chunk_rows
 
     values = spec.values()
-    # built before the file opens, so a variable the scenario cannot sweep
-    # is refused with nothing written
-    column = spec.apply(cfg, DDColumn.of(values[:SWEEP_CHUNK]))
+    spec.field(cfg)  # a variable the scenario cannot sweep writes nothing
     header = ",".join(CSV_COLUMNS) + "\n"
     if not no_timestamp:
         from datetime import datetime, timezone
@@ -265,10 +264,8 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header)
             for start in range(0, len(values), SWEEP_CHUNK):
-                chunk = values[start:start + SWEEP_CHUNK]
-                if start:
-                    column = spec.apply(cfg, DDColumn.of(chunk))
-                rows = _chunk_rows(start, chunk, column, cfg, spec)
+                rows = _chunk_rows(start, values[start:start + SWEEP_CHUNK],
+                                   cfg, spec)
                 fh.write("\n".join(rows) + "\n")
                 written += len(rows)
     except OSError as exc:

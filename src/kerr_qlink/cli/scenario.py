@@ -1,9 +1,11 @@
 """Scenario and sweep configuration: presets, a strict flat key = value
 parser, and the mapping onto the physics types.
 
-The file format is a UTF-8 text of `key = value` lines; `#` starts a comment,
-numbers accept scientific notation, unknown or repeated keys are rejected with
-a line diagnostic.
+The file format is a UTF-8 text of `key = value` lines (a leading byte-order
+mark is ignored); `#` starts a comment, numbers accept scientific notation,
+unknown or repeated keys are rejected with a line diagnostic.  A
+`ScenarioConfig` refuses a field outside its domain when it is built, so every
+config in hand is valid.
 """
 
 from __future__ import annotations
@@ -22,9 +24,21 @@ from ..units import C, EARTH, SpacetimeParams, geo_radius, geometric_mass, leo_r
 from ..wavepacket import GaussianWavepacket
 
 
+_FLOAT_KEYS = {
+    "emitter_radius_m", "receiver_radius_m", "ground_omega_rad_s",
+    "peak_frequency_hz", "bandwidth_hz", "probes", "squeezing",
+    "planet_mass_kg", "planet_spin_parameter_m",
+}
+_INT_KEYS = {"emitter_direction", "receiver_direction"}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One fully-specified link scenario plus probe resources."""
+    """One fully-specified link scenario plus probe resources, refused when
+    built unless every field is in its domain.  A float field may be a
+    DDColumn (a sweep chunk), checked element by element.  What the radii
+    decide against each other or the planet (orbit order, the horizon, the
+    station) is the link's to refuse."""
 
     scheme: LinkScheme = LinkScheme.GROUND_TO_SAT
     emitter_radius_m: float = EARTH.r_A
@@ -39,9 +53,7 @@ class ScenarioConfig:
     planet_mass_kg: float = EARTH.mass_kg
     planet_spin_parameter_m: float = EARTH.a_m
 
-    def validate(self) -> "ScenarioConfig":
-        """This config, once every field is in its domain; a float field may
-        be a DDColumn (a sweep chunk), checked element by element."""
+    def __post_init__(self):
         for name in sorted(_FLOAT_KEYS):
             if not all(map(math.isfinite, floats(getattr(self, name)))):
                 raise ConfigError(f"{name} must be finite")
@@ -52,11 +64,6 @@ class ScenarioConfig:
         for name in sorted(_INT_KEYS):
             if type(getattr(self, name)) is not int or getattr(self, name) not in (-1, +1):
                 raise ConfigError(f"{name} must be the int +1 or -1")
-        # at most one radius is a column: its extreme element decides
-        if self.scheme is LinkScheme.SAT_TO_SAT and (
-                min(floats(self.receiver_radius_m))
-                <= max(floats(self.emitter_radius_m))):
-            raise ConfigError("sat-to-sat scenarios need receiver above emitter")
         for name in ("ground_omega_rad_s", "peak_frequency_hz", "bandwidth_hz",
                      "squeezing", "planet_mass_kg", "planet_spin_parameter_m"):
             if any(x <= 0.0 for x in floats(getattr(self, name))):
@@ -64,7 +71,6 @@ class ScenarioConfig:
         # the Cramer-Rao bound holds for N >= 1 repetitions (see cramer_rao)
         if any(n < 1.0 for n in floats(self.probes)):
             raise ConfigError("probes must be at least 1")
-        return self
 
     # -- physics views ------------------------------------------------------
 
@@ -98,14 +104,19 @@ class ScenarioConfig:
                                             self.receiver_direction)
         return LinkScenario(emitter, receiver, self.spacetime())
 
-    def metrology(self) -> MetrologyConfig:
-        return MetrologyConfig(probes=self.probes, squeezing=self.squeezing,
-                               sigma=self.bandwidth_hz,
-                               omega1=self.peak_frequency_hz,
-                               omega2=self.peak_frequency_hz)
+    # In a sweep chunk's config, ``point`` sets the swept probe field
+    # (probes, squeezing or bandwidth_hz) to one element of its column, which
+    # the config checked when it was built: a point needs no config of its own.
+    def metrology(self, **point) -> MetrologyConfig:
+        f = vars(self) | point
+        return MetrologyConfig(probes=f["probes"], squeezing=f["squeezing"],
+                               sigma=f["bandwidth_hz"],
+                               omega1=f["peak_frequency_hz"],
+                               omega2=f["peak_frequency_hz"])
 
-    def packet(self) -> GaussianWavepacket:
-        return GaussianWavepacket.of(self.peak_frequency_hz, self.bandwidth_hz)
+    def packet(self, **point) -> GaussianWavepacket:
+        f = vars(self) | point
+        return GaussianWavepacket.of(f["peak_frequency_hz"], f["bandwidth_hz"])
 
 
 PRESETS: dict[str, ScenarioConfig] = {
@@ -117,7 +128,10 @@ PRESETS: dict[str, ScenarioConfig] = {
 }
 
 
-SWEEP_VARIABLES = ("r_B", "r_C", "s", "N", "sigma")
+# the config field each sweep variable sets
+_SWEPT_FIELDS = {"r_B": "receiver_radius_m", "r_C": "emitter_radius_m",
+                 "s": "squeezing", "N": "probes", "sigma": "bandwidth_hz"}
+SWEEP_VARIABLES = tuple(_SWEPT_FIELDS)
 
 
 class SweepSpec(Frozen):
@@ -161,28 +175,19 @@ class SweepSpec(Frozen):
         vals[0], vals[-1] = self.lo, self.hi
         return vals
 
-    def apply(self, cfg: ScenarioConfig, value: float) -> ScenarioConfig:
-        if self.variable == "r_B":
-            return replace(cfg, receiver_radius_m=value)
-        if self.variable == "r_C":
-            if cfg.scheme is not LinkScheme.SAT_TO_SAT:
-                raise ConfigError("sweeping r_C needs a sat-to-sat scenario")
-            return replace(cfg, emitter_radius_m=value)
-        if self.variable == "s":
-            return replace(cfg, squeezing=value)
-        if self.variable == "N":
-            return replace(cfg, probes=value)
-        return replace(cfg, bandwidth_hz=value)
+    def field(self, cfg: ScenarioConfig) -> str:
+        """The field of ``cfg`` this sweep sets; an emitter radius (r_C) is
+        swept on a sat-to-sat scenario only."""
+        if self.variable == "r_C" and cfg.scheme is not LinkScheme.SAT_TO_SAT:
+            raise ConfigError("sweeping r_C needs a sat-to-sat scenario")
+        return _SWEPT_FIELDS[self.variable]
+
+    def apply(self, cfg: ScenarioConfig, value) -> ScenarioConfig:
+        return replace(cfg, **{self.field(cfg): value})
 
 
 _SCHEMES = {s.value: s for s in LinkScheme}
 
-_FLOAT_KEYS = {
-    "emitter_radius_m", "receiver_radius_m", "ground_omega_rad_s",
-    "peak_frequency_hz", "bandwidth_hz", "probes", "squeezing",
-    "planet_mass_kg", "planet_spin_parameter_m",
-}
-_INT_KEYS = {"emitter_direction", "receiver_direction"}
 _SWEEP_KEYS = {"sweep_variable", "sweep_lo", "sweep_hi", "sweep_points", "sweep_scale"}
 KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _SWEEP_KEYS | {"scheme"}
 
@@ -217,17 +222,10 @@ def _convert(key: str, value: str):
             if value not in _SCHEMES:
                 raise ValueError(f"must be one of {', '.join(_SCHEMES)}")
             return _SCHEMES[value]
-        if key in _INT_KEYS:
-            n = int(value)
-            if n not in (-1, +1):
-                raise ValueError("must be +1 or -1")
-            return n
-        if key == "sweep_variable":
-            return value
-        if key == "sweep_scale":
-            return value
-        if key == "sweep_points":
+        if key in _INT_KEYS or key == "sweep_points":
             return int(value)
+        if key in ("sweep_variable", "sweep_scale"):
+            return value
         return float(value)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: bad value {value!r} ({exc})") from None
@@ -238,7 +236,6 @@ def build_config(raw: dict[str, str],
                  ) -> tuple[ScenarioConfig, Optional[SweepSpec]]:
     """Overlay raw keys onto a base scenario (preset or defaults) and pull out
     the optional sweep block."""
-    cfg = base if base is not None else ScenarioConfig()
     scenario_updates = {}
     sweep_fields: dict[str, object] = {}
     for key, value in raw.items():
@@ -247,9 +244,8 @@ def build_config(raw: dict[str, str],
             sweep_fields[key.removeprefix("sweep_")] = converted
         else:
             scenario_updates[key] = converted
-    if scenario_updates:
-        cfg = replace(cfg, **scenario_updates)
-    cfg = cfg.validate()
+    cfg = (replace(base, **scenario_updates) if base is not None
+           else ScenarioConfig(**scenario_updates))
     sweep = None
     if sweep_fields:
         missing = {"variable", "lo", "hi", "points"} - sweep_fields.keys()
@@ -264,7 +260,7 @@ def build_config(raw: dict[str, str],
 def load_config(path: str, base: Optional[ScenarioConfig] = None
                 ) -> tuple[ScenarioConfig, Optional[SweepSpec]]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None

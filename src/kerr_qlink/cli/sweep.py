@@ -2,13 +2,13 @@
 
 A sweep runs one loop over chunks of SWEEP_CHUNK points and shares nothing
 between chunks: a chunk is the config whose swept field holds its values as
-a DDColumn, validated element by element, and takes a report's route into
-the closed form, as columns for a radius sweep.  What every point of a chunk
-shares is computed and formatted once, and each row is one %-formatting of
-the values that vary from point to point.  ``report.run_sweep`` opens the
-file, loads this module and writes each chunk's rows as soon as they are
-computed, so a sweep holds one chunk's rows at a time, and a report never
-compiles this code.
+a DDColumn, which checks them element by element when it is built, and takes
+a report's route into the closed form, as columns for a radius sweep.  What
+every point of a chunk shares is computed and formatted once, and each row
+is one %-formatting of the values that vary from point to point.
+``report.run_sweep`` opens the file, loads this module and writes each
+chunk's rows as soon as they are computed, so a sweep holds one chunk's rows
+at a time, and a report never compiles this code.
 
 CSV rows carry the compensated quantities as (hi, lo) column pairs and every
 fast-path value with 17 significant digits; identical configurations produce
@@ -78,15 +78,13 @@ def _rows(start: int, values: list[float], cfg: ScenarioConfig,
     ``start``, from ``cfg``, whose swept field holds them (a DDColumn, or the
     one value); raises what any point's evaluation raises.
 
-    The config is validated once and the link runs on it once; a radius
-    sweep's metrology runs once too, any other sweep's per point.  A value
-    that is a DD rather than a DDColumn is a chunk constant, and so is the
-    one metrology and the rotation outcome of a constant rotation term and
-    floor: each is computed and formatted once.  Each row is one
-    %-formatting of its point's values; a refused overlap makes it an error
-    row.
+    The link runs on the config once; a radius sweep's metrology runs once
+    too, any other sweep's per point.  A value that is a DD rather than a
+    DDColumn is a chunk constant, and so is the one metrology and the
+    rotation outcome of a constant rotation term and floor: each is computed
+    and formatted once.  Each row is one %-formatting of its point's values;
+    a refused overlap makes it an error row.
     """
-    cfg.validate()
     n = len(values)
     result, dec = _link(cfg)
     constants: dict[str, Optional[float]] = {}
@@ -103,7 +101,8 @@ def _rows(start: int, values: list[float], cfg: ScenarioConfig,
         metrology = [_metrology(cfg)] * n
         _, constants["qfi"], constants["delta_delta_min"], _ = metrology[0]
     else:
-        metrology = [_metrology(spec.apply(cfg, v)) for v in values]
+        field = spec.field(cfg)
+        metrology = [_metrology(cfg, **{field: v}) for v in values]
     if "delta_rot" in constants and "delta_delta_min" in constants:
         rotation = [_rotation(constants["delta_rot"],
                               constants["delta_delta_min"])] * n
@@ -149,13 +148,14 @@ def _rows(start: int, values: list[float], cfg: ScenarioConfig,
 SWEEP_CHUNK = 64
 
 
-def _chunk_rows(start: int, chunk: list[float], column: ScenarioConfig,
-                cfg: ScenarioConfig, spec: SweepSpec) -> list[str]:
-    """The rows of one chunk: ``_rows`` of its column config, or, when
-    anything in it is refused or arithmetic fails, of each point alone, a
-    refused point as an error row."""
+def _chunk_rows(start: int, chunk: list[float], cfg: ScenarioConfig,
+                spec: SweepSpec) -> list[str]:
+    """The rows of one chunk of the sweep ``spec`` over ``cfg``: ``_rows`` of
+    the config whose swept field holds the chunk as a DDColumn, or, when
+    building it or anything in it is refused or arithmetic fails, of each
+    point alone, a refused point as an error row."""
     try:
-        return _rows(start, chunk, column, spec)
+        return _rows(start, chunk, spec.apply(cfg, DDColumn.of(chunk)), spec)
     except (KerrQlinkError, ArithmeticError):
         rows = []
         for index, value in enumerate(chunk, start):

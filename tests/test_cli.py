@@ -25,11 +25,13 @@ from kerr_qlink.cli import sweep as sweep_module
 from kerr_qlink.cli.main import main
 from kerr_qlink.cli.report import Report, assemble_report, run_sweep
 from kerr_qlink.cli.scenario import (
+    _SWEPT_FIELDS,
     PRESETS,
     SWEEP_VARIABLES,
     ScenarioConfig,
     SweepSpec,
     build_config,
+    load_config,
     parse_config_text,
 )
 from kerr_qlink.cli.selfcheck import CHECKS, run_verify
@@ -92,8 +94,10 @@ class TestConfigParsing:
             build_config(parse_config_text("squeezing = two\n"))
 
     def test_bad_direction_rejected(self):
-        with pytest.raises(ConfigError):
-            build_config(parse_config_text("receiver_direction = 0\n"))
+        with pytest.raises(ConfigError,
+                           match="receiver_direction must be the int"):
+            build_config(parse_config_text(
+                "receiver_radius_m = 8.378e6\nreceiver_direction = 0\n"))
 
     def test_scientific_notation_accepted(self):
         raw = parse_config_text("probes = 1E+10\nreceiver_radius_m = 8.378e6\n")
@@ -130,8 +134,49 @@ class TestConfigParsing:
                 "sweep_variable = r_B\nsweep_lo = 7e6\nsweep_hi = 4e7\n"))
 
     def test_receiver_radius_required(self):
-        with pytest.raises(ConfigError, match="receiver_radius_m"):
-            ScenarioConfig().validate()
+        with pytest.raises(ConfigError, match="receiver_radius_m must be set"):
+            ScenarioConfig()
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "receiver_radius_m = 8.378e6\nsqueezing = 1.5\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_config(str(marked)) == load_config(str(plain))
+        assert load_config(str(marked))[0].receiver_radius_m == 8.378e6
+
+
+# each refusal a config makes of its own fields when it is built; a sweep
+# chunk's column is refused for one bad element
+_BUILD_REFUSALS = [
+    ("earth-leo", {"receiver_radius_m": math.nan}, "receiver_radius_m must be finite"),
+    ("earth-leo", {"planet_mass_kg": math.inf}, "planet_mass_kg must be finite"),
+    ("earth-leo", {"squeezing": DDColumn.of([1.0, -math.inf])}, "squeezing must be finite"),
+    ("earth-leo", {"receiver_radius_m": 0.0},
+     "receiver_radius_m must be set to a positive value"),
+    ("earth-leo", {"receiver_radius_m": DDColumn.of([8e6, -1.0, 9e6])},
+     "receiver_radius_m must be set to a positive value"),
+    ("leo-geo-sat", {"emitter_radius_m": -8.378e6}, "emitter_radius_m must be positive"),
+    ("leo-geo-sat", {"emitter_radius_m": DDColumn.of([8e6, 0.0])},
+     "emitter_radius_m must be positive"),
+    ("leo-geo-sat", {"emitter_direction": 0}, "emitter_direction must be the int"),
+    ("leo-geo-sat", {"receiver_direction": 1.0}, "receiver_direction must be the int"),
+    ("earth-leo", {"ground_omega_rad_s": 0.0}, "ground_omega_rad_s must be positive"),
+    ("earth-leo", {"peak_frequency_hz": -7e14}, "peak_frequency_hz must be positive"),
+    ("earth-geo", {"bandwidth_hz": DDColumn.of([1e6, 0.0])}, "bandwidth_hz must be positive"),
+    ("earth-leo", {"squeezing": 0.0}, "squeezing must be positive"),
+    ("earth-leo", {"planet_mass_kg": -1.0}, "planet_mass_kg must be positive"),
+    ("leo-geo-sat", {"planet_spin_parameter_m": 0.0},
+     "planet_spin_parameter_m must be positive"),
+    ("earth-leo", {"probes": 0.5}, "probes must be at least 1"),
+    ("earth-leo", {"probes": DDColumn.of([1e10, 1.0, 0.99])}, "probes must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("preset, change, message", _BUILD_REFUSALS)
+def test_config_refuses_a_bad_field_when_built(preset, change, message):
+    with pytest.raises(ConfigError, match=message):
+        replace(PRESETS[preset], **change)
 
 
 class TestSweepSpec:
@@ -167,8 +212,10 @@ class TestSweepSpec:
 
     def test_apply_r_c_needs_sat_scheme(self):
         spec = SweepSpec("r_C", 7e6, 8e6, 3)
-        with pytest.raises(ConfigError):
-            spec.apply(PRESETS["earth-leo"], 7.5e6)
+        for refused in (spec.field, lambda cfg: spec.apply(cfg, 7.5e6)):
+            with pytest.raises(ConfigError, match="needs a sat-to-sat"):
+                refused(PRESETS["earth-leo"])
+        assert spec.field(PRESETS["leo-geo-sat"]) == "emitter_radius_m"
 
 
 # probe counts, squeezings, bandwidths and frequencies across the double range
@@ -397,19 +444,14 @@ _EDGE_VALUES = (5e-324, 2.2e-308, 1.3e300, sys.float_info.max)
 
 @st.composite
 def _whole_configs(draw):
-    """A preset with each float field kept or redrawn, and both directions
-    drawn."""
-    cfg = PRESETS[draw(st.sampled_from(sorted(PRESETS)))]
+    """(preset, changes): each float field of the preset kept or redrawn,
+    and both directions drawn."""
+    preset = draw(st.sampled_from(sorted(PRESETS)))
     value = st.one_of(st.none(), _LOG_UNIFORM, st.sampled_from(_EDGE_VALUES))
     drawn = {name: draw(value) for name in _FLOAT_FIELDS}
-    return replace(cfg, **{k: v for k, v in drawn.items() if v is not None},
-                   emitter_direction=draw(st.sampled_from((1, -1))),
-                   receiver_direction=draw(st.sampled_from((1, -1))))
-
-
-# the field each sweep variable sets
-_SWEPT_FIELDS = {"r_B": "receiver_radius_m", "r_C": "emitter_radius_m",
-                 "s": "squeezing", "N": "probes", "sigma": "bandwidth_hz"}
+    return preset, {k: v for k, v in drawn.items() if v is not None} | {
+        "emitter_direction": draw(st.sampled_from((1, -1))),
+        "receiver_direction": draw(st.sampled_from((1, -1)))}
 
 
 class TestWholeConfig:
@@ -417,25 +459,30 @@ class TestWholeConfig:
     in every row of a sweep."""
 
     @settings(max_examples=150)
-    @given(cfg=_whole_configs())
+    @given(drawn=_whole_configs())
     # the bounds and terms pinned one by one in TestReport's
     # test_out_of_range_bound_is_refused_in_report_and_sweep and
     # test_term_out_of_range_is_refused_in_report_and_sweep
-    @example(cfg=replace(PRESETS["earth-geo"],
-                         ground_omega_rad_s=6.25813863832812e-158))
-    @example(cfg=replace(PRESETS["earth-leo"], planet_mass_kg=1e-290,
-                         ground_omega_rad_s=1e-293))
-    @example(cfg=replace(PRESETS["leo-geo-sat"], squeezing=1.6e-23,
-                         planet_mass_kg=3.4e-277))
-    @example(cfg=replace(PRESETS["earth-geo"], emitter_radius_m=5.6,
-                         receiver_radius_m=1e-225, planet_mass_kg=1e-250))
-    @example(cfg=replace(PRESETS["leo-geo-sat"], planet_spin_parameter_m=1e160))
-    @example(cfg=replace(PRESETS["leo-geo-sat"], planet_spin_parameter_m=1e152))
-    @example(cfg=replace(PRESETS["earth-leo"], planet_spin_parameter_m=1e160))
-    @example(cfg=replace(PRESETS["earth-leo"], receiver_radius_m=1e102))
-    @example(cfg=replace(PRESETS["leo-geo-sat"], emitter_radius_m=1e102,
-                         receiver_radius_m=2e102))
-    def test_finite_numbers_or_a_refusal(self, tmp_path_factory, cfg):
+    @example(drawn=("earth-geo", {"ground_omega_rad_s": 6.25813863832812e-158}))
+    @example(drawn=("earth-leo", {"planet_mass_kg": 1e-290,
+                                  "ground_omega_rad_s": 1e-293}))
+    @example(drawn=("leo-geo-sat", {"squeezing": 1.6e-23,
+                                    "planet_mass_kg": 3.4e-277}))
+    @example(drawn=("earth-geo", {"emitter_radius_m": 5.6,
+                                  "receiver_radius_m": 1e-225,
+                                  "planet_mass_kg": 1e-250}))
+    @example(drawn=("leo-geo-sat", {"planet_spin_parameter_m": 1e160}))
+    @example(drawn=("leo-geo-sat", {"planet_spin_parameter_m": 1e152}))
+    @example(drawn=("earth-leo", {"planet_spin_parameter_m": 1e160}))
+    @example(drawn=("earth-leo", {"receiver_radius_m": 1e102}))
+    @example(drawn=("leo-geo-sat", {"emitter_radius_m": 1e102,
+                                    "receiver_radius_m": 2e102}))
+    def test_finite_numbers_or_a_refusal(self, tmp_path_factory, drawn):
+        preset, changes = drawn
+        try:
+            cfg = replace(PRESETS[preset], **changes)
+        except ConfigError:
+            return  # no sweep runs on a config that cannot be built
         try:
             rep = assemble_report(cfg)
         except KerrQlinkError:
@@ -555,7 +602,6 @@ class TestSweep:
 # between points, and the CSV row formatted from it.
 
 def _reference_report(cfg: ScenarioConfig) -> Report:
-    cfg = cfg.validate()
     link = cfg.link()
     result = shift(link)
     delta_f = result.delta.to_float()
@@ -617,12 +663,13 @@ def _reference_escape(text: str) -> str:
     return text
 
 
-def _reference_row(index: int, value: float, cfg: ScenarioConfig) -> str:
+def _reference_row(index: int, value: float, cfg_of) -> str:
+    """The CSV row of point ``index``, the config ``cfg_of()`` builds."""
     def fmt(x):
         return "" if x is None else format(x, ".17e")
 
     try:
-        rep = _reference_report(cfg)
+        rep = _reference_report(cfg_of())
     except KerrQlinkError as exc:
         cells = [str(index), fmt(value)] + [""] * (len(CSV_COLUMNS) - 3) \
             + [_reference_escape(f"{type(exc).__name__}: {exc}")]
@@ -732,7 +779,7 @@ class TestSweepPlan:
         out = tmp_path_factory.mktemp("plan") / "rows.csv"
         n = run_sweep(cfg, spec, str(out), no_timestamp=True)
         rows = out.read_bytes().decode("utf-8").split("\n")
-        want = [_reference_row(i, v, spec.apply(cfg, v))
+        want = [_reference_row(i, v, lambda: spec.apply(cfg, v))
                 for i, v in enumerate(spec.values())]
         assert n == len(want)
         assert rows == [",".join(CSV_COLUMNS), *want, ""]
@@ -749,9 +796,9 @@ class TestSweepPlan:
 
 
 def _refusal(cfg_of):
-    """The ConfigError text of building and validating a config, or None."""
+    """The ConfigError text of building a config, or None."""
     try:
-        cfg_of().validate()
+        cfg_of()
     except ConfigError as exc:
         return str(exc)
     return None
@@ -760,7 +807,7 @@ def _refusal(cfg_of):
 @st.composite
 def _chunk_values(draw):
     """(preset, sweep variable, values) with values on both sides of every
-    check validate makes of the swept field: signs, zero, non-finite values,
+    check a config makes of the swept field when built: signs, zero, non-finite values,
     probe counts below 1 and radii around each preset's other radius."""
     preset = draw(st.sampled_from(sorted(PRESETS)))
     variable = draw(st.sampled_from(SWEEP_VARIABLES))
@@ -798,12 +845,12 @@ class TestSweepChunkConfig:
     def test_chunk_shift_elements_match_each_point(self, preset, spec):
         cfg = PRESETS[preset]
         values = spec.values()
-        link = spec.apply(cfg, DDColumn.of(values)).validate().link()
+        link = spec.apply(cfg, DDColumn.of(values)).link()
         # the closed form and the contraction route it reduces
         for route in (shift, shift_via_contraction):
             chunk = route(link)
             for i, v in enumerate(values):
-                point = route(spec.apply(cfg, v).validate().link())
+                point = route(spec.apply(cfg, v).link())
                 assert chunk.f.limbs[i] == (point.f.hi, point.f.lo)
                 assert chunk.delta.limbs[i] == (point.delta.hi, point.delta.lo)
 
@@ -960,17 +1007,38 @@ class TestSweepPlanStages:
     def test_long_receiver_sweep_validates_each_chunk_once(
             self, monkeypatch, tmp_path):
         validated = []
-        original = ScenarioConfig.validate
+        original = ScenarioConfig.__post_init__
 
         def counted(cfg):
             validated.append(cfg)
-            return original(cfg)
+            original(cfg)
 
-        monkeypatch.setattr(ScenarioConfig, "validate", counted)
+        monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
         spec = SweepSpec("r_B", 7.0e6, 4.2e7, 150, "log")
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
         assert len(validated) == 3
         assert all(type(cfg.receiver_radius_m) is DDColumn for cfg in validated)
+
+    @pytest.mark.parametrize("variable, field, lo, hi", [
+        ("s", "squeezing", 0.5, 4.0),
+        ("N", "probes", 1e2, 1e14),
+        ("sigma", "bandwidth_hz", 1e3, 1e12),
+    ])
+    def test_long_probe_sweep_builds_no_config_per_point(
+            self, monkeypatch, tmp_path, variable, field, lo, hi):
+        # each point's metrology reads its element of the chunk's column
+        built = []
+        original = ScenarioConfig.__post_init__
+
+        def counted(cfg):
+            built.append(cfg)
+            original(cfg)
+
+        monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
+        spec = SweepSpec(variable, lo, hi, 150, "log")
+        run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "p.csv"))
+        assert len(built) == 3
+        assert all(type(getattr(cfg, field)) is DDColumn for cfg in built)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_report_runs_each_stage_once(self, counts, preset):
@@ -1041,13 +1109,10 @@ class TestCliEntry:
 
     @pytest.mark.parametrize("field", ["emitter_direction", "receiver_direction"])
     @pytest.mark.parametrize("bad", [True, 1.0, -1.0])
-    def test_library_config_direction_must_be_an_int(self, monkeypatch, capsys,
-                                                      field, bad):
+    def test_library_config_direction_must_be_an_int(self, field, bad):
         # a config built in code skips the parser's int conversion
-        cfg = replace(PRESETS["leo-geo-sat"], **{field: bad})
-        monkeypatch.setitem(PRESETS, "typed", cfg)
-        assert main(["report", "--preset", "typed"]) == 2
-        assert capsys.readouterr().out == ""
+        with pytest.raises(ConfigError, match=f"{field} must be the int"):
+            replace(PRESETS["leo-geo-sat"], **{field: bad})
 
     def test_report_into_a_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "absent" / "r.json"
@@ -1134,7 +1199,6 @@ class TestCliEntry:
         ("earth-leo", "receiver_radius_m = inf\n"),
         ("earth-leo", "probes = nan\n"),
         ("earth-leo", "probes = 0.5\n"),  # Cramer-Rao needs N >= 1
-        ("leo-geo-sat", "receiver_radius_m = 8.378e6\n"),  # equal radii
     ])
     def test_unevaluable_config_is_config_error(self, tmp_path, capsys,
                                                 preset, overlay):
@@ -1142,6 +1206,24 @@ class TestCliEntry:
         path.write_text(overlay)
         assert main(["report", "--preset", preset, "--config", str(path)]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_identical_orbits_are_a_unit_shift_link(self, tmp_path, capsys):
+        path = tmp_path / "equal.cfg"
+        path.write_text("receiver_radius_m = 8.378e6\n")  # the emitter's orbit
+        assert main(["report", "--preset", "leo-geo-sat", "--config",
+                     str(path)]) == 0
+        assert "shift ratio f:              1.0 + 0.0\n" in capsys.readouterr().out
+
+    def test_receiver_below_its_emitter_orbit_is_a_domain_error(self, tmp_path,
+                                                                capsys):
+        path = tmp_path / "below.cfg"
+        path.write_text("receiver_radius_m = 7e6\n")
+        assert main(["report", "--preset", "leo-geo-sat", "--config",
+                     str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            "DomainError: sat-to-sat links need receiver radius at or above "
+            "emitter radius")
 
     @pytest.mark.parametrize("overlay", [
         "peak_frequency_hz = 1e200\n",

@@ -10,7 +10,8 @@ Regenerate the files (only when an output change is intended and explained):
     PYTHONPATH=src python tests/test_golden.py
 
 It rewrites only the files whose bytes differ and prints, per file, whether
-it changed.
+it changed, with a unified diff of each changed file against its committed
+bytes, so the changed rows can be reviewed before they are committed.
 """
 
 import contextlib
@@ -82,8 +83,9 @@ def _sweep(name, tmp_dir):
                  f"sweep_hi = {hi!r}\nsweep_points = {points}\n"
                  f"sweep_scale = {scale}\n")
     out_path = os.path.join(tmp_dir, f"{name}.csv")
-    rc = main(["sweep", "--preset", preset, "--config", cfg_path,
-               "--out", out_path, "--no-timestamp"])
+    with contextlib.redirect_stdout(io.StringIO()):  # "wrote N rows to ..."
+        rc = main(["sweep", "--preset", preset, "--config", cfg_path,
+                   "--out", out_path, "--no-timestamp"])
     assert rc == 0
     with open(out_path, encoding="utf-8", newline="") as fh:
         return fh.read()
@@ -131,6 +133,8 @@ def test_output_matches_golden_bytes(current, name):
 
 
 if __name__ == "__main__":
+    import difflib
+    import sys
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -139,12 +143,17 @@ if __name__ == "__main__":
     changed = 0
     for fname, text in files.items():
         try:
-            same = _read_golden(fname) == text
+            old = _read_golden(fname)
         except FileNotFoundError:
-            same = False
+            old = None
+        same = old == text
         print(f"{'unchanged' if same else 'changed'}: {fname}")
         if not same:
             changed += 1
+            sys.stdout.writelines(difflib.unified_diff(
+                (old or "").splitlines(keepends=True),
+                text.splitlines(keepends=True),
+                f"a/{fname}", f"b/{fname}"))
             with open(os.path.join(GOLDEN, fname), "w", encoding="utf-8",
                       newline="") as fh:
                 fh.write(text)
