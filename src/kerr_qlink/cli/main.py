@@ -12,7 +12,7 @@ import sys
 from typing import Optional
 
 from ..errors import ConfigError, DomainError, KerrQlinkError, NumericalError
-from ..shift import LinkScheme, find_zero_shift_orbit, shift
+from ..shift import LinkScheme, find_zero_shift_orbit
 from .scenario import PRESETS, ScenarioConfig, load_config
 
 
@@ -97,18 +97,22 @@ def _cmd_verify(args) -> int:
     return run_verify(args.level, args.digits)
 
 
-def _cmd_zero_orbit(args) -> int:
-    cfg, _ = _resolve_config(args)
-    link = cfg.link()
+def zero_orbit(cfg: ScenarioConfig):
+    """(radius, delta there) of the zero-shift receiver orbit of a config,
+    bisected over the bracket the command searches."""
     if cfg.scheme is LinkScheme.GROUND_TO_SAT:
         bracket = (1.001 * cfg.emitter_radius_m, 3.0 * cfg.emitter_radius_m)
     else:
         bracket = (1.0001 * cfg.emitter_radius_m, 3.0 * cfg.receiver_radius_m)
-    r_star = find_zero_shift_orbit(link, *bracket)
-    residual = shift(link.with_receiver_radius(r_star)).delta.to_float()
+    return find_zero_shift_orbit(cfg.link(), *bracket)
+
+
+def _cmd_zero_orbit(args) -> int:
+    cfg, _ = _resolve_config(args)
+    r_star, residual = zero_orbit(cfg)
     print(f"zero-shift receiver radius: {r_star:.9e} m")
     print(f"radius / emitter radius:    {r_star / cfg.emitter_radius_m:.9f}")
-    print(f"residual delta there:       {residual:.3e}")
+    print(f"residual delta there:       {residual.to_float():.3e}")
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..ddouble import floats
-from ..errors import ConfigError
+from ..errors import ConfigError, DomainError
 from ..geometry import Worldline
 from ..metrology import MetrologyConfig
 from ..record import Frozen
@@ -80,7 +80,8 @@ class ScenarioConfig:
 
     def ratios(self) -> dict:
         """The small ratios steering the perturbative expansion: M/r and a/r
-        at each endpoint, and r omega/c of a ground station."""
+        at each endpoint, and r omega/c of a ground station; refused when
+        one is past the double range."""
         p = self.spacetime()
         out = {
             "M/r_emitter": p.M_geom / self.emitter_radius_m,
@@ -91,6 +92,9 @@ class ScenarioConfig:
         if self.scheme is LinkScheme.GROUND_TO_SAT:
             out["r_emitter*omega/c"] = (
                 self.emitter_radius_m * self.ground_omega_rad_s / C)
+        for name, value in out.items():
+            if not math.isfinite(value):
+                raise DomainError(f"{name} = {value} leaves the double range")
         return out
 
     def link(self) -> LinkScenario:

@@ -192,7 +192,7 @@ def _check_zero_orbit_schwarzschild(digits: int):
     p0 = SpacetimeParams(geometric_mass(EARTH.mass_kg), 0.0)
     s = LinkScenario(Worldline.ground_station(EARTH.r_A, 0.0),
                      Worldline.circular_orbit(leo_radius(), +1), p0)
-    r_star = find_zero_shift_orbit(s, 1.2 * EARTH.r_A, 2.0 * EARTH.r_A)
+    r_star, _ = find_zero_shift_orbit(s, 1.2 * EARTH.r_A, 2.0 * EARTH.r_A)
     rel = abs(r_star / (1.5 * EARTH.r_A) - 1.0)
     return rel <= 1e-9, f"zero-shift orbit at 1.5 r_A to {rel:.1e}"
 

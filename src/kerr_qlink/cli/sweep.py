@@ -3,9 +3,11 @@
 A sweep runs one loop over chunks of SWEEP_CHUNK points and shares nothing
 between chunks: a chunk is the config whose swept field holds its values as
 a DDColumn, which checks them element by element when it is built, and takes
-a report's route into the closed form, as columns for a radius sweep.  What
-every point of a chunk shares is computed and formatted once, and each row
-is one %-formatting of the values that vary from point to point.
+a report's route into the closed form.  In a radius sweep the closed form
+and the decomposition run once per chunk, on a column of the link's
+fixed-point ints (``fixed``), each element the bits of its point alone.
+What every point of a chunk shares is computed and formatted once, and each
+row is one %-formatting of the values that vary from point to point.
 ``report.run_sweep`` opens the file, loads this module and writes each
 chunk's rows as soon as they are computed, so a sweep holds one chunk's rows
 at a time, and a report never compiles this code.
@@ -141,10 +143,13 @@ def _rows(start: int, values: list[float], cfg: ScenarioConfig,
 # its length: the columns, rows and text of one chunk are alive at a time
 # (a tracemalloc peak of about 80 KB for a one-chunk earth-leo r_B sweep);
 # only the list of sweep values grows with the sweep.  A refused chunk costs
-# more as it grows too, since its points then run alone.  A chunk has a
-# fixed cost of about 150 us (validation, the terms and metrology it shares,
-# 120-160 us in least-squares fits of _rows time over 4- to 128-point
-# earth-leo r_B chunks), about 2.4 us a point at 64.
+# more as it grows too, since its points then run alone, and so does a
+# chunk whose points need different fixed-point scales.  A chunk has a
+# fixed cost of about 190 us (validation, the terms and metrology it
+# shares; least-squares fits of _rows CPU time over 4- to 128-point
+# earth-leo r_B chunks, on a host where a point costs about 21 us), about
+# 3 us a point at 64.  A chunk of 128 points would save about 7% of a
+# sweep's CPU time (paired in-process runs) and double the one-chunk peak.
 SWEEP_CHUNK = 64
 
 

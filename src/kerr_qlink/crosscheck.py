@@ -5,7 +5,8 @@ and the tests.
   observer four-velocities and the radial-photon tangent vector, contracted
   bilinearly (``shift_via_contraction``);
 * the non-rotating limit f = sqrt((1 - 2M/r_A)/(1 - 3M/r_B)) written out on
-  its own (``shift_schwarzschild``);
+  its own (``shift_schwarzschild``), on the closed form's fixed-point scale,
+  so that a link with a = 0 and omega = 0 reproduces it bit for bit;
 * the packet overlap by tanh-sinh quadrature (``overlap_numeric``);
 * the quantum Fisher information as the numeric limit of the fidelity
   (``qfi_numeric_limit``).
@@ -13,7 +14,8 @@ and the tests.
 No command but `verify` runs these, so the report, sweep and zero-orbit
 paths never load this module.  The observer routes read each endpoint's
 deviation from flat space from the one place the closed form reads it,
-``geometry._ground_parts`` and ``geometry._orbit_parts``.
+``geometry._ground_parts`` and ``geometry._orbit_parts``, evaluated here in
+double-double (``DD``), and refuse what leaves its range.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import NamedTuple
 
 from .ddouble import DD, ONE, floats
 from .errors import DomainError, NumericalError
+from .fixed import scale
 from .geometry import (
     Worldline,
     WorldlineKind,
@@ -85,8 +88,15 @@ def ground_station_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, 
     positive, otherwise the station would be superluminal.
     """
     _check_outside_mass_scale(p, w.r, "ground-station normalization")
-    arg = ONE - _ground_parts(p, w)[2]
-    for r, x in zip(floats(w.r), floats(arg)):
+    dev = _ground_parts(DD, p, w)[2]
+    arg = ONE - dev
+    for r, d, x in zip(floats(w.r), floats(dev), floats(arg)):
+        # a square past about 1e300 overflows, or a Dekker split of it
+        # does, into NaN
+        if not math.isfinite(d):
+            raise DomainError(
+                "ground station: deviation omega^2 (r^2 + a^2) + 2M/r (1 - a omega)^2 "
+                f"with r = {r} m and a = {p.a} m leaves the double-double range")
         if not x > 0.0:
             raise DomainError(
                 "ground-station normalization argument is not positive "
@@ -97,13 +107,13 @@ def ground_station_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, 
 
 def orbit_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, DD, DD]:
     """Return (gamma, gamma_argument, omega_orbit) for a circular orbit
-    outside 2M.
+    outside 2M, omega_orbit = sqrt(M/r) / r in 1/m.
 
     gamma_argument = 1 - 3M/r + 2 eps a omega must be positive; it fails close
     to the photon-orbit scale, far inside any planetary application.
     """
     _check_outside_mass_scale(p, w.r, "orbit normalization")
-    omega, _, dev = _orbit_parts(p, w)
+    q, _, dev = _orbit_parts(DD, p, w)
     arg = ONE - dev
     for r, x in zip(floats(w.r), floats(arg)):
         if not x > 0.0:
@@ -111,7 +121,7 @@ def orbit_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, DD, DD]:
                 "orbit normalization argument is not positive "
                 f"(r = {r} m is inside the photon-orbit pathology)"
             )
-    return ONE / arg.sqrt(), arg, omega
+    return ONE / arg.sqrt(), arg, q.sqrt() / w.r
 
 
 def ground_station_velocity(p: SpacetimeParams, w: Worldline) -> FourVector:
@@ -199,17 +209,20 @@ def shift_via_contraction(s: LinkScenario) -> ShiftResult:
 
 
 def shift_schwarzschild(M_geom: float, r_A: float, r_B: float) -> ShiftResult:
-    """Non-rotating limit: f = sqrt((1 - 2M/r_A)/(1 - 3M/r_B))."""
+    """Non-rotating limit: f = sqrt((1 - 2M/r_A)/(1 - 3M/r_B)), on the
+    fixed-point scale of a link with these radii."""
     if M_geom < 0.0:
         raise DomainError("geometric mass must be non-negative")
     if M_geom > 0.0 and r_A <= 2.0 * M_geom:
         raise DomainError(f"emitter radius {r_A} m does not exceed 2M")
     if M_geom > 0.0 and r_B <= 3.0 * M_geom:
         raise DomainError(f"receiver radius {r_B} m does not exceed 3M")
-    dev_emit = DD.quotient(2.0 * M_geom, r_A) if M_geom else DD(0.0)
-    dev_recv = (DD.product(3.0, M_geom) / r_B) if M_geom else DD(0.0)
-    return _assemble(DD(0.0), DD(0.0), dev_emit, dev_recv,
-                     "the emitter factor", "the receiver factor")
+    A = scale(M_geom, r_B)
+    zero = 0 * A.ONE
+    delta = _assemble(A, zero, zero, A.quotient(2.0 * M_geom, r_A),
+                      3 * A.quotient(M_geom, r_B), "the emitter factor",
+                      "the receiver factor")
+    return ShiftResult(f=A.dd(A.ONE + delta), delta=A.dd(delta))
 
 
 # Half-width of the quadrature window in units of the product's width.

@@ -6,6 +6,12 @@ frequency-shift pipeline needs this because the interesting physics lives in
 deltas of size 1e-10 .. 1e-23 sitting on top of numbers of order one, i.e.
 partly below double-precision epsilon relative to the unit.
 
+Every shift and decomposition the pipeline outputs is a DD (or a DDColumn):
+the closed form computes it on scaled integers (``fixed``) and rounds it to
+its limbs once.  The arithmetic below runs the independent contraction
+route in ``crosscheck``, the oracle's geodesic cross-check and the
+wavepacket's propagation.
+
 The error-free transformations (two_sum, two_prod via Dekker splitting) are
 exact, and so are DD.sum2 and DD.product.  Every other kernel has a proven
 relative error bound, u = 2^-53, barring underflow and overflow; no FMA is
@@ -43,9 +49,10 @@ so the bounds above hold for both:
 
 The constructors DD.of, DD.sum2, DD.product and DD.quotient take a column
 operand too, and then return a column (sum2, product and quotient read its hi
-limbs).  The formula helpers in geometry, shift and perturb call them and
-the operators on whatever they are given, so one source evaluates a point or
-a column of sweep points.
+limbs).  The DD class itself, with DD.ONE, is an arithmetic in the sense of
+``geometry``: the observer deviations written once there run on it for the
+contraction route, on a point or a column of radii, as they run on a
+``fixed.Scale`` for the closed form.
 """
 
 from __future__ import annotations
@@ -425,6 +432,7 @@ def _dd(hi: float, lo: float) -> DD:
 
 
 ONE = DD(1.0)
+DD.ONE = ONE  # the DD class as an arithmetic: ONE, product and quotient
 
 
 class DDColumn:

@@ -1,22 +1,23 @@
 """Observers in the equatorial spacetime of a rotating planet: ground-station
-and circular-orbit worldlines, the geodesic orbit angular velocity, and each
-endpoint's deviation from flat space, written once and shared by the closed
-form in ``shift`` and the contraction route in ``crosscheck``.
+and circular-orbit worldlines, and each endpoint's deviation from flat space,
+written once and shared by the closed form in ``shift`` and the contraction
+route in ``crosscheck``.
 
-Everything is evaluated in geometric units (meters) and carried in
-double-double arithmetic: the metric deviations from flat space are of order
-1e-9 for Earth and the downstream shift needs more than 20 significant digits
-of them.  The polar direction is dropped throughout -- all motion and
-propagation happens in the equatorial plane.
+Everything is in geometric units (meters).  The deviations are of order 1e-9
+for Earth and the downstream shift needs more than 20 significant digits of
+them, so they are written as dimensionless ratios on an arithmetic passed in
+(``A``, which supplies ``ONE``, ``product`` and ``quotient``): the closed
+form's scaled integers (``fixed.Scale``) or the contraction route's
+double-double (the ``DD`` class itself).  The polar direction is dropped
+throughout -- all motion and propagation happens in the equatorial plane.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import sys
 
-from .ddouble import DD, ONE, floats
+from .ddouble import DD, floats
 from .errors import DomainError
 from .record import Frozen
 from .units import C, SpacetimeParams
@@ -88,52 +89,23 @@ def _check_outside_mass_scale(p: SpacetimeParams, r, what: str) -> None:
             )
 
 
-# below the largest double whose Dekker split, 134217729 x, stays finite
-_SPLIT_LIMIT = 2.0 ** 996
+def _ground_parts(A, p: SpacetimeParams, station: Worldline):
+    """(2M/r, a omega, deviation) of a ground station in the arithmetic A,
+    the deviation (omega r)^2 + (a omega)^2 + (2M/r) (1 - a omega)^2 with
+    omega = omega_si / c, so that its normalization argument is 1 -
+    deviation.  Every term is a ratio of the inputs: no length, and no
+    omega in 1/m, is carried on its own."""
+    x = A.quotient(2.0 * p.M_geom, station.r)
+    v = A.product(station.omega_si, station.r) / C
+    aw = A.product(station.omega_si, p.a) / C
+    return x, aw, v * v + aw * aw + x * (A.ONE - aw) ** 2
 
 
-def orbit_angular_velocity(p: SpacetimeParams, r):
-    """Geodesic circular-orbit angular velocity sqrt(M/r^3), in 1/m, of a
-    radius or of a column of radii."""
-    for x in floats(r):
-        if x <= 0.0:
-            raise DomainError("orbit radius must be positive")
-    r3 = DD.of(r) ** 3
-    # below the normal range r^3 has lost digits, and a zero would divide;
-    # from about 2^997 its Dekker split overflows into NaN: show r * r * r
-    for x, x3 in zip(floats(r), floats(r3)):
-        if not sys.float_info.min <= x3 < _SPLIT_LIMIT:
-            raise DomainError(f"orbit radius: r^3 = {x * x * x:.3e} m^3 "
-                              "leaves the double-double range")
-    return (DD.of(p.M_geom) / r3).sqrt()
-
-
-def _ground_parts(p: SpacetimeParams, station: Worldline) -> tuple[DD, DD, DD]:
-    """(2M/r, a omega, deviation) of a ground station, the deviation omega^2
-    (r^2 + a^2) + (2M/r) (1 - a omega)^2, so that its normalization argument
-    is 1 - deviation."""
-    x = DD.quotient(2.0 * p.M_geom, station.r)
-    wg = station.omega_geom
-    aw = wg * p.a
-    dev = wg * wg * (DD.product(station.r, station.r) + DD.product(p.a, p.a)) \
-        + x * (ONE - aw) ** 2
-    # a square past about 1e300 overflows, or a Dekker split of it does, into
-    # NaN
-    for r, d in zip(floats(station.r), floats(dev)):
-        if not math.isfinite(d):
-            raise DomainError(
-                "ground station: deviation omega^2 (r^2 + a^2) + 2M/r (1 - a omega)^2 "
-                f"with r = {r} m and a = {p.a} m leaves the double-double range")
-    return x, aw, dev
-
-
-def _orbit_parts(p: SpacetimeParams, orbit: Worldline) -> tuple[DD, DD, DD]:
-    """(omega = sqrt(M/r^3), a omega, deviation 3M/r - 2 eps a omega) of a
-    circular orbit, whose radius may be a column; its normalization argument
-    is 1 - deviation.  3M is not a float: the 3*M product is captured
-    exactly."""
-    r, eps = orbit.r, orbit.direction
-    omega = orbit_angular_velocity(p, r)
-    aw = omega * p.a
-    dev = DD.product(3.0, p.M_geom) / r - 2.0 * eps * aw
-    return omega, aw, dev
+def _orbit_parts(A, p: SpacetimeParams, orbit: Worldline):
+    """(M/r, a omega, deviation 3M/r - 2 eps a omega) of a circular orbit in
+    the arithmetic A, whose radius may be a column; a omega = (a/r)
+    sqrt(M/r), its geodesic angular velocity omega = sqrt(M/r^3) taken times
+    a, and its normalization argument is 1 - deviation."""
+    q = A.quotient(p.M_geom, orbit.r)
+    aw = A.quotient(p.a, orbit.r) * q.sqrt()
+    return q, aw, 3 * q - 2 * orbit.direction * aw

@@ -13,7 +13,10 @@ The residual is defined as the exact delta minus the two modelled terms (not
 as a truncated series), so the sum identity holds to compensated-arithmetic
 accuracy and the residual is directly testable against the oracle.  The
 caller passes a link, which has refused its radii already, and its exact
-delta (from ``shift``), so delta is evaluated once.
+delta (from ``shift``), so delta is evaluated once.  The terms are written
+on an arithmetic passed in; the decompositions run them, and the residual,
+on the link's fixed-point scale (``fixed``), and round each to
+double-double limbs once.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .ddouble import DD, ONE, floats
+from .ddouble import DD, DDColumn
 from .errors import DomainError, HigherOrderRegimeError
 # shift_ground_to_sat is not called here.  perfbench/test_perfbench.py uses
 # this binding to check that tracing rebinds names imported into other
 # modules; drop it once that test points at another module.
-from .shift import LinkScenario, shift_ground_to_sat  # noqa: F401
+from .shift import LinkScenario, _scale, shift_ground_to_sat  # noqa: F401
 from .units import C, SpacetimeParams
 
 
@@ -46,59 +49,70 @@ class ShiftDecomposition(NamedTuple):
         return self.delta_S + self.delta_rot + self.delta_c
 
 
-def delta_mass_term_ground(p: SpacetimeParams, r_A: float, r_B) -> DD:
-    """First-order mass term of the ground-to-orbit shift, for a receiver
-    radius or a column of them."""
-    lr = DD.sum2(r_B, -r_A) / r_A  # L/r_A with L = r_B - r_A exact
-    return DD.quotient(p.r_S, 4.0 * r_A) * (ONE - 2.0 * lr) / (ONE + lr)
+def delta_mass_term_ground(A, p: SpacetimeParams, r_A: float, r_B):
+    """First-order mass term of the ground-to-orbit shift in the arithmetic
+    A, for a receiver radius or a column of them: with rho = r_B / r_A,
+    (1 - 2L/r_A) / (1 + L/r_A) = (3 - 2 rho) / rho."""
+    rho = A.quotient(r_B, r_A)
+    return A.quotient(p.r_S, r_A) * ((3 - 2 * rho) / rho) / 4
 
 
-def delta_rotation_term_ground(r_A: float, omega_si: float) -> DD:
-    """Leading special-relativistic spin term -(r_A omega/c)^2 / 2."""
-    v = DD.product(r_A, omega_si) / C
-    return -0.5 * (v * v)
+def delta_rotation_term_ground(A, r_A: float, omega_si: float):
+    """Leading special-relativistic spin term -(r_A omega/c)^2 / 2 in the
+    arithmetic A."""
+    v = A.product(r_A, omega_si) / C
+    return -(v * v) / 2
 
 
-def delta_mass_term_sats(p: SpacetimeParams, r_C, r_B) -> DD:
-    """First-order mass term of the orbit-to-orbit shift (always negative);
+def delta_mass_term_sats(A, p: SpacetimeParams, r_C, r_B):
+    """First-order mass term of the orbit-to-orbit shift (always negative)
+    in the arithmetic A; either radius may be a column: with L = r_B - r_C,
+    (L r_S / r_C^2) / (1 + L/r_C) = (r_S/r_C) (1 - r_C/r_B)."""
+    return -3 * A.quotient(p.r_S, r_C) * (A.ONE - A.quotient(r_C, r_B)) / 4
+
+
+def delta_rotation_term_sats(A, p: SpacetimeParams, r_C, r_B):
+    """Leading frame-dragging term r_S a^2 / (4 r_C^3) ((1 + L/r_C)^-3 - 1) of
+    the orbit-to-orbit shift in the arithmetic A, 1 + L/r_C = r_B/r_C;
     either radius may be a column."""
-    ell = DD.sum2(r_B, -r_C)  # L = r_B - r_C, exact
-    lr = ell / r_C
-    return -0.75 * (ell * p.r_S / DD.product(r_C, r_C)) / (ONE + lr)
-
-
-def delta_rotation_term_sats(p: SpacetimeParams, r_C, r_B) -> DD:
-    """Leading frame-dragging term of the orbit-to-orbit shift; either radius
-    may be a column."""
-    lr = DD.sum2(r_B, -r_C) / r_C
-    shape = ONE / (ONE + lr) ** 3 - ONE
-    aa = DD.product(p.a, p.a)
-    term = 0.25 * (DD.of(p.r_S) * aa / (DD.of(r_C) ** 3)) * shape
-    # a^2 past about 1e300 overflows, or a Dekker split of it does, into NaN
-    for x in floats(term):
-        if not math.isfinite(x):
-            raise DomainError(
-                f"rotation term: r_S a^2 / 4 r_C^3 with a = {p.a} m leaves "
-                "the double-double range")
-    return term
+    ar = A.quotient(p.a, r_C)
+    shape = A.quotient(r_C, r_B) ** 3 - A.ONE
+    return A.quotient(p.r_S, r_C) * (ar * ar) * shape / 4
 
 
 def decompose_ground(link: LinkScenario, delta: DD) -> ShiftDecomposition:
     """Split the exact delta of a ground-to-orbit link, whose receiver radius
     may be a column, delta then the column of their deltas."""
+    A = _scale(link)
+    if A is None:
+        return _per_point(decompose_ground, link, delta)
     r_A = link.emitter.r
-    d_s = delta_mass_term_ground(link.params, r_A, link.receiver.r)
-    d_rot = delta_rotation_term_ground(r_A, link.emitter.omega_si)
-    return ShiftDecomposition(d_s, d_rot, delta - d_s - d_rot)
+    d_s = delta_mass_term_ground(A, link.params, r_A, link.receiver.r)
+    d_rot = delta_rotation_term_ground(A, r_A, link.emitter.omega_si)
+    return ShiftDecomposition(A.dd(d_s), A.dd(d_rot),
+                              A.dd(A.of(delta) - d_s - d_rot))
 
 
 def decompose_sats(link: LinkScenario, delta: DD) -> ShiftDecomposition:
     """Split the exact delta of an orbit-to-orbit link; either radius may be
     a column, delta then the column of deltas."""
+    A = _scale(link)
+    if A is None:
+        return _per_point(decompose_sats, link, delta)
     p, r_C, r_B = link.params, link.emitter.r, link.receiver.r
-    d_s = delta_mass_term_sats(p, r_C, r_B)
-    d_rot = delta_rotation_term_sats(p, r_C, r_B)
-    return ShiftDecomposition(d_s, d_rot, delta - d_s - d_rot)
+    d_s = delta_mass_term_sats(A, p, r_C, r_B)
+    d_rot = delta_rotation_term_sats(A, p, r_C, r_B)
+    return ShiftDecomposition(A.dd(d_s), A.dd(d_rot),
+                              A.dd(A.of(delta) - d_s - d_rot))
+
+
+def _per_point(decompose, link: LinkScenario, delta) -> ShiftDecomposition:
+    """``decompose`` of each point of a column link alone, its terms stacked
+    into columns: the column's points need different fixed-point scales."""
+    points = [decompose(point, DD(hi, lo))
+              for point, (hi, lo) in zip(link.points(), delta.limbs)]
+    return ShiftDecomposition(*(DDColumn([(x.hi, x.lo) for x in column])
+                                for column in zip(*points)))
 
 
 # Refuse first-order error propagation once the mass term no longer dominates

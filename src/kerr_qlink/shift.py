@@ -16,16 +16,19 @@ terms:
     w  = u2 / (1 + sqrt(1 + u2))               exact sqrt(1+u2) - 1
     delta = u1 + w + u1 * w
 
-so it is never formed as (number close to 1) - 1.  In double-double
-arithmetic this keeps delta to roughly its own precision, far below the
-1e-28 absolute agreement demanded against the arbitrary-precision oracle.
+so it is never formed as (number close to 1) - 1, whatever the arithmetic.
+The closed form runs on the link's fixed-point scale (``fixed``): every
+term is an int scaled by 2**k, k chosen so that delta keeps far more than
+double-double's 106 bits relative to its largest term, and f and delta
+leave once, as correctly rounded double-double limbs.
 """
 
 from __future__ import annotations
 
 import enum
+from math import fsum as _fsum
 
-from .ddouble import DD, ONE, floats
+from .ddouble import DD, DDColumn, floats
 from .errors import DomainError, NoRootInBracketError, NumericalError
 from .geometry import (
     Worldline,
@@ -87,61 +90,97 @@ class LinkScenario(Frozen):
             self.emitter,
             Worldline.circular_orbit(r, self.receiver.direction), self.params)
 
+    def points(self) -> list["LinkScenario"]:
+        """The link of each point of a column link, alone."""
+        e, r = self.emitter, self.receiver
+        radii = floats(e.r), floats(r.r)
+        n = max(map(len, radii))
+        return [LinkScenario(Worldline(e.kind, r_e, e.omega_si, e.direction),
+                             Worldline(r.kind, r_r, r.omega_si, r.direction),
+                             self.params)
+                for r_e, r_r in zip(*(x * n if len(x) == 1 else x for x in radii))]
+
 
 class ShiftResult(Frozen):
     """Shift ratio f and delta = f - 1 as compensated pairs, or as columns of
-    them for a column of links."""
+    them for a column of links; refused unless f - 1 - delta, summed exactly
+    from the limbs, is within 1e-30 of max(1, |delta|)."""
 
     __slots__ = ("f", "delta")
 
     def __init__(self, f: DD, delta: DD):
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "delta", delta)
-        check = (f - ONE) - delta
-        for c, d in zip(floats(check), floats(delta)):
-            # written so that a NaN fails it
-            if not abs(c) <= 1e-30 * max(1.0, abs(d)):
-                raise NumericalError("ShiftResult consistency f - 1 == delta violated")
+        if type(delta) is DDColumn:
+            pairs = zip(f.limbs, delta.limbs)
+        else:
+            pairs = (((f.hi, f.lo), (delta.hi, delta.lo)),)
+        # f - 1 - delta of each element's limbs, summed exactly and rounded
+        # once; an infinite limb makes fsum raise
+        try:
+            for (fh, fl), (dh, dl) in pairs:
+                # written so that a NaN fails it
+                if not abs(_fsum((fh, fl, -1.0, -dh, -dl))) \
+                        <= 1e-30 * max(1.0, abs(dh + dl)):
+                    raise ValueError
+        except (ValueError, OverflowError):
+            raise NumericalError(
+                "ShiftResult consistency f - 1 == delta violated") from None
 
 
-def _assemble(pn: DD, pd: DD, dev_emit: DD, dev_recv: DD, emit_name: str,
-              recv_name: str) -> ShiftResult:
-    arg_emit = ONE - dev_emit
-    arg_recv = ONE - dev_recv
-    if arg_emit.sign() <= 0:
+def _assemble(A, pn, pd, dev_emit, dev_recv, emit_name: str, recv_name: str):
+    """delta of the factored shift, in the arithmetic A of its terms."""
+    ONE = A.ONE
+    if (ONE - dev_emit).sign() <= 0:
         raise DomainError(f"square-root argument for {emit_name} is not positive")
+    arg_recv = ONE - dev_recv
     if arg_recv.sign() <= 0:
         raise DomainError(f"square-root argument for {recv_name} is not positive")
     u1 = (pn - pd) / (ONE + pd)
     u2 = (dev_recv - dev_emit) / arg_recv
     w = u2 / (ONE + (ONE + u2).sqrt())
-    delta = u1 + w + u1 * w
-    return ShiftResult(f=ONE + delta, delta=delta)
+    return u1 + w + u1 * w
 
 
-def _orbit_terms(p: SpacetimeParams, orbit: Worldline) -> tuple[DD, DD]:
+def _orbit_terms(A, p: SpacetimeParams, orbit: Worldline):
     """(prefactor term eps a omega / (1 - 2M/r), deviation) of a circular
     orbit."""
-    _, aw, dev = _orbit_parts(p, orbit)
-    x = DD.quotient(2.0 * p.M_geom, orbit.r)
-    return orbit.direction * aw / (ONE - x), dev
+    q, aw, dev = _orbit_parts(A, p, orbit)
+    return orbit.direction * aw / (A.ONE - 2 * q), dev
+
+
+def _scale(link: LinkScenario):
+    """``fixed.link_scale`` of a link.  The fixed-point arithmetic loads with
+    the first shift, so a command that computes none (a refused config, a
+    preset listing) and a bare import of the package never compile it."""
+    from .fixed import link_scale
+    return link_scale(link)
 
 
 def _closed_form(s: LinkScenario) -> ShiftResult:
-    """Closed-form shift of a link, one of whose orbit radii may be a column:
-    the emitter's terms, then the receiver's.  The prefactor terms are the
-    closed form's own; the deviations are shared with the observer layer."""
+    """Closed-form shift of a link, one of whose orbit radii may be a column,
+    on the link's fixed-point scale (a column whose points need different
+    scales point by point): the emitter's terms, then the receiver's, and the
+    limbs of f and delta rounded once.  The prefactor terms are the closed
+    form's own; the deviations are shared with the observer layer."""
+    A = _scale(s)
+    if A is None:  # a column whose points need different scales
+        points = [_closed_form(point) for point in s.points()]
+        return ShiftResult(f=DDColumn([(x.f.hi, x.f.lo) for x in points]),
+                           delta=DDColumn([(x.delta.hi, x.delta.lo)
+                                           for x in points]))
     p, emitter, receiver = s.params, s.emitter, s.receiver
     if emitter.kind is WorldlineKind.GROUND_STATION:
-        x, aw, dev_emit = _ground_parts(p, emitter)
-        pd = x * aw / (ONE - x)  # (2M/r) a omega / (1 - 2M/r)
+        x, aw, dev_emit = _ground_parts(A, p, emitter)
+        pd = x * aw / (A.ONE - x)  # (2M/r) a omega / (1 - 2M/r)
         emit_name = "the ground-station normalization"
     else:
-        pd, dev_emit = _orbit_terms(p, emitter)
+        pd, dev_emit = _orbit_terms(A, p, emitter)
         emit_name = "the emitter-orbit normalization"
-    pn, dev_recv = _orbit_terms(p, receiver)
-    return _assemble(pn, pd, dev_emit, dev_recv, emit_name,
-                     "the receiver-orbit normalization")
+    pn, dev_recv = _orbit_terms(A, p, receiver)
+    delta = _assemble(A, pn, pd, dev_emit, dev_recv, emit_name,
+                      "the receiver-orbit normalization")
+    return ShiftResult(f=A.dd(A.ONE + delta), delta=A.dd(delta))
 
 
 def shift_ground_to_sat(s: LinkScenario) -> ShiftResult:
@@ -165,19 +204,17 @@ def shift(s: LinkScenario) -> ShiftResult:
     return shift_sat_to_sat(s)
 
 
-# |delta| below which a bisection midpoint is taken as the zero-shift radius
-ZERO_SHIFT_TOLERANCE = 1e-18
-# halving a float bracket exhausts its resolution long before this
-_MAX_BISECTIONS = 200
-
-
-def find_zero_shift_orbit(s: LinkScenario, r_lo: float, r_hi: float) -> float:
-    """Receiver radius at which delta vanishes, by bisection on the
-    compensated delta.
+def find_zero_shift_orbit(s: LinkScenario, r_lo: float,
+                          r_hi: float) -> tuple[float, DD]:
+    """(receiver radius, delta there) where delta changes sign, by bisection
+    on the closed form's delta down to two adjacent floats.
 
     Bisection rather than a derivative method: delta is flat and tiny near the
-    root, so slope estimates would be noise.  Raises NoRootInBracketError when
-    delta does not change sign over [r_lo, r_hi].
+    root, so slope estimates would be noise.  It stops at a midpoint whose
+    delta is zero, or at a bracket of two adjacent floats, and returns the
+    end with the smaller |delta|: the float nearest the root, whose every
+    digit the closed form resolves.  Raises NoRootInBracketError when delta
+    does not change sign over [r_lo, r_hi].
     """
     if not r_lo < r_hi:
         raise DomainError("bracket must satisfy r_lo < r_hi")
@@ -185,34 +222,25 @@ def find_zero_shift_orbit(s: LinkScenario, r_lo: float, r_hi: float) -> float:
     def delta_at(r: float) -> DD:
         return shift(s.with_receiver_radius(r)).delta
 
-    d_lo = delta_at(r_lo)
-    d_hi = delta_at(r_hi)
+    lo, hi = r_lo, r_hi
+    d_lo, d_hi = delta_at(lo), delta_at(hi)
     if d_lo.sign() == 0:
-        return r_lo
+        return lo, d_lo
     if d_hi.sign() == 0:
-        return r_hi
+        return hi, d_hi
     if d_lo.sign() == d_hi.sign():
         raise NoRootInBracketError(
             f"delta does not change sign on [{r_lo}, {r_hi}] "
             f"(delta = {d_lo.to_float():.3e} and {d_hi.to_float():.3e})"
         )
-    lo, hi = r_lo, r_hi
-    for _ in range(_MAX_BISECTIONS):
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float resolution exhausted
-            break
+        if mid <= lo or mid >= hi:  # lo and hi are adjacent floats
+            return (lo, d_lo) if abs(d_lo) <= abs(d_hi) else (hi, d_hi)
         d_mid = delta_at(mid)
-        sg = d_mid.sign()
-        if sg == 0 or abs(d_mid.to_float()) < ZERO_SHIFT_TOLERANCE:
-            return mid
-        if sg == d_lo.sign():
-            lo = mid
+        if d_mid.sign() == 0:
+            return mid, d_mid
+        if d_mid.sign() == d_lo.sign():
+            lo, d_lo = mid, d_mid
         else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    if abs(delta_at(mid).to_float()) < ZERO_SHIFT_TOLERANCE:
-        return mid
-    raise NoRootInBracketError(
-        "bisection exhausted float resolution without reaching "
-        f"|delta| < {ZERO_SHIFT_TOLERANCE}"
-    )
+            hi, d_hi = mid, d_mid

@@ -1,9 +1,13 @@
+from decimal import Decimal, localcontext
+
 import pytest
 from hypothesis import settings
 
+from kerr_qlink.fixed import ERROR_UNITS, link_scale
 from kerr_qlink.geometry import Worldline
+from kerr_qlink.oracle import delta_exact_ground, delta_exact_sats
 from kerr_qlink.perturb import ShiftDecomposition, decompose_ground, decompose_sats
-from kerr_qlink.shift import LinkScenario, shift
+from kerr_qlink.shift import LinkScenario, LinkScheme, shift
 from kerr_qlink.units import EARTH, geo_radius, leo_radius
 
 # deterministic property tests, no wall-clock flakiness on slow runners
@@ -42,6 +46,32 @@ def sats_decomposition(r_C: float, r_B: float) -> ShiftDecomposition:
     """decompose_sats for two Earth orbits, fed the exact shift of sat_link."""
     link = sat_link(r_C, r_B)
     return decompose_sats(link, shift(link).delta)
+
+
+def delta_gap(cfg, hi: float, lo: float, digits: int = 80) -> tuple:
+    """(|hi + lo - delta|, bound) of a config's delta cell: the gap to the
+    Decimal oracle's delta, at ``digits`` digits or more where the link's
+    fixed-point scale 2**-k is finer, and the closed form's bound on it,
+    ERROR_UNITS units of 2**-k plus the rounding to limbs (2**-106 |delta|,
+    or half the least subnormal)."""
+    k = link_scale(cfg.link()).k
+    digits = max(digits, 40 + k * 3 // 10)
+    p = cfg.spacetime()
+    if cfg.scheme is LinkScheme.GROUND_TO_SAT:
+        ref = delta_exact_ground(p.M_geom, p.a, cfg.emitter_radius_m,
+                                 cfg.ground_omega_rad_s, cfg.receiver_radius_m,
+                                 cfg.receiver_direction, digits)
+    else:
+        ref = delta_exact_sats(p.M_geom, p.a, cfg.emitter_radius_m,
+                               cfg.receiver_radius_m, cfg.emitter_direction,
+                               cfg.receiver_direction, digits)
+    with localcontext() as ctx:
+        ctx.prec = digits + 800  # holds hi + lo, subnormal limbs too
+        two = Decimal(2)
+        gap = abs(Decimal(hi) + Decimal(lo) - ref)
+        bound = (abs(ref) / two ** 106 + two ** -1075
+                 + ERROR_UNITS / two ** k)
+    return gap, bound
 
 
 @pytest.fixture

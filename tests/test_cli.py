@@ -7,6 +7,7 @@ import importlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -20,9 +21,10 @@ from hypothesis import strategies as st
 
 import expected
 import kerr_qlink
+from conftest import delta_gap
 from kerr_qlink.cli import report as report_module
 from kerr_qlink.cli import sweep as sweep_module
-from kerr_qlink.cli.main import main
+from kerr_qlink.cli.main import main, zero_orbit
 from kerr_qlink.cli.report import Report, assemble_report, run_sweep
 from kerr_qlink.cli.scenario import (
     _SWEPT_FIELDS,
@@ -37,7 +39,7 @@ from kerr_qlink.cli.scenario import (
 from kerr_qlink.cli.selfcheck import CHECKS, run_verify
 from kerr_qlink.cli.sweep import CSV_COLUMNS, SWEEP_CHUNK
 from kerr_qlink.crosscheck import metric_at, photon_tangent, shift_via_contraction
-from kerr_qlink.ddouble import DD, ONE, DDColumn
+from kerr_qlink.ddouble import DDColumn
 from kerr_qlink.errors import (
     ConfigError,
     DomainError,
@@ -53,10 +55,10 @@ from kerr_qlink.metrology import (
     regime_check,
     shift_uncertainty_floor,
 )
-from kerr_qlink.oracle import integrate_schwarzschild_radial
+from kerr_qlink.oracle import delta_exact_ground, integrate_schwarzschild_radial
 from kerr_qlink.perturb import decompose_ground, decompose_sats
 from kerr_qlink.record import Frozen
-from kerr_qlink.shift import LinkScheme, ShiftResult, shift
+from kerr_qlink.shift import LinkScheme, shift
 from kerr_qlink.units import EARTH, C, geo_radius, leo_radius
 from kerr_qlink.wavepacket import overlap_analytic
 
@@ -361,55 +363,70 @@ class TestReport:
         assert len(rows) == 3
         assert all(row.split(",")[2] for row in rows)  # no error row
 
+    # Each case once left the double-double range and was refused as such.
+    # On scaled integers the closed form and the decomposition have no range
+    # to leave: five cases are computed, and two are refused by what their
+    # numbers mean.
     @pytest.mark.parametrize("preset, fields, sweep, refused", [
-        # r^3 of the receiver radius underflows to zero
+        # r^3 of the receiver radius underflowed to zero; delta is computed,
+        # and is so small that the packet overlap's exponent underflows
         ("earth-geo", "emitter_radius_m = 5e-227\nreceiver_radius_m = 1e-225\n"
          "planet_mass_kg = 1e-250\n",
          "sweep_variable = r_B\nsweep_lo = 1e-226\nsweep_hi = 1e-224\n"
-         "sweep_scale = log\n", "DomainError: orbit radius: r^3 = "),
-        # a^2 of the frame-dragging term overflows, or overflows its split
+         "sweep_scale = log\n",
+         "DomainError: packet overlap exponent overflows or underflows"),
+        # a^2 of the frame-dragging term overflowed, or overflowed its split
         ("leo-geo-sat", "planet_spin_parameter_m = 1e160\n",
-         "sweep_variable = r_B\nsweep_lo = 4e7\nsweep_hi = 5e7\n",
-         "DomainError: rotation term: r_S a^2 / 4 r_C^3 with a = "),
+         "sweep_variable = r_B\nsweep_lo = 4e7\nsweep_hi = 5e7\n", None),
         ("leo-geo-sat", "planet_spin_parameter_m = 1e152\n",
-         "sweep_variable = s\nsweep_lo = 1\nsweep_hi = 3\n",
-         "DomainError: rotation term: r_S a^2 / 4 r_C^3 with a = "),
-        # a^2 of a ground station's deviation overflows
+         "sweep_variable = s\nsweep_lo = 1\nsweep_hi = 3\n", None),
+        # a^2 of a ground station's deviation overflowed; computed, a omega/c
+        # of 2e147 makes the station superluminal
         ("earth-leo", "planet_spin_parameter_m = 1e160\n",
          "sweep_variable = r_B\nsweep_lo = 7e6\nsweep_hi = 4.2e7\n",
-         "DomainError: ground station: deviation omega^2 (r^2 + a^2) "),
-        # r^3 is finite, but the Dekker split of it in M / r^3 overflows
+         "DomainError: square-root argument for the ground-station "
+         "normalization is not positive"),
+        # r^3 was finite, but the Dekker split of it in M / r^3 overflowed
         ("earth-leo", "receiver_radius_m = 1e102\n",
-         "sweep_variable = r_B\nsweep_lo = 1e102\nsweep_hi = 2e102\n",
-         "DomainError: orbit radius: r^3 = "),
+         "sweep_variable = r_B\nsweep_lo = 1e102\nsweep_hi = 2e102\n", None),
         ("leo-geo-sat", "emitter_radius_m = 1e102\nreceiver_radius_m = 2e102\n",
-         "sweep_variable = r_C\nsweep_lo = 1e102\nsweep_hi = 1.5e102\n",
-         "DomainError: orbit radius: r^3 = "),
-        # r^3 overflows, and the split of the overflow is NaN
+         "sweep_variable = r_C\nsweep_lo = 1e102\nsweep_hi = 1.5e102\n", None),
+        # r^3 overflowed, and the split of the overflow was NaN
         ("leo-geo-sat", "emitter_radius_m = 1e300\nreceiver_radius_m = 1.5e300\n",
-         "sweep_variable = r_B\nsweep_lo = 1.5e300\nsweep_hi = 1.6e300\n",
-         "DomainError: orbit radius: r^3 = "),
+         "sweep_variable = r_B\nsweep_lo = 1.5e300\nsweep_hi = 1.6e300\n", None),
     ], ids=["r3-underflows", "a2-overflows", "a2-split-overflows",
             "station-a2-overflows", "receiver-r3-split-overflows",
             "emitter-r3-split-overflows", "r3-overflows"])
     def test_term_out_of_range_is_refused_in_report_and_sweep(
             self, tmp_path, capsys, preset, fields, sweep, refused):
+        """The report and every sweep row refuse the case with one message,
+        or carry finite numbers (``refused`` None)."""
         cfg = tmp_path / "edge.cfg"
         cfg.write_text(fields)
         out = tmp_path / "edge.json"
-        assert main(["report", "--preset", preset, "--config", str(cfg),
-                     "--out", str(out)]) == 3
+        code = main(["report", "--preset", preset, "--config", str(cfg),
+                     "--out", str(out)])
         err = capsys.readouterr().err
-        assert err.startswith(refused) and "nan" not in err
-        assert not out.exists()  # no NaN reaches the JSON
+        if refused is None:
+            assert code == 0
+            data = json.loads(out.read_text(), parse_constant=pytest.fail)
+            assert all(math.isfinite(x) for x in _floats(data))
+        else:
+            assert code == 3
+            assert err.startswith(refused) and "nan" not in err
+            assert not out.exists()  # no NaN reaches the JSON
         cfg.write_text(fields + sweep + "sweep_points = 3\n")
         out = tmp_path / "edge.csv"
         assert main(["sweep", "--preset", preset, "--config", str(cfg),
                      "--out", str(out), "--no-timestamp"]) == 0
         rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
         assert len(rows) == 3
-        assert all(r[-1].startswith(refused) and "nan" not in r[-1]
-                   for r in rows)
+        if refused is None:
+            assert all(r[2] and all(c == "" or math.isfinite(float(c))
+                                    for c in r[1:-2]) for r in rows)
+        else:
+            assert all(r[-1].startswith(refused) and "nan" not in r[-1]
+                       for r in rows)
 
     # the repro cases: a square, a sinh and the information of all N probes
     # overflow, a squared bandwidth underflows
@@ -477,6 +494,10 @@ class TestWholeConfig:
     @example(drawn=("earth-leo", {"receiver_radius_m": 1e102}))
     @example(drawn=("leo-geo-sat", {"emitter_radius_m": 1e102,
                                     "receiver_radius_m": 2e102}))
+    # a finite shift whose ratio a/r overflows the report's parameter table
+    @example(drawn=("leo-geo-sat", {"emitter_radius_m": 0.1,
+                                    "receiver_radius_m": 0.1,
+                                    "planet_spin_parameter_m": 1.7976931348623157e+308}))
     def test_finite_numbers_or_a_refusal(self, tmp_path_factory, drawn):
         preset, changes = drawn
         try:
@@ -505,6 +526,45 @@ class TestWholeConfig:
                 # the sweep value and the 13 quantities
                 assert all(cell == "" or math.isfinite(float(cell))
                            for cell in row[1:-2])
+
+
+    @settings(max_examples=60)
+    @given(drawn=_whole_configs())
+    @example(drawn=("earth-leo", {}))
+    @example(drawn=("leo-geo-sat", {}))
+    def test_sweep_rows_are_the_scalar_shift_within_its_bound(
+            self, tmp_path_factory, drawn):
+        """In either scheme, each sweep row with values carries the limbs of
+        a scalar shift() of its point bit for bit, and its delta lies within
+        the closed form's bound of the oracle (on the first, middle and last
+        such rows)."""
+        preset, changes = drawn
+        try:
+            cfg = replace(PRESETS[preset], **changes)
+        except ConfigError:
+            return
+        out = tmp_path_factory.mktemp("scalar") / "sweep.csv"
+        for variable, name in _SWEPT_FIELDS.items():
+            if variable == "r_C" and cfg.scheme is not LinkScheme.SAT_TO_SAT:
+                continue
+            value = getattr(cfg, name)
+            lo, hi = sorted((value, value * 4.0 if value < 1e300 else value / 4.0))
+            spec = SweepSpec(variable, lo, hi, 70, "log")
+            run_sweep(cfg, spec, str(out), no_timestamp=True)
+            with open(out, encoding="utf-8", newline="") as fh:
+                rows = [row for row in csv.DictReader(fh) if row["f_hi"]]
+            for row in rows:
+                point = spec.apply(cfg, float(row["sweep_value"]))
+                res = shift(point.link())
+                assert [float(row[c]) for c in ("f_hi", "f_lo", "delta_hi",
+                                                "delta_lo")] \
+                    == [res.f.hi, res.f.lo, res.delta.hi, res.delta.lo]
+            for row in {id(r): r for r in rows[:1] + rows[len(rows) // 2:][:1]
+                        + rows[-1:]}.values():
+                point = spec.apply(cfg, float(row["sweep_value"]))
+                gap, bound = delta_gap(point, float(row["delta_hi"]),
+                                       float(row["delta_lo"]))
+                assert gap <= bound
 
 
 class TestSweep:
@@ -1169,6 +1229,38 @@ class TestCliEntry:
         radius = float(out.splitlines()[0].split(":")[1].strip().split()[0])
         assert radius == pytest.approx(expected.R_ZERO_KERR, rel=1e-8)
 
+    @pytest.mark.parametrize("preset, omega", [
+        ("earth-leo", None), ("earth-geo", None),
+        *(("earth-leo", EARTH.omega_A * random.Random(seed).uniform(0.2, 3.0))
+          for seed in (1, 2, 3))])
+    def test_zero_orbit_is_the_oracle_root_to_one_ulp(self, preset, omega):
+        # bisect the 60-digit oracle's delta over the command's bracket down
+        # to two adjacent floats, and keep the end with the smaller |delta|
+        cfg = PRESETS[preset]
+        if omega is not None:
+            cfg = replace(cfg, ground_omega_rad_s=omega)
+        p = cfg.spacetime()
+
+        def delta(r):
+            return delta_exact_ground(p.M_geom, p.a, cfg.emitter_radius_m,
+                                      cfg.ground_omega_rad_s, r,
+                                      cfg.receiver_direction, 60)
+
+        lo, hi = 1.001 * cfg.emitter_radius_m, 3.0 * cfg.emitter_radius_m
+        d_lo, d_hi = delta(lo), delta(hi)
+        assert (d_lo < 0) != (d_hi < 0)
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            d_mid = delta(mid)
+            if (d_mid < 0) == (d_lo < 0):
+                lo, d_lo = mid, d_mid
+            else:
+                hi, d_hi = mid, d_mid
+        root = lo if abs(d_lo) <= abs(d_hi) else hi
+        r_star, residual = zero_orbit(cfg)
+        assert abs(r_star - root) <= math.ulp(root)
+        assert residual.to_float() == float(delta(r_star))
+
     def test_zero_orbit_sat_scheme_has_no_root(self, capsys):
         assert main(["zero-orbit", "--preset", "leo-geo-sat"]) == 3
 
@@ -1490,29 +1582,27 @@ def _qfi_without_one_sinh(real):
 
 def _assemble_without_cross_term(real):
     # delta = u1 + w, the u1 * w of the closed form dropped
-    def broken(pn, pd, dev_emit, dev_recv, emit_name, recv_name):
-        real(pn, pd, dev_emit, dev_recv, emit_name, recv_name)  # its refusals
-        u1 = (pn - pd) / (ONE + pd)
-        u2 = (dev_recv - dev_emit) / (ONE - dev_recv)
-        delta = u1 + u2 / (ONE + (ONE + u2).sqrt())
-        return ShiftResult(f=ONE + delta, delta=delta)
+    def broken(A, pn, pd, dev_emit, dev_recv, emit_name, recv_name):
+        real(A, pn, pd, dev_emit, dev_recv, emit_name, recv_name)  # refusals
+        u1 = (pn - pd) / (A.ONE + pd)
+        u2 = (dev_recv - dev_emit) / (A.ONE - dev_recv)
+        return u1 + u2 / (A.ONE + (A.ONE + u2).sqrt())
     return broken
 
 
 def _orbit_with_3m_scaled(real):
     # the deviation 3M/r - 2 eps a omega with 3M (1 + 1e-7)
-    def broken(p, orbit):
-        omega, aw, dev = real(p, orbit)
-        return omega, aw, dev + DD.product(3e-7, p.M_geom) / orbit.r
+    def broken(A, p, orbit):
+        q, aw, dev = real(A, p, orbit)
+        return q, aw, dev + A.quotient(3e-7 * p.M_geom, orbit.r)
     return broken
 
 
 def _ground_without_a2(real):
     # the deviation omega^2 r^2 + 2M/r (1 - a omega)^2, a^2 dropped
-    def broken(p, station):
-        x, aw, dev = real(p, station)
-        wg = station.omega_geom
-        return x, aw, dev - wg * wg * DD.product(p.a, p.a)
+    def broken(A, p, station):
+        x, aw, dev = real(A, p, station)
+        return x, aw, dev - aw * aw
     return broken
 
 

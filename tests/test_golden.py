@@ -5,22 +5,31 @@ sweep CSVs over each sweep variable, including ranges that cross domain edges
 so that error rows are pinned too, and the console output of `verify full` and
 of `zero-orbit` on every preset, a refused bracket included.
 
+Every delta cell of the report JSONs and sweep CSVs also lies within the
+closed form's stated error bound of the Decimal oracle at 80 digits.
+
 Regenerate the files (only when an output change is intended and explained):
 
     PYTHONPATH=src python tests/test_golden.py
 
 It rewrites only the files whose bytes differ and prints, per file, whether
 it changed, with a unified diff of each changed file against its committed
-bytes, so the changed rows can be reviewed before they are committed.
+bytes, so the changed rows can be reviewed before they are committed.  For
+each delta cell that changed it also prints the old and new value's gap to
+the 80-digit oracle, and counts the cells whose new value is farther.
 """
 
 import contextlib
+import csv
 import io
+import json
 import os
 
 import pytest
 
+from conftest import delta_gap
 from kerr_qlink.cli.main import main
+from kerr_qlink.cli.scenario import PRESETS, SweepSpec
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -119,6 +128,33 @@ def _read_golden(name):
         return fh.read()
 
 
+def _delta_cells(fname, text):
+    """{label: (config, hi, lo)} of the delta cells of a golden report JSON
+    or sweep CSV; a sweep's error rows have none."""
+    stem, ext = os.path.splitext(fname)
+    if ext == ".json":
+        delta = json.loads(text)["delta"]
+        return {"delta": (PRESETS[stem.removeprefix("report_")], delta["hi"],
+                          delta["lo"])}
+    preset, variable, lo, hi, points, scale = SWEEPS[stem]
+    spec = SweepSpec(variable, lo, hi, points, scale)
+    return {f"row {row['index']}": (spec.apply(PRESETS[preset],
+                                               float(row["sweep_value"])),
+                                    float(row["delta_hi"]), float(row["delta_lo"]))
+            for row in csv.DictReader(text.splitlines()) if row["delta_hi"]}
+
+
+_DELTA_FILES = [f"report_{p}.json" for p in PRESET_NAMES] \
+    + [f"{s}.csv" for s in SWEEPS]
+
+
+@pytest.mark.parametrize("name", _DELTA_FILES)
+def test_golden_delta_cells_within_the_closed_form_bound(name):
+    for label, (cfg, hi, lo) in _delta_cells(name, _read_golden(name)).items():
+        gap, bound = delta_gap(cfg, hi, lo)
+        assert gap <= bound, f"{name} {label}: {gap:.2e} from the oracle"
+
+
 @pytest.fixture(scope="module")
 def current(tmp_path_factory):
     return _outputs(str(tmp_path_factory.mktemp("golden")))
@@ -132,6 +168,20 @@ def test_output_matches_golden_bytes(current, name):
     assert current[name] == _read_golden(name)
 
 
+def _print_delta_gaps(fname, old_text, new_text) -> int:
+    """Print |delta - oracle_80| of the old and the new value of each changed
+    delta cell; returns how many moved away from the oracle."""
+    old, farther = _delta_cells(fname, old_text), 0
+    for label, (cfg, hi, lo) in _delta_cells(fname, new_text).items():
+        if label not in old or old[label][1:] == (hi, lo):
+            continue
+        was, _ = delta_gap(cfg, *old[label][1:])
+        now, _ = delta_gap(cfg, hi, lo)
+        farther += now > was
+        print(f"  {fname} {label}: |delta - oracle_80| {was:.2e} -> {now:.2e}")
+    return farther
+
+
 if __name__ == "__main__":
     import difflib
     import sys
@@ -140,7 +190,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         files = _outputs(tmp)
     os.makedirs(GOLDEN, exist_ok=True)
-    changed = 0
+    changed = farther = 0
     for fname, text in files.items():
         try:
             old = _read_golden(fname)
@@ -154,7 +204,10 @@ if __name__ == "__main__":
                 (old or "").splitlines(keepends=True),
                 text.splitlines(keepends=True),
                 f"a/{fname}", f"b/{fname}"))
+            if old is not None and fname in _DELTA_FILES:
+                farther += _print_delta_gaps(fname, old, text)
             with open(os.path.join(GOLDEN, fname), "w", encoding="utf-8",
                       newline="") as fh:
                 fh.write(text)
     print(f"{changed} changed, {len(files) - changed} unchanged in {GOLDEN}")
+    print(f"{farther} changed delta cells farther from the oracle than before")

@@ -46,11 +46,11 @@ class TestGroundDecomposition:
 
     def test_mass_term_vanishes_at_half_radius_altitude(self):
         r_b = EARTH.r_A + EARTH.r_A / 2.0
-        term = delta_mass_term_ground(P, EARTH.r_A, r_b)
+        term = delta_mass_term_ground(DD, P, EARTH.r_A, r_b)
         assert term.to_float() == 0.0
 
     def test_rotation_term_value(self):
-        term = delta_rotation_term_ground(EARTH.r_A, EARTH.omega_A)
+        term = delta_rotation_term_ground(DD, EARTH.r_A, EARTH.omega_A)
         assert term.to_float() == pytest.approx(-1.20e-12, rel=2e-2)
 
     def test_rejects_radius_below_surface(self):
@@ -81,8 +81,8 @@ class TestSatDecomposition:
     def test_terms_vanish_at_zero_separation(self):
         from kerr_qlink.perturb import delta_mass_term_sats, delta_rotation_term_sats
         r = leo_radius()
-        assert delta_mass_term_sats(P, r, r).to_float() == 0.0
-        assert delta_rotation_term_sats(P, r, r).to_float() == 0.0
+        assert delta_mass_term_sats(DD, P, r, r).to_float() == 0.0
+        assert delta_rotation_term_sats(DD, P, r, r).to_float() == 0.0
 
     def test_sum_identity(self):
         dec = sats_decomposition(leo_radius(), geo_radius())

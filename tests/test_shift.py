@@ -207,19 +207,22 @@ class TestOracleAgreement:
 class TestZeroShiftOrbit:
     def test_schwarzschild_root(self):
         s = earth_link(leo_radius(), omega=0.0, a=0.0)
-        r_star = find_zero_shift_orbit(s, 1.1 * EARTH.r_A, 2.5 * EARTH.r_A)
+        r_star, delta = find_zero_shift_orbit(s, 1.1 * EARTH.r_A, 2.5 * EARTH.r_A)
         assert r_star == pytest.approx(1.5 * EARTH.r_A, rel=1e-9)
-        residual = shift(s.with_receiver_radius(r_star)).delta.to_float()
-        assert abs(residual) < 1e-18
+        residual = shift(s.with_receiver_radius(r_star)).delta
+        assert (delta.hi, delta.lo) == (residual.hi, residual.lo)
+        assert abs(residual.to_float()) < 1e-18
 
     def test_full_spin_root_shifted_by_rotation(self, leo_scenario):
-        r_star = find_zero_shift_orbit(leo_scenario, 1.4 * EARTH.r_A, 1.6 * EARTH.r_A)
+        r_star, delta = find_zero_shift_orbit(leo_scenario, 1.4 * EARTH.r_A,
+                                              1.6 * EARTH.r_A)
         assert r_star == pytest.approx(expected.R_ZERO_KERR, rel=1e-9)
         rel_shift = r_star / (1.5 * EARTH.r_A) - 1.0
         # spin pushes the zero-shift orbit down by a few 1e-3 relative
         assert -1e-2 < rel_shift < -1e-4
-        residual = shift(leo_scenario.with_receiver_radius(r_star)).delta.to_float()
-        assert abs(residual) < 1e-18
+        residual = shift(leo_scenario.with_receiver_radius(r_star)).delta
+        assert (delta.hi, delta.lo) == (residual.hi, residual.lo)
+        assert abs(residual.to_float()) < 1e-18
 
     def test_no_root_in_bracket(self, leo_scenario):
         with pytest.raises(NoRootInBracketError):
