@@ -104,15 +104,13 @@ class Report(NamedTuple):
 
 
 def _link(cfg: ScenarioConfig):
-    """(shift result, decomposition) of a config: ``shift`` of its link,
-    which refuses what the radii decide, and the scheme's decomposition.  In
-    a sweep chunk's config whose swept radius is a DDColumn, what that
-    radius reaches is a column."""
+    """(shift result, decomposition) of a config from one evaluation of its
+    link, which refuses what the radii decide: ``shift`` with the scheme's
+    decomposition.  In a sweep chunk's config whose swept radius is a
+    DDColumn, what that radius reaches is a column."""
     link = cfg.link()
-    result = shift(link)
-    decompose = (decompose_ground if link.scheme is LinkScheme.GROUND_TO_SAT
-                 else decompose_sats)
-    return result, decompose(link, result.delta)
+    return shift(link, decompose_ground
+                 if link.scheme is LinkScheme.GROUND_TO_SAT else decompose_sats)
 
 
 def _metrology(cfg: ScenarioConfig, **point):

@@ -141,16 +141,15 @@ def _rows(start: int, values: list[float], cfg: ScenarioConfig,
 # Sweep points evaluated together, as one column in a radius sweep, and
 # written together.  The chunk size bounds a sweep's working memory whatever
 # its length: the columns, rows and text of one chunk are alive at a time
-# (a tracemalloc peak of about 80 KB for a one-chunk earth-leo r_B sweep);
-# only the list of sweep values grows with the sweep.  A refused chunk costs
-# more as it grows too, since its points then run alone, and so does a
-# chunk whose points need different fixed-point scales.  A chunk has a
-# fixed cost of about 190 us (validation, the terms and metrology it
-# shares; least-squares fits of _rows CPU time over 4- to 128-point
-# earth-leo r_B chunks, on a host where a point costs about 21 us), about
-# 3 us a point at 64.  A chunk of 128 points would save about 7% of a
-# sweep's CPU time (paired in-process runs) and double the one-chunk peak.
-SWEEP_CHUNK = 64
+# (a tracemalloc peak of about 150 KB for a one-chunk earth-leo r_B sweep,
+# half that at 64 points); only the list of sweep values grows with the
+# sweep.  A refused chunk costs more as it grows too, since its points then
+# run alone, and so does a chunk whose points need different fixed-point
+# scales.  A chunk has a fixed cost of about 150 us (validation, the terms
+# and metrology it shares; least-squares fits of _chunk_rows CPU time over
+# 4- to 128-point earth-leo r_B chunks, on a 2-vCPU host where a point
+# costs about 17 us), about 1.2 us a point at 128 against 2.3 us at 64.
+SWEEP_CHUNK = 128
 
 
 def _chunk_rows(start: int, chunk: list[float], cfg: ScenarioConfig,

@@ -88,7 +88,7 @@ def ground_station_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, 
     positive, otherwise the station would be superluminal.
     """
     _check_outside_mass_scale(p, w.r, "ground-station normalization")
-    dev = _ground_parts(DD, p, w)[2]
+    dev = _ground_parts(DD, p, w)[3]
     arg = ONE - dev
     for r, d, x in zip(floats(w.r), floats(dev), floats(arg)):
         # a square past about 1e300 overflows, or a Dekker split of it

@@ -42,7 +42,6 @@ ERROR_UNITS = 64
 
 _isqrt = math.isqrt
 _ldexp = math.ldexp
-_ffloor = math.floor
 
 
 def _fixed(n: list, k: int) -> "Fixed":
@@ -117,6 +116,11 @@ class Fixed:
         return _fixed([(x << k) // y for x, y in _pairs(self.n, other, k)], k)
 
     def __pow__(self, e: int) -> "Fixed":
+        # DD.__pow__'s contract: x ** 0 is the one value ONE
+        if not isinstance(e, int) or e < 0:
+            raise DomainError("only non-negative integer powers are supported")
+        if e == 0:
+            return _fixed([1 << self.k], self.k)
         out = self
         for _ in range(e - 1):
             out = out * self
@@ -136,24 +140,14 @@ class Fixed:
 
 class Scale:
     """The arithmetic at one scale 2**-k: what the closed form takes from an
-    arithmetic (``ONE``, ``product``, ``quotient``), ``of`` for a
-    double-double value, and ``dd``, the way out."""
+    arithmetic (``ONE``, ``product``, ``quotient``), and ``dd``, the way
+    out."""
 
     __slots__ = ("k", "ONE")
 
     def __init__(self, k: int):
         self.k = k
         self.ONE = _fixed([1 << k], k)
-
-    def of(self, x) -> Fixed:
-        """A DD's or a DDColumn's value, each limb floored."""
-        k = self.k
-        limbs = x.limbs if type(x) is DDColumn else [(x.hi, x.lo)]
-        try:  # a limb times 2**k is exact, unless it overflows
-            n = [_ffloor(_ldexp(hi, k)) + _ffloor(_ldexp(lo, k)) for hi, lo in limbs]
-        except OverflowError:
-            n = [_floor(hi, k) + _floor(lo, k) for hi, lo in limbs]
-        return _fixed(n, k)
 
     def product(self, a, b) -> Fixed:
         """a * b of two doubles, either of them a column."""

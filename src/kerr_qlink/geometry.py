@@ -90,15 +90,15 @@ def _check_outside_mass_scale(p: SpacetimeParams, r, what: str) -> None:
 
 
 def _ground_parts(A, p: SpacetimeParams, station: Worldline):
-    """(2M/r, a omega, deviation) of a ground station in the arithmetic A,
-    the deviation (omega r)^2 + (a omega)^2 + (2M/r) (1 - a omega)^2 with
-    omega = omega_si / c, so that its normalization argument is 1 -
-    deviation.  Every term is a ratio of the inputs: no length, and no
-    omega in 1/m, is carried on its own."""
+    """(2M/r, v, a omega, deviation) of a ground station in the arithmetic
+    A, v = omega r the surface speed and the deviation v^2 + (a omega)^2 +
+    (2M/r) (1 - a omega)^2 with omega = omega_si / c, so that its
+    normalization argument is 1 - deviation.  Every term is a ratio of the
+    inputs: no length, and no omega in 1/m, is carried on its own."""
     x = A.quotient(2.0 * p.M_geom, station.r)
     v = A.product(station.omega_si, station.r) / C
     aw = A.product(station.omega_si, p.a) / C
-    return x, aw, v * v + aw * aw + x * (A.ONE - aw) ** 2
+    return x, v, aw, v * v + aw * aw + x * (A.ONE - aw) ** 2
 
 
 def _orbit_parts(A, p: SpacetimeParams, orbit: Worldline):

@@ -2,21 +2,30 @@
 uncertainty into spacetime-parameter uncertainties.
 
 The decomposition splits delta into the first-order mass term, the leading
-rotation term and a residual:
+rotation term and a residual.  The paper writes the terms in the radii,
+with L = r_B - r_A (ground) or r_B - r_C (orbits):
 
     ground scheme:   delta_S  = (r_S / 4 r_A) (1 - 2L/r_A) / (1 + L/r_A),
-                     delta_rot = -(r_A omega_A / c)^2 / 2,        L = r_B - r_A
+                     delta_rot = -(r_A omega_A / c)^2 / 2
     orbit-to-orbit:  delta_S  = -(3/4) (L r_S / r_C^2) / (1 + L/r_C),
                      delta_rot = (r_S a^2 / 4 r_C^3) ((1 + L/r_C)^-3 - 1)
+
+With r_S = 2M these are exactly, in the parts of each end that the closed
+form computes (x = 2M/r_A and v = omega_A r_A / c of a station, q = M/r and
+a omega = (a/r) sqrt(M/r) of an orbit):
+
+    ground scheme:   delta_S  = (3 q_B - x) / 2,
+                     delta_rot = -v^2 / 2
+    orbit-to-orbit:  delta_S  = 3 (q_B - q_C) / 2,
+                     delta_rot = ((a omega_B)^2 - (a omega_C)^2) / 2
 
 The residual is defined as the exact delta minus the two modelled terms (not
 as a truncated series), so the sum identity holds to compensated-arithmetic
 accuracy and the residual is directly testable against the oracle.  The
-caller passes a link, which has refused its radii already, and its exact
-delta (from ``shift``), so delta is evaluated once.  The terms are written
-on an arithmetic passed in; the decompositions run them, and the residual,
-on the link's fixed-point scale (``fixed``), and round each to
-double-double limbs once.
+closed form evaluates a link once and hands its fixed-point scale, the parts
+of both ends and its unrounded delta to ``decompose_ground`` or
+``decompose_sats`` (``shift(link, decompose_ground)``), which round each term
+to double-double limbs once.
 """
 
 from __future__ import annotations
@@ -24,13 +33,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .ddouble import DD, DDColumn
+from .ddouble import DD
 from .errors import DomainError, HigherOrderRegimeError
 # shift_ground_to_sat is not called here.  perfbench/test_perfbench.py uses
 # this binding to check that tracing rebinds names imported into other
 # modules; drop it once that test points at another module.
-from .shift import LinkScenario, _scale, shift_ground_to_sat  # noqa: F401
-from .units import C, SpacetimeParams
+from .shift import shift_ground_to_sat  # noqa: F401
 
 
 class ShiftDecomposition(NamedTuple):
@@ -49,70 +57,53 @@ class ShiftDecomposition(NamedTuple):
         return self.delta_S + self.delta_rot + self.delta_c
 
 
-def delta_mass_term_ground(A, p: SpacetimeParams, r_A: float, r_B):
-    """First-order mass term of the ground-to-orbit shift in the arithmetic
-    A, for a receiver radius or a column of them: with rho = r_B / r_A,
-    (1 - 2L/r_A) / (1 + L/r_A) = (3 - 2 rho) / rho."""
-    rho = A.quotient(r_B, r_A)
-    return A.quotient(p.r_S, r_A) * ((3 - 2 * rho) / rho) / 4
+def delta_mass_term_ground(x, q_B):
+    """First-order mass term (3 q_B - x) / 2 of the ground-to-orbit shift,
+    x = 2M/r_A and q_B = M/r_B, in their arithmetic."""
+    return (3 * q_B - x) / 2
 
 
-def delta_rotation_term_ground(A, r_A: float, omega_si: float):
-    """Leading special-relativistic spin term -(r_A omega/c)^2 / 2 in the
-    arithmetic A."""
-    v = A.product(r_A, omega_si) / C
+def delta_rotation_term_ground(v):
+    """Leading special-relativistic spin term -v^2 / 2, v = r_A omega / c the
+    station's surface speed, in its arithmetic."""
     return -(v * v) / 2
 
 
-def delta_mass_term_sats(A, p: SpacetimeParams, r_C, r_B):
-    """First-order mass term of the orbit-to-orbit shift (always negative)
-    in the arithmetic A; either radius may be a column: with L = r_B - r_C,
-    (L r_S / r_C^2) / (1 + L/r_C) = (r_S/r_C) (1 - r_C/r_B)."""
-    return -3 * A.quotient(p.r_S, r_C) * (A.ONE - A.quotient(r_C, r_B)) / 4
+def delta_mass_term_sats(q_C, q_B):
+    """First-order mass term 3 (q_B - q_C) / 2 of the orbit-to-orbit shift
+    (always negative), q = M/r of each orbit, in their arithmetic."""
+    return 3 * (q_B - q_C) / 2
 
 
-def delta_rotation_term_sats(A, p: SpacetimeParams, r_C, r_B):
-    """Leading frame-dragging term r_S a^2 / (4 r_C^3) ((1 + L/r_C)^-3 - 1) of
-    the orbit-to-orbit shift in the arithmetic A, 1 + L/r_C = r_B/r_C;
-    either radius may be a column."""
-    ar = A.quotient(p.a, r_C)
-    shape = A.quotient(r_C, r_B) ** 3 - A.ONE
-    return A.quotient(p.r_S, r_C) * (ar * ar) * shape / 4
+def delta_rotation_term_sats(aw_C, aw_B):
+    """Leading frame-dragging term ((a omega_B)^2 - (a omega_C)^2) / 2 of the
+    orbit-to-orbit shift, a omega of each orbit, in their arithmetic."""
+    return (aw_B * aw_B - aw_C * aw_C) / 2
 
 
-def decompose_ground(link: LinkScenario, delta: DD) -> ShiftDecomposition:
-    """Split the exact delta of a ground-to-orbit link, whose receiver radius
-    may be a column, delta then the column of their deltas."""
-    A = _scale(link)
-    if A is None:
-        return _per_point(decompose_ground, link, delta)
-    r_A = link.emitter.r
-    d_s = delta_mass_term_ground(A, link.params, r_A, link.receiver.r)
-    d_rot = delta_rotation_term_ground(A, r_A, link.emitter.omega_si)
+def decompose_ground(A, station, orbit, delta) -> ShiftDecomposition:
+    """Split delta of a ground-to-orbit link, whose receiver radius may be a
+    column, from the closed form's evaluation of it: its scale A, the parts
+    of the station (2M/r_A, v, a omega, deviation) and of the receiver
+    (M/r_B, a omega, deviation), and its unrounded delta."""
+    x, v, _, _ = station
+    return _split(A, delta_mass_term_ground(x, orbit[0]),
+                  delta_rotation_term_ground(v), delta)
+
+
+def decompose_sats(A, emitter, receiver, delta) -> ShiftDecomposition:
+    """Split delta of an orbit-to-orbit link, either of whose radii may be a
+    column, from the closed form's evaluation of it: its scale A, the parts
+    (M/r, a omega, deviation) of both orbits, and its unrounded delta."""
+    (q_C, aw_C, _), (q_B, aw_B, _) = emitter, receiver
+    return _split(A, delta_mass_term_sats(q_C, q_B),
+                  delta_rotation_term_sats(aw_C, aw_B), delta)
+
+
+def _split(A, d_s, d_rot, delta) -> ShiftDecomposition:
+    """The terms and the residual delta - d_s - d_rot, each rounded once."""
     return ShiftDecomposition(A.dd(d_s), A.dd(d_rot),
-                              A.dd(A.of(delta) - d_s - d_rot))
-
-
-def decompose_sats(link: LinkScenario, delta: DD) -> ShiftDecomposition:
-    """Split the exact delta of an orbit-to-orbit link; either radius may be
-    a column, delta then the column of deltas."""
-    A = _scale(link)
-    if A is None:
-        return _per_point(decompose_sats, link, delta)
-    p, r_C, r_B = link.params, link.emitter.r, link.receiver.r
-    d_s = delta_mass_term_sats(A, p, r_C, r_B)
-    d_rot = delta_rotation_term_sats(A, p, r_C, r_B)
-    return ShiftDecomposition(A.dd(d_s), A.dd(d_rot),
-                              A.dd(A.of(delta) - d_s - d_rot))
-
-
-def _per_point(decompose, link: LinkScenario, delta) -> ShiftDecomposition:
-    """``decompose`` of each point of a column link alone, its terms stacked
-    into columns: the column's points need different fixed-point scales."""
-    points = [decompose(point, DD(hi, lo))
-              for point, (hi, lo) in zip(link.points(), delta.limbs)]
-    return ShiftDecomposition(*(DDColumn([(x.hi, x.lo) for x in column])
-                                for column in zip(*points)))
+                              A.dd(delta - d_s - d_rot))
 
 
 # Refuse first-order error propagation once the mass term no longer dominates

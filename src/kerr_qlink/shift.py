@@ -142,11 +142,10 @@ def _assemble(A, pn, pd, dev_emit, dev_recv, emit_name: str, recv_name: str):
     return u1 + w + u1 * w
 
 
-def _orbit_terms(A, p: SpacetimeParams, orbit: Worldline):
-    """(prefactor term eps a omega / (1 - 2M/r), deviation) of a circular
-    orbit."""
-    q, aw, dev = _orbit_parts(A, p, orbit)
-    return orbit.direction * aw / (A.ONE - 2 * q), dev
+def _prefactor(A, orbit: Worldline, parts):
+    """Prefactor term eps a omega / (1 - 2M/r) of a circular orbit, from its
+    parts (M/r, a omega, deviation)."""
+    return orbit.direction * parts[1] / (A.ONE - 2 * parts[0])
 
 
 def _scale(link: LinkScenario):
@@ -157,51 +156,66 @@ def _scale(link: LinkScenario):
     return link_scale(link)
 
 
-def _closed_form(s: LinkScenario) -> ShiftResult:
+def _stack(record, points):
+    """``record`` of the columns of the points' DD fields."""
+    return record(*(DDColumn([(x.hi, x.lo) for x in column])
+                    for column in zip(*points)))
+
+
+def _closed_form(s: LinkScenario, split=None):
     """Closed-form shift of a link, one of whose orbit radii may be a column,
     on the link's fixed-point scale (a column whose points need different
-    scales point by point): the emitter's terms, then the receiver's, and the
-    limbs of f and delta rounded once.  The prefactor terms are the closed
-    form's own; the deviations are shared with the observer layer."""
+    scales point by point): the parts of each end once, the emitter's, then
+    the receiver's, and the limbs of f and delta rounded once.  The
+    prefactor terms are the closed form's own; the parts are shared with the
+    observer layer.  With ``split`` (``perturb.decompose_ground`` or
+    ``decompose_sats``) it returns (result, split(A, emitter parts, receiver
+    parts, unrounded delta)): the decomposition from the same evaluation."""
     A = _scale(s)
     if A is None:  # a column whose points need different scales
-        points = [_closed_form(point) for point in s.points()]
-        return ShiftResult(f=DDColumn([(x.f.hi, x.f.lo) for x in points]),
-                           delta=DDColumn([(x.delta.hi, x.delta.lo)
-                                           for x in points]))
+        points = [_closed_form(point, split) for point in s.points()]
+        if split is None:
+            return _stack(ShiftResult, [(x.f, x.delta) for x in points])
+        return (_stack(ShiftResult, [(x.f, x.delta) for x, _ in points]),
+                _stack(type(points[0][1]), [dec for _, dec in points]))
     p, emitter, receiver = s.params, s.emitter, s.receiver
     if emitter.kind is WorldlineKind.GROUND_STATION:
-        x, aw, dev_emit = _ground_parts(A, p, emitter)
+        emit = x, _, aw, _ = _ground_parts(A, p, emitter)
         pd = x * aw / (A.ONE - x)  # (2M/r) a omega / (1 - 2M/r)
         emit_name = "the ground-station normalization"
     else:
-        pd, dev_emit = _orbit_terms(A, p, emitter)
+        emit = _orbit_parts(A, p, emitter)
+        pd = _prefactor(A, emitter, emit)
         emit_name = "the emitter-orbit normalization"
-    pn, dev_recv = _orbit_terms(A, p, receiver)
-    delta = _assemble(A, pn, pd, dev_emit, dev_recv, emit_name,
-                      "the receiver-orbit normalization")
-    return ShiftResult(f=A.dd(A.ONE + delta), delta=A.dd(delta))
+    recv = _orbit_parts(A, p, receiver)
+    delta = _assemble(A, _prefactor(A, receiver, recv), pd, emit[-1], recv[-1],
+                      emit_name, "the receiver-orbit normalization")
+    result = ShiftResult(f=A.dd(A.ONE + delta), delta=A.dd(delta))
+    return result if split is None else (result, split(A, emit, recv, delta))
 
 
-def shift_ground_to_sat(s: LinkScenario) -> ShiftResult:
-    """Shift for a radial photon from a spinning ground station to an orbit."""
+def shift_ground_to_sat(s: LinkScenario, split=None):
+    """Shift for a radial photon from a spinning ground station to an orbit;
+    with ``split``, also its decomposition (see ``_closed_form``)."""
     if s.scheme is not LinkScheme.GROUND_TO_SAT:
         raise DomainError("shift_ground_to_sat needs a ground-to-sat scenario")
-    return _closed_form(s)
+    return _closed_form(s, split)
 
 
-def shift_sat_to_sat(s: LinkScenario) -> ShiftResult:
-    """Shift for a radial photon between two circular orbits (emitter below)."""
+def shift_sat_to_sat(s: LinkScenario, split=None):
+    """Shift for a radial photon between two circular orbits (emitter below);
+    with ``split``, also its decomposition (see ``_closed_form``)."""
     if s.scheme is not LinkScheme.SAT_TO_SAT:
         raise DomainError("shift_sat_to_sat needs a sat-to-sat scenario")
-    return _closed_form(s)
+    return _closed_form(s, split)
 
 
-def shift(s: LinkScenario) -> ShiftResult:
-    """Closed-form shift for the scheme the scenario's emitter fixes."""
+def shift(s: LinkScenario, split=None):
+    """Closed-form shift for the scheme the scenario's emitter fixes; with
+    ``split``, the scheme's decomposition, the pair (shift, decomposition)."""
     if s.scheme is LinkScheme.GROUND_TO_SAT:
-        return shift_ground_to_sat(s)
-    return shift_sat_to_sat(s)
+        return shift_ground_to_sat(s, split)
+    return shift_sat_to_sat(s, split)
 
 
 def find_zero_shift_orbit(s: LinkScenario, r_lo: float,

@@ -37,15 +37,13 @@ def sat_link(r_C: float, r_B: float, eta: int = +1, eps: int = +1) -> LinkScenar
 
 
 def earth_decomposition(r_B: float) -> ShiftDecomposition:
-    """decompose_ground for the Earth station, fed the exact shift of earth_link."""
-    link = earth_link(r_B)
-    return decompose_ground(link, shift(link).delta)
+    """decompose_ground of earth_link, from the evaluation of its shift."""
+    return shift(earth_link(r_B), decompose_ground)[1]
 
 
 def sats_decomposition(r_C: float, r_B: float) -> ShiftDecomposition:
-    """decompose_sats for two Earth orbits, fed the exact shift of sat_link."""
-    link = sat_link(r_C, r_B)
-    return decompose_sats(link, shift(link).delta)
+    """decompose_sats of sat_link, from the evaluation of its shift."""
+    return shift(sat_link(r_C, r_B), decompose_sats)[1]
 
 
 def delta_gap(cfg, hi: float, lo: float, digits: int = 80) -> tuple:

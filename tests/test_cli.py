@@ -663,12 +663,10 @@ class TestSweep:
 
 def _reference_report(cfg: ScenarioConfig) -> Report:
     link = cfg.link()
-    result = shift(link)
+    result, dec = shift(link, decompose_ground
+                        if cfg.scheme is LinkScheme.GROUND_TO_SAT
+                        else decompose_sats)
     delta_f = result.delta.to_float()
-    if cfg.scheme is LinkScheme.GROUND_TO_SAT:
-        dec = decompose_ground(link, result.delta)
-    else:
-        dec = decompose_sats(link, result.delta)
     overlap = overlap_analytic(cfg.packet(), delta_f)
     m = cfg.metrology()
     notes = []
@@ -913,6 +911,18 @@ class TestSweepChunkConfig:
                 point = route(spec.apply(cfg, v).link())
                 assert chunk.f.limbs[i] == (point.f.hi, point.f.lo)
                 assert chunk.delta.limbs[i] == (point.delta.hi, point.delta.lo)
+        # the decomposition, from the closed form's evaluation of the link
+        # (point by point on leo-geo-sat's r_C, whose points need different
+        # scales)
+        decompose = (decompose_ground if cfg.scheme is LinkScheme.GROUND_TO_SAT
+                     else decompose_sats)
+        chunk = shift(link, decompose)[1]
+        for i, v in enumerate(values):
+            point = shift(spec.apply(cfg, v).link(), decompose)[1]
+            for column, term in zip(chunk, point):
+                limbs = (column.limbs[i] if type(column) is DDColumn
+                         else (column.hi, column.lo))
+                assert limbs == (term.hi, term.lo)
 
 
 class TestSweepChunks:
@@ -982,6 +992,12 @@ class TestSweepChunks:
         assert per_point < 200
 
 
+# a long sweep: more than one chunk, the last of them partly filled
+LONG = 150
+LONG_CHUNKS = -(-LONG // SWEEP_CHUNK)
+assert LONG_CHUNKS > 1 and LONG % SWEEP_CHUNK
+
+
 class TestSweepPlanStages:
     """What a sweep's variable does not reach runs once per chunk."""
 
@@ -990,10 +1006,12 @@ class TestSweepPlanStages:
         shift_module = importlib.import_module("kerr_qlink.shift")
         counts = Counter()
 
+        fixed_module = importlib.import_module("kerr_qlink.fixed")
         perturb_module = importlib.import_module("kerr_qlink.perturb")
         metrology_module = importlib.import_module("kerr_qlink.metrology")
         # the originals, captured before any binding is patched
         originals = {
+            "link_scale": fixed_module.link_scale,
             "_ground_parts": shift_module._ground_parts,
             "_orbit_parts": shift_module._orbit_parts,
             "_assemble": shift_module._assemble,
@@ -1013,6 +1031,7 @@ class TestSweepPlanStages:
 
             monkeypatch.setattr(owner, name, counted)
 
+        counting(fixed_module, "link_scale")
         for name in ("_ground_parts", "_orbit_parts", "_assemble"):
             counting(shift_module, name)
         counting(perturb_module, "delta_rotation_term_ground")
@@ -1025,7 +1044,8 @@ class TestSweepPlanStages:
         # the receiver terms and the shift run once per chunk of points
         spec = SweepSpec("r_B", 7.0e6, 4.2e7, 9, "log")
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
-        assert counts == {"_ground_parts": 1, "delta_rotation_term_ground": 1,
+        assert counts == {"link_scale": 1, "_ground_parts": 1,
+                          "delta_rotation_term_ground": 1,
                           "_orbit_parts": 1, "_assemble": 1,
                           "qfi": 1, "shift_uncertainty_floor": 1,
                           "error_angular_velocity": 1}
@@ -1033,36 +1053,46 @@ class TestSweepPlanStages:
     def test_squeezing_sweep_evaluates_the_shift_once(self, counts, tmp_path):
         spec = SweepSpec("s", 0.5, 4.0, 9)
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "s.csv"))
-        assert counts == {"_ground_parts": 1, "delta_rotation_term_ground": 1,
+        assert counts == {"link_scale": 1, "_ground_parts": 1,
+                          "delta_rotation_term_ground": 1,
                           "_orbit_parts": 1, "_assemble": 1,
                           "qfi": 9, "shift_uncertainty_floor": 9,
                           "error_angular_velocity": 9}
 
     def test_long_squeezing_sweep_evaluates_the_shift_once_per_chunk(
             self, counts, tmp_path):
-        spec = SweepSpec("s", 0.5, 4.0, 150)
+        spec = SweepSpec("s", 0.5, 4.0, LONG)
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "s.csv"))
-        assert counts["_assemble"] == 3 and counts["qfi"] == 150
+        assert counts["link_scale"] == counts["_assemble"] == LONG_CHUNKS
+        assert counts["qfi"] == LONG
 
     def test_long_receiver_sweep_builds_the_station_once_per_chunk(
             self, counts, tmp_path):
-        spec = SweepSpec("r_B", 7.0e6, 4.2e7, 150, "log")
+        spec = SweepSpec("r_B", 7.0e6, 4.2e7, LONG, "log")
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
-        assert counts["_ground_parts"] == 3
+        assert counts["link_scale"] == counts["_ground_parts"] == LONG_CHUNKS
+        assert counts["_orbit_parts"] == LONG_CHUNKS
+
+    def test_long_orbit_pair_sweep_evaluates_each_end_once_per_chunk(
+            self, counts, tmp_path):
+        spec = SweepSpec("r_B", 8.4e6, 4.5e7, LONG, "log")
+        run_sweep(PRESETS["leo-geo-sat"], spec, str(tmp_path / "r.csv"))
+        assert counts["link_scale"] == counts["_assemble"] == LONG_CHUNKS
+        assert counts["_orbit_parts"] == 2 * LONG_CHUNKS
 
     def test_angular_velocity_bound_runs_once_per_chunk_of_a_constant_term(
             self, counts, tmp_path):
         # a ground link's rotation term does not depend on the receiver
-        spec = SweepSpec("r_B", 7.0e6, 4.2e7, 150, "log")
+        spec = SweepSpec("r_B", 7.0e6, 4.2e7, LONG, "log")
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
-        assert counts["error_angular_velocity"] == 3
+        assert counts["error_angular_velocity"] == LONG_CHUNKS
 
     def test_angular_velocity_bound_runs_per_point_of_a_varying_term(
             self, counts, tmp_path):
         # an orbit pair's frame-dragging term depends on both radii
-        spec = SweepSpec("r_B", 8.4e6, 4.5e7, 150, "log")
+        spec = SweepSpec("r_B", 8.4e6, 4.5e7, LONG, "log")
         run_sweep(PRESETS["leo-geo-sat"], spec, str(tmp_path / "r.csv"))
-        assert counts["error_angular_velocity"] == 150
+        assert counts["error_angular_velocity"] == LONG
 
     def test_long_receiver_sweep_validates_each_chunk_once(
             self, monkeypatch, tmp_path):
@@ -1074,9 +1104,9 @@ class TestSweepPlanStages:
             original(cfg)
 
         monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
-        spec = SweepSpec("r_B", 7.0e6, 4.2e7, 150, "log")
+        spec = SweepSpec("r_B", 7.0e6, 4.2e7, LONG, "log")
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
-        assert len(validated) == 3
+        assert len(validated) == LONG_CHUNKS
         assert all(type(cfg.receiver_radius_m) is DDColumn for cfg in validated)
 
     @pytest.mark.parametrize("variable, field, lo, hi", [
@@ -1095,21 +1125,23 @@ class TestSweepPlanStages:
             original(cfg)
 
         monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
-        spec = SweepSpec(variable, lo, hi, 150, "log")
+        spec = SweepSpec(variable, lo, hi, LONG, "log")
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "p.csv"))
-        assert len(built) == 3
+        assert len(built) == LONG_CHUNKS
         assert all(type(getattr(cfg, field)) is DDColumn for cfg in built)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_report_runs_each_stage_once(self, counts, preset):
         assemble_report(PRESETS[preset])
         if PRESETS[preset].scheme is LinkScheme.GROUND_TO_SAT:
-            assert counts == {"_ground_parts": 1, "delta_rotation_term_ground": 1,
+            assert counts == {"link_scale": 1, "_ground_parts": 1,
+                              "delta_rotation_term_ground": 1,
                               "_orbit_parts": 1, "_assemble": 1,
                               "qfi": 1, "shift_uncertainty_floor": 1,
                               "error_angular_velocity": 1}
         else:  # both ends are orbits
-            assert counts == {"_orbit_parts": 2, "_assemble": 1,
+            assert counts == {"link_scale": 1, "_orbit_parts": 2,
+                              "_assemble": 1,
                               "qfi": 1, "shift_uncertainty_floor": 1,
                               "error_angular_velocity": 1}
 
@@ -1601,8 +1633,8 @@ def _orbit_with_3m_scaled(real):
 def _ground_without_a2(real):
     # the deviation omega^2 r^2 + 2M/r (1 - a omega)^2, a^2 dropped
     def broken(A, p, station):
-        x, aw, dev = real(A, p, station)
-        return x, aw, dev - aw * aw
+        x, v, aw, dev = real(A, p, station)
+        return x, v, aw, dev - aw * aw
     return broken
 
 

@@ -277,6 +277,5 @@ def test_which_refusal_wins_where_two_apply(emitter, receiver, params, refused):
     # range refusal the arithmetic can raise
     with pytest.raises(DomainError, match=refused):
         link = LinkScenario(emitter, receiver, params)
-        decompose = (decompose_ground if link.scheme is LinkScheme.GROUND_TO_SAT
-                     else decompose_sats)
-        decompose(link, shift(link).delta)
+        shift(link, decompose_ground if link.scheme is LinkScheme.GROUND_TO_SAT
+              else decompose_sats)
