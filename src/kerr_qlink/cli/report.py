@@ -107,7 +107,7 @@ def _link(cfg: ScenarioConfig):
     """(shift result, decomposition) of a config from one evaluation of its
     link, which refuses what the radii decide: ``shift`` with the scheme's
     decomposition.  In a sweep chunk's config whose swept radius is a
-    DDColumn, what that radius reaches is a column."""
+    list, what that radius reaches is a column."""
     link = cfg.link()
     return shift(link, decompose_ground
                  if link.scheme is LinkScheme.GROUND_TO_SAT else decompose_sats)
@@ -230,8 +230,9 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
 
     One loop evaluates SWEEP_CHUNK points at a time and writes each chunk's
     rows to ``out_path`` as soon as they are computed, so memory stays flat
-    however long the sweep.  Each chunk is one config whose swept field
-    holds the chunk's values as a DDColumn, checked element by element when
+    however long the sweep: each chunk's values are computed from their
+    indices when it starts.  Each chunk is one config whose swept field
+    holds the list of the chunk's values, checked element by element when
     it is built; the link runs on it once, as columns for a receiver (r_B)
     or emitter (r_C) radius sweep, with the same bits as point by point.
     When anything in a chunk is refused, the config or its link, or
@@ -249,7 +250,6 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
     """
     from .sweep import CSV_COLUMNS, SWEEP_CHUNK, _chunk_rows
 
-    values = spec.values()
     spec.field(cfg)  # a variable the scenario cannot sweep writes nothing
     header = ",".join(CSV_COLUMNS) + "\n"
     if not no_timestamp:
@@ -261,8 +261,8 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header)
-            for start in range(0, len(values), SWEEP_CHUNK):
-                rows = _chunk_rows(start, values[start:start + SWEEP_CHUNK],
+            for start in range(0, spec.points, SWEEP_CHUNK):
+                rows = _chunk_rows(start, spec.values(start, start + SWEEP_CHUNK),
                                    cfg, spec)
                 fh.write("\n".join(rows) + "\n")
                 written += len(rows)

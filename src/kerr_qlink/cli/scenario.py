@@ -36,9 +36,9 @@ _INT_KEYS = {"emitter_direction", "receiver_direction"}
 class ScenarioConfig:
     """One fully-specified link scenario plus probe resources, refused when
     built unless every field is in its domain.  A float field may be a
-    DDColumn (a sweep chunk), checked element by element.  What the radii
-    decide against each other or the planet (orbit order, the horizon, the
-    station) is the link's to refuse."""
+    list of doubles (a sweep chunk), checked element by element.  What the
+    radii decide against each other or the planet (orbit order, the
+    horizon, the station) is the link's to refuse."""
 
     scheme: LinkScheme = LinkScheme.GROUND_TO_SAT
     emitter_radius_m: float = EARTH.r_A
@@ -168,15 +168,21 @@ class SweepSpec(Frozen):
         if scale == "linear" and not math.isfinite(hi - lo):
             raise ConfigError("linear sweep span hi - lo overflows the double range")
 
-    def values(self) -> list[float]:
+    def values(self, start: int = 0, stop: Optional[int] = None) -> list[float]:
+        """The grid values of points start .. stop - 1 (as a slice of all of
+        them), each from its own index; the endpoints are lo and hi."""
         n = self.points
+        indices = range(n)[start:stop]
         if self.scale == "linear":
             stride = (self.hi - self.lo) / (n - 1)
-            vals = [self.lo + i * stride for i in range(n)]
+            vals = [self.lo + i * stride for i in indices]
         else:
             la, lb = math.log(self.lo), math.log(self.hi)
-            vals = [math.exp(la + i * (lb - la) / (n - 1)) for i in range(n)]
-        vals[0], vals[-1] = self.lo, self.hi
+            vals = [math.exp(la + i * (lb - la) / (n - 1)) for i in indices]
+        if indices and indices[0] == 0:
+            vals[0] = self.lo
+        if indices and indices[-1] == n - 1:
+            vals[-1] = self.hi
         return vals
 
     def field(self, cfg: ScenarioConfig) -> str:

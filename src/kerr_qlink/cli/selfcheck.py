@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Callable, NamedTuple
 
-from ..ddouble import DD, DDColumn, floats
+from ..ddouble import DD
 from ..crosscheck import (
     contract,
     ground_station_velocity,
@@ -131,12 +131,13 @@ def _check_metric_limits(digits: int):
 def _check_null_identity(digits: int):
     p = EARTH.spacetime()
     n = 200
-    r = DDColumn.of([EARTH.r_A + (10.0 * geo_radius() - EARTH.r_A) * i / (n - 1)
-                     for i in range(n)])
-    g = metric_at(p, r)
-    _, photon = photon_tangent(p, r, 1.0)
-    lhs = photon.kappa * (DD(1.0) - g.dev_tt)
-    worst = max(abs(x) for x in floats(lhs - g.Delta))
+    worst = 0.0
+    for i in range(n):
+        r = EARTH.r_A + (10.0 * geo_radius() - EARTH.r_A) * i / (n - 1)
+        g = metric_at(p, r)
+        _, photon = photon_tangent(p, r, 1.0)
+        lhs = photon.kappa * (DD(1.0) - g.dev_tt)
+        worst = max(worst, abs((lhs - g.Delta).to_float()))
     return worst <= 1e-30, f"max |kappa (1 - 2M/r) - Delta| = {worst:.2e}"
 
 

@@ -1,8 +1,8 @@
 """The rows of a CSV sweep, one chunk of points at a time.
 
 A sweep runs one loop over chunks of SWEEP_CHUNK points and shares nothing
-between chunks: a chunk is the config whose swept field holds its values as
-a DDColumn, which checks them element by element when it is built, and takes
+between chunks: a chunk is the config whose swept field holds the list of
+its values, which checks them element by element when it is built, and takes
 a report's route into the closed form.  In a radius sweep the closed form
 and the decomposition run once per chunk, on a column of the link's
 fixed-point ints (``fixed``), each element the bits of its point alone.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Optional
 
-from ..ddouble import DD, DDColumn
+from ..ddouble import DD, DDColumn, floats
 from ..errors import KerrQlinkError
 from .report import _link, _metrology, _outcomes, _rotation
 from .scenario import ScenarioConfig, SweepSpec
@@ -77,7 +77,7 @@ def _template(constants: dict[str, Optional[float]], refused: set) -> str:
 def _rows(start: int, values: list[float], cfg: ScenarioConfig,
           spec: SweepSpec) -> list[str]:
     """CSV rows of the sweep points ``values``, the first of them point
-    ``start``, from ``cfg``, whose swept field holds them (a DDColumn, or the
+    ``start``, from ``cfg``, whose swept field holds them (the list, or the
     one value); raises what any point's evaluation raises.
 
     The link runs on the config once; a radius sweep's metrology runs once
@@ -97,8 +97,8 @@ def _rows(start: int, values: list[float], cfg: ScenarioConfig,
         if type(getattr(dec, name)) is DD:
             constants[name] = getattr(dec, name).to_float()
     delta_S, delta_rot, delta_c = (
-        [hi + lo for hi, lo in _limbs(x, n)]
-        for x in (dec.delta_S, dec.delta_rot, dec.delta_c))
+        [constants[name]] * n if name in constants else floats(getattr(dec, name))
+        for name in ("delta_S", "delta_rot", "delta_c"))
     if spec.variable in ("r_B", "r_C"):
         metrology = [_metrology(cfg)] * n
         _, constants["qfi"], constants["delta_delta_min"], _ = metrology[0]
@@ -142,8 +142,8 @@ def _rows(start: int, values: list[float], cfg: ScenarioConfig,
 # written together.  The chunk size bounds a sweep's working memory whatever
 # its length: the columns, rows and text of one chunk are alive at a time
 # (a tracemalloc peak of about 150 KB for a one-chunk earth-leo r_B sweep,
-# half that at 64 points); only the list of sweep values grows with the
-# sweep.  A refused chunk costs more as it grows too, since its points then
+# half that at 64 points), and each chunk's values are computed when it
+# starts.  A refused chunk costs more as it grows too, since its points then
 # run alone, and so does a chunk whose points need different fixed-point
 # scales.  A chunk has a fixed cost of about 150 us (validation, the terms
 # and metrology it shares; least-squares fits of _chunk_rows CPU time over
@@ -155,11 +155,11 @@ SWEEP_CHUNK = 128
 def _chunk_rows(start: int, chunk: list[float], cfg: ScenarioConfig,
                 spec: SweepSpec) -> list[str]:
     """The rows of one chunk of the sweep ``spec`` over ``cfg``: ``_rows`` of
-    the config whose swept field holds the chunk as a DDColumn, or, when
+    the config whose swept field holds the chunk's list, or, when
     building it or anything in it is refused or arithmetic fails, of each
     point alone, a refused point as an error row."""
     try:
-        return _rows(start, chunk, spec.apply(cfg, DDColumn.of(chunk)), spec)
+        return _rows(start, chunk, spec.apply(cfg, chunk), spec)
     except (KerrQlinkError, ArithmeticError):
         rows = []
         for index, value in enumerate(chunk, start):

@@ -15,7 +15,8 @@ No command but `verify` runs these, so the report, sweep and zero-orbit
 paths never load this module.  The observer routes read each endpoint's
 deviation from flat space from the one place the closed form reads it,
 ``geometry._ground_parts`` and ``geometry._orbit_parts``, evaluated here in
-double-double (``DD``), and refuse what leaves its range.
+double-double (``DD``) on one radius at a time, and refuse what leaves its
+range.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .ddouble import DD, ONE, floats
+from .ddouble import DD, ONE
 from .errors import DomainError, NumericalError
 from .fixed import scale
 from .geometry import (
@@ -90,18 +91,17 @@ def ground_station_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, 
     _check_outside_mass_scale(p, w.r, "ground-station normalization")
     dev = _ground_parts(DD, p, w)[3]
     arg = ONE - dev
-    for r, d, x in zip(floats(w.r), floats(dev), floats(arg)):
-        # a square past about 1e300 overflows, or a Dekker split of it
-        # does, into NaN
-        if not math.isfinite(d):
-            raise DomainError(
-                "ground station: deviation omega^2 (r^2 + a^2) + 2M/r (1 - a omega)^2 "
-                f"with r = {r} m and a = {p.a} m leaves the double-double range")
-        if not x > 0.0:
-            raise DomainError(
-                "ground-station normalization argument is not positive "
-                f"(superluminal worldline at r = {r} m)"
-            )
+    # a square past about 1e300 overflows, or a Dekker split of it does,
+    # into NaN
+    if not math.isfinite(dev.to_float()):
+        raise DomainError(
+            "ground station: deviation omega^2 (r^2 + a^2) + 2M/r (1 - a omega)^2 "
+            f"with r = {w.r} m and a = {p.a} m leaves the double-double range")
+    if not arg.to_float() > 0.0:
+        raise DomainError(
+            "ground-station normalization argument is not positive "
+            f"(superluminal worldline at r = {w.r} m)"
+        )
     return ONE / arg.sqrt(), arg
 
 
@@ -115,12 +115,11 @@ def orbit_normalization(p: SpacetimeParams, w: Worldline) -> tuple[DD, DD, DD]:
     _check_outside_mass_scale(p, w.r, "orbit normalization")
     q, _, dev = _orbit_parts(DD, p, w)
     arg = ONE - dev
-    for r, x in zip(floats(w.r), floats(arg)):
-        if not x > 0.0:
-            raise DomainError(
-                "orbit normalization argument is not positive "
-                f"(r = {r} m is inside the photon-orbit pathology)"
-            )
+    if not arg.to_float() > 0.0:
+        raise DomainError(
+            "orbit normalization argument is not positive "
+            f"(r = {w.r} m is inside the photon-orbit pathology)"
+        )
     return ONE / arg.sqrt(), arg, q.sqrt() / w.r
 
 

@@ -6,11 +6,11 @@ frequency-shift pipeline needs this because the interesting physics lives in
 deltas of size 1e-10 .. 1e-23 sitting on top of numbers of order one, i.e.
 partly below double-precision epsilon relative to the unit.
 
-Every shift and decomposition the pipeline outputs is a DD (or a DDColumn):
-the closed form computes it on scaled integers (``fixed``) and rounds it to
-its limbs once.  The arithmetic below runs the independent contraction
-route in ``crosscheck``, the oracle's geodesic cross-check and the
-wavepacket's propagation.
+Every shift and decomposition the pipeline outputs is a DD, or for a sweep
+chunk a DDColumn of limbs: the closed form computes it on scaled integers
+(``fixed``) and rounds it to its limbs once.  The arithmetic below runs the
+independent contraction route in ``crosscheck``, the oracle's geodesic
+cross-check and the wavepacket's propagation.
 
 The error-free transformations (two_sum, two_prod via Dekker splitting) are
 exact, and so are DD.sum2 and DD.product.  Every other kernel has a proven
@@ -36,23 +36,14 @@ limb), _mul, _div, _sqrt, _quotient, _product and _sum2.  They write the
 error-free transformations out inline instead of calling them, and run the
 same IEEE operations in the same order, so every bit of a result, signed
 zeros included, is that of the composed form; tests/test_ddouble.py keeps
-the composed form as the reference.  Two number types share the kernels,
-so the bounds above hold for both:
+the composed form as the reference.  DD's operators unpack the operands,
+call the kernel and wrap the pair.
 
-* DD, one value.  Its operators unpack the operands, call the kernel and
-  wrap the pair.
-* DDColumn, a list of (hi, lo) pairs.  Its operators map the same kernel
-  over the elements, broadcasting a DD, float or int operand on either side,
-  so element i of a result is bit for bit the DD result on element i.  It
-  saves the interpreter's per-operation dispatch and allocation, most of a
-  scalar operation's cost, when many points go through one formula.
-
-The constructors DD.of, DD.sum2, DD.product and DD.quotient take a column
-operand too, and then return a column (sum2, product and quotient read its hi
-limbs).  The DD class itself, with DD.ONE, is an arithmetic in the sense of
+The DD class itself, with DD.ONE, is an arithmetic in the sense of
 ``geometry``: the observer deviations written once there run on it for the
-contraction route, on a point or a column of radii, as they run on a
-``fixed.Scale`` for the closed form.
+contraction route, one radius at a time, as they run on a ``fixed.Scale``
+for the closed form.  A DDColumn only carries the limbs of a sweep chunk's
+results; the one column arithmetic is ``fixed``'s.
 """
 
 from __future__ import annotations
@@ -214,27 +205,12 @@ def _sqrt(hi: float, lo: float) -> tuple[float, float]:
     return s, sl - (s - sh)
 
 
-def _sign(hi: float, lo: float) -> int:
-    """-1, 0 or +1; the lo part decides when hi is exactly zero."""
-    if hi > 0.0:
-        return 1
-    if hi < 0.0:
-        return -1
-    if lo > 0.0:
-        return 1
-    if lo < 0.0:
-        return -1
-    return 0
-
-
 class DD:
     """Immutable double-double number.
 
     Construct with already-normalised parts (internal use), or via
-    ``DD.of``, ``DD.sum2``, ``DD.product``, ``DD.quotient``; each of these
-    returns a DDColumn when an operand is one.  All operators accept DD,
-    float or int operands, and leave a DDColumn operand to the column's
-    reflected operator.
+    ``DD.of``, ``DD.sum2``, ``DD.product``, ``DD.quotient``.  All operators
+    accept DD, float or int operands.
     """
 
     __slots__ = ("hi", "lo")
@@ -246,26 +222,26 @@ class DD:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def of(x):
-        """x itself for a DD or a column, else the DD of the double x."""
-        if isinstance(x, DD) or type(x) is DDColumn:
+    def of(x) -> "DD":
+        """x itself for a DD, else the DD of the double x."""
+        if isinstance(x, DD):
             return x
         return DD(float(x), 0.0)
 
     @staticmethod
-    def sum2(a: float, b: float):
+    def sum2(a: float, b: float) -> "DD":
         """Exact a + b of two doubles."""
-        return _map_doubles(_sum2, a, b)
+        return _dd(*_sum2(a, b))
 
     @staticmethod
-    def product(a: float, b: float):
+    def product(a: float, b: float) -> "DD":
         """Exact a * b of two doubles."""
-        return _map_doubles(_product, a, b)
+        return _dd(*_product(a, b))
 
     @staticmethod
-    def quotient(a: float, b: float):
+    def quotient(a: float, b: float) -> "DD":
         """a / b of two doubles, accurate to double-double precision."""
-        return _map_doubles(_quotient, a, b)
+        return _dd(*_quotient(a, b))
 
     # -- conversions -------------------------------------------------------
 
@@ -290,8 +266,8 @@ class DD:
 
     # -- arithmetic --------------------------------------------------------
     #
-    # float() refuses a DDColumn, and returning NotImplemented then hands the
-    # operation to the column's reflected operator.
+    # An operand float() refuses gets NotImplemented, so Python tries its
+    # reflected operator and raises TypeError if it has none.
 
     def __add__(self, other) -> "DD":
         if isinstance(other, DD):
@@ -344,7 +320,6 @@ class DD:
         return DD.of(other).__truediv__(self)
 
     def __pow__(self, n: int) -> "DD":
-        # also DDColumn.__pow__: only * touches the operand
         if not isinstance(n, int) or n < 0:
             raise DomainError("only non-negative integer powers are supported")
         if n == 0:
@@ -417,7 +392,16 @@ class DD:
 
     def sign(self) -> int:
         """-1, 0 or +1; the lo part decides when hi is exactly zero."""
-        return _sign(self.hi, self.lo)
+        hi, lo = self.hi, self.lo
+        if hi > 0.0:
+            return 1
+        if hi < 0.0:
+            return -1
+        if lo > 0.0:
+            return 1
+        if lo < 0.0:
+            return -1
+        return 0
 
 
 _new = object.__new__
@@ -436,131 +420,21 @@ DD.ONE = ONE  # the DD class as an arithmetic: ONE, product and quotient
 
 
 class DDColumn:
-    """A column of double-double values: ``limbs`` is a list of (hi, lo)
-    pairs.
-
-    The operators map the DD kernels over the elements and broadcast a DD,
-    float or int operand on either side; element i of a result is bit for
-    bit the DD operator's result on element i, with the operands in the
-    order the DD operators use.  Columns in one operation have one length.
-
-    A column of doubles, such as sweep radii, has zero lo limbs (``of`` on a
-    list of floats); DD's constructors read the hi limbs of a column operand.
-    """
+    """A column of double-double values, ``limbs`` a list of (hi, lo) pairs:
+    how the closed form hands out the shift and decomposition of a sweep
+    chunk.  It carries the limbs only; column arithmetic is ``fixed``'s."""
 
     __slots__ = ("limbs",)
 
     def __init__(self, limbs: list[tuple[float, float]]):
         self.limbs = limbs
 
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def of(x):
-        """A list of doubles as a column, else DD.of(x)."""
-        if type(x) is list:
-            return DDColumn([(float(v), 0.0) for v in x])
-        return DD.of(x)
-
-    # -- arithmetic --------------------------------------------------------
-    #
-    # DD + DD and DD * DD put the left operand first in the kernel, float + DD
-    # and float * DD the DD: the reflected operators keep both orders.
-
-    def __add__(self, other) -> "DDColumn":
-        return _map(_add, self.limbs, _operand(other))
-
-    def __radd__(self, other) -> "DDColumn":
-        if isinstance(other, DD):
-            return _map(_add, _operand(other), self.limbs)
-        return _map(_add, self.limbs, _operand(other))
-
-    def __neg__(self) -> "DDColumn":
-        return DDColumn(_negated(self.limbs))
-
-    def __sub__(self, other) -> "DDColumn":
-        return _map(_add, self.limbs, _negated(_operand(other)))
-
-    def __rsub__(self, other) -> "DDColumn":
-        return _map(_add, _operand(other), _negated(self.limbs))
-
-    def __mul__(self, other) -> "DDColumn":
-        return _map(_mul, self.limbs, _operand(other))
-
-    def __rmul__(self, other) -> "DDColumn":
-        if isinstance(other, DD):
-            return _map(_mul, _operand(other), self.limbs)
-        return _map(_mul, self.limbs, _operand(other))
-
-    def __truediv__(self, other) -> "DDColumn":
-        return _map(_div, self.limbs, _operand(other))
-
-    def __rtruediv__(self, other) -> "DDColumn":
-        return _map(_div, _operand(other), self.limbs)
-
-    __pow__ = DD.__pow__
-
-    def sqrt(self) -> "DDColumn":
-        return DDColumn([_sqrt(hi, lo) for hi, lo in self.limbs])
-
-    def sign(self) -> int:
-        """The least sign of the elements: a guard that refuses x.sign() <= 0
-        (or < 0) refuses a column when it would refuse any element."""
-        return min(_sign(hi, lo) for hi, lo in self.limbs)
-
-
-def _operand(x):
-    """A column's limb list, or the (hi, lo) pair of a DD, float or int."""
-    if type(x) is DDColumn:
-        return x.limbs
-    if isinstance(x, DD):
-        return x.hi, x.lo
-    return float(x), 0.0
-
-
-def _negated(x):
-    if type(x) is list:
-        return [(-hi, -lo) for hi, lo in x]
-    return -x[0], -x[1]
-
-
-def _same_length(a: list, b: list) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"columns of {len(a)} and {len(b)} elements")
-
-
-def _map(kernel, a, b) -> DDColumn:
-    """kernel over limb lists, a (hi, lo) pair standing for every element."""
-    if type(a) is list:
-        if type(b) is list:
-            _same_length(a, b)
-            return DDColumn([kernel(ah, al, bh, bl)
-                             for (ah, al), (bh, bl) in zip(a, b)])
-        bh, bl = b
-        return DDColumn([kernel(ah, al, bh, bl) for ah, al in a])
-    ah, al = a
-    return DDColumn([kernel(ah, al, bh, bl) for bh, bl in b])
-
-
-def _map_doubles(kernel, a, b):
-    """kernel over the hi limbs of column operands, or the DD of kernel(a, b)
-    when there is none."""
-    if type(a) is DDColumn:
-        if type(b) is DDColumn:
-            _same_length(a.limbs, b.limbs)
-            return DDColumn([kernel(x, y)
-                             for (x, _), (y, _) in zip(a.limbs, b.limbs)])
-        return DDColumn([kernel(x, b) for x, _ in a.limbs])
-    if type(b) is DDColumn:
-        return DDColumn([kernel(a, y) for y, _ in b.limbs])
-    return _dd(*kernel(a, b))
-
 
 def floats(x):
-    """The doubles a check tests one by one: x itself for a float, its value
-    for a DD, each element's value for a column."""
+    """The doubles of a sweep chunk's list (the list itself) or of a column's
+    limbs, one by one; else the one value x."""
+    if type(x) is list:
+        return x
     if type(x) is DDColumn:
         return [hi + lo for hi, lo in x.limbs]
-    if isinstance(x, DD):
-        return (x.hi + x.lo,)
     return (x,)

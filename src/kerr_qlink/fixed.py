@@ -41,7 +41,6 @@ GUARD_BITS = 112
 ERROR_UNITS = 64
 
 _isqrt = math.isqrt
-_ldexp = math.ldexp
 
 
 def _fixed(n: list, k: int) -> "Fixed":
@@ -77,11 +76,9 @@ def _pairs(a: list, other, k: int):
 
 
 def _ratios(x) -> list:
-    """The exact ratios of a double, or of a column's hi limbs as DD's
-    constructors read them."""
-    if type(x) is DDColumn:
-        return [hi.as_integer_ratio() for hi, _ in x.limbs]
-    return [x.as_integer_ratio()]
+    """The exact ratios of a double, or of each double of a sweep chunk's
+    list."""
+    return [v.as_integer_ratio() for v in floats(x)]
 
 
 class Fixed:
@@ -133,7 +130,8 @@ class Fixed:
         return _fixed([_isqrt(x << k) for x in self.n], k)
 
     def sign(self) -> int:
-        """The least sign of the elements, as ``DDColumn.sign``."""
+        """The least sign of the elements: a guard that refuses x.sign() <= 0
+        (or < 0) refuses a column when it would refuse any element."""
         m = min(self.n)
         return (m > 0) - (m < 0)
 
@@ -166,10 +164,12 @@ class Scale:
         value, a DDColumn for a column."""
         k, limbs = self.k, None
         if k <= 1022:
-            # no limb is subnormal: float(n) rounds n once, and 2**-k scales
-            # it and float(n - int(float(n))) exactly
+            # float(n) rounds n once; a nonzero limb is an integer times
+            # s = 2**-k, so at least 2**-1022: not subnormal, and the
+            # multiplication by s is exact
+            s = 2.0 ** -k
             try:
-                limbs = [(_ldexp(m := float(n), -k), _ldexp(float(n - int(m)), -k))
+                limbs = [((m := float(n)) * s, float(n - int(m)) * s)
                          for n in x.n]
             except OverflowError:  # n past the double range
                 pass

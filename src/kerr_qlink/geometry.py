@@ -7,9 +7,10 @@ Everything is in geometric units (meters).  The deviations are of order 1e-9
 for Earth and the downstream shift needs more than 20 significant digits of
 them, so they are written as dimensionless ratios on an arithmetic passed in
 (``A``, which supplies ``ONE``, ``product`` and ``quotient``): the closed
-form's scaled integers (``fixed.Scale``) or the contraction route's
-double-double (the ``DD`` class itself).  The polar direction is dropped
-throughout -- all motion and propagation happens in the equatorial plane.
+form's scaled integers (``fixed.Scale``), on one radius or a sweep chunk's
+list of them, or the contraction route's double-double (the ``DD`` class
+itself), on one radius.  The polar direction is dropped throughout -- all
+motion and propagation happens in the equatorial plane.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class Worldline(Frozen):
     Circular orbits never store an angular velocity; the geodesic value
     sqrt(M/r^3) is recomputed wherever needed so it cannot go stale.
     ``direction`` is +1 for co-rotating orbits, -1 for retrograde.  ``r`` may
-    be a column of radii, one orbit per element, each element checked.
+    be a sweep chunk's list of radii, one orbit per element, each element
+    checked; only the closed form (on ``fixed``) runs on such a list.
     """
 
     __slots__ = ("kind", "r", "omega_si", "direction")
@@ -81,7 +83,8 @@ class Worldline(Frozen):
 
 
 def _check_outside_mass_scale(p: SpacetimeParams, r, what: str) -> None:
-    """Refuse a radius, or any radius of a column, at or inside 2M."""
+    """Refuse a radius, or any radius of a sweep chunk's list, at or inside
+    2M."""
     for x in floats(r):
         if x <= 2.0 * p.M_geom:
             raise DomainError(
@@ -103,9 +106,9 @@ def _ground_parts(A, p: SpacetimeParams, station: Worldline):
 
 def _orbit_parts(A, p: SpacetimeParams, orbit: Worldline):
     """(M/r, a omega, deviation 3M/r - 2 eps a omega) of a circular orbit in
-    the arithmetic A, whose radius may be a column; a omega = (a/r)
-    sqrt(M/r), its geodesic angular velocity omega = sqrt(M/r^3) taken times
-    a, and its normalization argument is 1 - deviation."""
+    the arithmetic A, whose radius may be a list (on ``fixed``); a omega =
+    (a/r) sqrt(M/r), its geodesic angular velocity omega = sqrt(M/r^3) taken
+    times a, and its normalization argument is 1 - deviation."""
     q = A.quotient(p.M_geom, orbit.r)
     aw = A.quotient(p.a, orbit.r) * q.sqrt()
     return q, aw, 3 * q - 2 * orbit.direction * aw

@@ -38,7 +38,7 @@ from kerr_qlink.cli.scenario import (
 )
 from kerr_qlink.cli.selfcheck import CHECKS, run_verify
 from kerr_qlink.cli.sweep import CSV_COLUMNS, SWEEP_CHUNK
-from kerr_qlink.crosscheck import metric_at, photon_tangent, shift_via_contraction
+from kerr_qlink.crosscheck import metric_at, photon_tangent
 from kerr_qlink.ddouble import DDColumn
 from kerr_qlink.errors import (
     ConfigError,
@@ -153,25 +153,25 @@ class TestConfigParsing:
 _BUILD_REFUSALS = [
     ("earth-leo", {"receiver_radius_m": math.nan}, "receiver_radius_m must be finite"),
     ("earth-leo", {"planet_mass_kg": math.inf}, "planet_mass_kg must be finite"),
-    ("earth-leo", {"squeezing": DDColumn.of([1.0, -math.inf])}, "squeezing must be finite"),
+    ("earth-leo", {"squeezing": [1.0, -math.inf]}, "squeezing must be finite"),
     ("earth-leo", {"receiver_radius_m": 0.0},
      "receiver_radius_m must be set to a positive value"),
-    ("earth-leo", {"receiver_radius_m": DDColumn.of([8e6, -1.0, 9e6])},
+    ("earth-leo", {"receiver_radius_m": [8e6, -1.0, 9e6]},
      "receiver_radius_m must be set to a positive value"),
     ("leo-geo-sat", {"emitter_radius_m": -8.378e6}, "emitter_radius_m must be positive"),
-    ("leo-geo-sat", {"emitter_radius_m": DDColumn.of([8e6, 0.0])},
+    ("leo-geo-sat", {"emitter_radius_m": [8e6, 0.0]},
      "emitter_radius_m must be positive"),
     ("leo-geo-sat", {"emitter_direction": 0}, "emitter_direction must be the int"),
     ("leo-geo-sat", {"receiver_direction": 1.0}, "receiver_direction must be the int"),
     ("earth-leo", {"ground_omega_rad_s": 0.0}, "ground_omega_rad_s must be positive"),
     ("earth-leo", {"peak_frequency_hz": -7e14}, "peak_frequency_hz must be positive"),
-    ("earth-geo", {"bandwidth_hz": DDColumn.of([1e6, 0.0])}, "bandwidth_hz must be positive"),
+    ("earth-geo", {"bandwidth_hz": [1e6, 0.0]}, "bandwidth_hz must be positive"),
     ("earth-leo", {"squeezing": 0.0}, "squeezing must be positive"),
     ("earth-leo", {"planet_mass_kg": -1.0}, "planet_mass_kg must be positive"),
     ("leo-geo-sat", {"planet_spin_parameter_m": 0.0},
      "planet_spin_parameter_m must be positive"),
     ("earth-leo", {"probes": 0.5}, "probes must be at least 1"),
-    ("earth-leo", {"probes": DDColumn.of([1e10, 1.0, 0.99])}, "probes must be at least 1"),
+    ("earth-leo", {"probes": [1e10, 1.0, 0.99]}, "probes must be at least 1"),
 ]
 
 
@@ -191,6 +191,19 @@ class TestSweepSpec:
         spec = SweepSpec("sigma", 1e4, 1e8, 5, "log")
         vals = spec.values()
         assert vals[2] == pytest.approx(1e6, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec("r_B", 7.0e6, 4.2e7, 300),
+        SweepSpec("r_B", 7.0e6, 4.2e7, 300, "log"),
+        SweepSpec("N", -3.0, 1e-3, 7),
+        SweepSpec("sigma", 1e4, 1e8, 2, "log"),
+    ])
+    def test_a_range_of_values_is_that_slice_of_all_of_them(self, spec):
+        every = spec.values()
+        n = spec.points
+        for start, stop in [(0, n), (0, 1), (0, 128), (n - 1, n), (n - 5, n),
+                            (1, n - 1), (128, 256), (n - 1, n + 128), (3, 3)]:
+            assert spec.values(start, stop) == every[start:stop]
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -880,14 +893,14 @@ def _chunk_values(draw):
 
 
 class TestSweepChunkConfig:
-    """A sweep chunk is one config whose swept field is a DDColumn."""
+    """A sweep chunk is one config whose swept field is a list."""
 
     @settings(max_examples=300)
     @given(_chunk_values())
     def test_chunk_is_refused_iff_a_point_is(self, drawn):
         preset, variable, values = drawn
         cfg, spec = PRESETS[preset], SweepSpec(variable, 1.0, 2.0, 2)
-        chunk = _refusal(lambda: spec.apply(cfg, DDColumn.of(values)))
+        chunk = _refusal(lambda: spec.apply(cfg, values))
         points = [_refusal(lambda: spec.apply(cfg, v)) for v in values]
         if chunk is None:
             assert points == [None] * len(values)
@@ -903,14 +916,12 @@ class TestSweepChunkConfig:
     def test_chunk_shift_elements_match_each_point(self, preset, spec):
         cfg = PRESETS[preset]
         values = spec.values()
-        link = spec.apply(cfg, DDColumn.of(values)).link()
-        # the closed form and the contraction route it reduces
-        for route in (shift, shift_via_contraction):
-            chunk = route(link)
-            for i, v in enumerate(values):
-                point = route(spec.apply(cfg, v).link())
-                assert chunk.f.limbs[i] == (point.f.hi, point.f.lo)
-                assert chunk.delta.limbs[i] == (point.delta.hi, point.delta.lo)
+        link = spec.apply(cfg, values).link()
+        chunk = shift(link)
+        for i, v in enumerate(values):
+            point = shift(spec.apply(cfg, v).link())
+            assert chunk.f.limbs[i] == (point.f.hi, point.f.lo)
+            assert chunk.delta.limbs[i] == (point.delta.hi, point.delta.lo)
         # the decomposition, from the closed form's evaluation of the link
         # (point by point on leo-geo-sat's r_C, whose points need different
         # scales)
@@ -986,10 +997,10 @@ class TestSweepChunks:
             finally:
                 tracemalloc.stop()
 
-        # what remains is the list of sweep values, about 34 bytes a point;
-        # holding every row until the end costs about 1.1 KB a point
-        per_point = (peak(40) - peak(4)) / (36 * SWEEP_CHUNK)
-        assert per_point < 200
+        # a chunk's values are computed when it starts: holding the list of
+        # all sweep values costs about 34 bytes a point, and holding every
+        # row until the end about 1.1 KB a point
+        assert peak(40) <= 1.1 * peak(4)
 
 
 # a long sweep: more than one chunk, the last of them partly filled
@@ -1107,7 +1118,7 @@ class TestSweepPlanStages:
         spec = SweepSpec("r_B", 7.0e6, 4.2e7, LONG, "log")
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "r.csv"))
         assert len(validated) == LONG_CHUNKS
-        assert all(type(cfg.receiver_radius_m) is DDColumn for cfg in validated)
+        assert all(type(cfg.receiver_radius_m) is list for cfg in validated)
 
     @pytest.mark.parametrize("variable, field, lo, hi", [
         ("s", "squeezing", 0.5, 4.0),
@@ -1128,7 +1139,7 @@ class TestSweepPlanStages:
         spec = SweepSpec(variable, lo, hi, LONG, "log")
         run_sweep(PRESETS["earth-leo"], spec, str(tmp_path / "p.csv"))
         assert len(built) == LONG_CHUNKS
-        assert all(type(getattr(cfg, field)) is DDColumn for cfg in built)
+        assert all(type(getattr(cfg, field)) is list for cfg in built)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_report_runs_each_stage_once(self, counts, preset):

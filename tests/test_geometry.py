@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expected
-from kerr_qlink.ddouble import DD, ONE, DDColumn
+from kerr_qlink.ddouble import DD, ONE
 from kerr_qlink.errors import DomainError
 from kerr_qlink.crosscheck import (
     FourVector,
@@ -238,45 +238,6 @@ class TestContract:
         assert abs(((got_a - closed_a) / closed_a).to_float()) < 1e-26
 
 
-def _bits(x, i):
-    """The limb bits of element i of a column, or of a DD or float every
-    element shares."""
-    hi, lo = x.limbs[i] if type(x) is DDColumn else (DD.of(x).hi, DD.of(x).lo)
-    return hi.hex(), lo.hex()
-
-
-class TestColumnRadii:
-    """On a column of radii the observer layer gives, element by element,
-    the bits it gives on each radius."""
-
-    RADII = [EARTH.r_A, 7.0e6, leo_radius(), geo_radius(), 1e9]
-
-    def assert_elementwise(self, column_results, point_results):
-        for got, wants in zip(column_results, zip(*point_results)):
-            for name in got._fields:
-                value = getattr(got, name)
-                if isinstance(value, (DD, DDColumn)):
-                    for i, want in enumerate(wants):
-                        assert _bits(value, i) == _bits(getattr(want, name), 0)
-
-    def test_metric_and_photon_tangent(self):
-        column = DDColumn.of(self.RADII)
-        self.assert_elementwise(
-            [metric_at(P, column), *photon_tangent(P, column, 1.0)],
-            [[metric_at(P, r), *photon_tangent(P, r, 1.0)] for r in self.RADII])
-
-    @pytest.mark.parametrize("eps", [+1, -1])
-    def test_velocities(self, eps):
-        column = DDColumn.of(self.RADII)
-        omega = EARTH.omega_A
-        self.assert_elementwise(
-            [orbit_velocity(P, Worldline.circular_orbit(column, eps)),
-             ground_station_velocity(P, Worldline.ground_station(column, omega))],
-            [[orbit_velocity(P, Worldline.circular_orbit(r, eps)),
-              ground_station_velocity(P, Worldline.ground_station(r, omega))]
-             for r in self.RADII])
-
-
 @pytest.mark.parametrize("normalization, worldline", [
     (ground_station_normalization, Worldline.ground_station(2.0 * P.M_geom, 0.0)),
     (orbit_normalization, Worldline.circular_orbit(2.0 * P.M_geom)),
@@ -288,23 +249,20 @@ def test_normalization_refuses_radius_at_2m(normalization, worldline):
 
 
 @pytest.mark.parametrize("normalization, worldline, refused", [
-    # (omega r / c)^2 overflows in the deviation of the second station
+    # (omega r / c)^2 overflows in the deviation of the station
     (ground_station_normalization,
-     Worldline.ground_station(DDColumn.of([EARTH.r_A, 1e170]), EARTH.omega_A),
+     Worldline.ground_station(1e170, EARTH.omega_A),
      "ground station: deviation .* with r = 1e\\+170 m "),
-    # omega r exceeds c at the second station
+    # omega r exceeds c at the station
     (ground_station_normalization,
-     Worldline.ground_station(DDColumn.of([EARTH.r_A, 5e12]), EARTH.omega_A),
+     Worldline.ground_station(5e12, EARTH.omega_A),
      "superluminal worldline at r = 5000000000000.0 m"),
-    # the second orbit, retrograde, lies between 2M and the photon orbit
+    # the orbit, retrograde, lies between 2M and the photon orbit
     (orbit_normalization,
-     Worldline.circular_orbit(DDColumn.of([leo_radius(), 3.0 * P.M_geom * 0.9]),
-                              -1),
+     Worldline.circular_orbit(3.0 * P.M_geom * 0.9, -1),
      f"r = {3.0 * P.M_geom * 0.9} m is inside the photon-orbit pathology"),
 ], ids=["station-deviation-overflows", "station-superluminal",
         "orbit-inside-photon-orbit"])
-def test_refusal_on_a_column_names_the_failing_radius(normalization, worldline,
-                                                      refused):
-    with pytest.raises(DomainError, match=refused) as info:
+def test_refusal_names_the_failing_radius(normalization, worldline, refused):
+    with pytest.raises(DomainError, match=refused):
         normalization(P, worldline)
-    assert "DDColumn" not in str(info.value)
