@@ -3,8 +3,9 @@ rotating planet, Gaussian wavepacket distortion, quantum Fisher information
 and Cramer-Rao precision bounds, and the induced quantum bit error rate for
 ground-to-satellite and satellite-to-satellite optical links.
 
-Compensated (double-double) arithmetic carries the shift pipeline, an
-arbitrary-precision decimal oracle and a geodesic integrator verify it.
+Fixed-point integer arithmetic carries the shift pipeline, whose results
+leave as compensated (double-double) pairs; an arbitrary-precision decimal
+oracle and a geodesic integrator verify it.
 
 The package re-exports nothing: import each name from the module that
 defines it (``from kerr_qlink.shift import shift_ground_to_sat``), so

@@ -236,11 +236,13 @@ def run_sweep(cfg: ScenarioConfig, spec: SweepSpec, out_path: str,
     it is built; the link runs on it once, as columns for a receiver (r_B)
     or emitter (r_C) radius sweep, with the same bits as point by point.
     When anything in a chunk is refused, the config or its link, or
-    arithmetic fails, each of its points runs alone on its own config, so a
-    refused point keeps its text and a crash stays a crash, leaving the rows
-    of the chunks before it in the file.  Rows come in sweep order,
-    computed in the calling thread.  Per-point domain failures leave their
-    value cells empty and carry the message in the error column.
+    arithmetic fails, or its points need different fixed-point scales (an
+    r_C chunk across a step of the scale), each of its points runs alone on
+    its own config, so a refused point keeps its text and a crash stays a
+    crash, leaving the rows of the chunks before it in the file.  Rows come
+    in sweep order, computed in the calling thread.  Per-point domain
+    failures leave their value cells empty and carry the message in the
+    error column.
 
     Sweeping r_C on a ground-to-sat config is refused before the file is
     opened, and a file that cannot be opened is refused before any row is

@@ -54,6 +54,8 @@ class ScenarioConfig:
     planet_spin_parameter_m: float = EARTH.a_m
 
     def __post_init__(self):
+        if not isinstance(self.scheme, LinkScheme):
+            raise ConfigError(f"scheme must be a LinkScheme, got {self.scheme!r}")
         for name in sorted(_FLOAT_KEYS):
             if not all(map(math.isfinite, floats(getattr(self, name)))):
                 raise ConfigError(f"{name} must be finite")
@@ -272,6 +274,6 @@ def load_config(path: str, base: Optional[ScenarioConfig] = None
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return build_config(parse_config_text(text), base)

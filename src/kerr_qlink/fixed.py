@@ -18,8 +18,9 @@ emitter's rotation term), rounded up to a multiple of 32 bits.  delta's
 error is bounded by ERROR_UNITS units of 2**-k (900 random links around
 the Earth presets stay within 4), that is by double-double's 2**-106
 relative to the smallest scale, so relative to delta's largest term too.
-A tiny planet or a huge radius gets a larger k, not a refusal.  A
-one-point column comes back from ``dd`` as one DD, like a shared value.
+A tiny planet or a huge radius gets a larger k, not a refusal; a column
+whose points need different k is refused.  A one-point column comes back
+from ``dd`` as one DD, like a shared value.
 
 A ``Fixed`` holds a list of ints: one per point of a sweep chunk's column,
 or a single one that every point shares.  Its operators are list
@@ -194,12 +195,12 @@ def scale(M: float, r_far: float, rotation_bits: int = 0) -> Scale:
     return Scale(-(-(GUARD_BITS + max(0, mass_bits, rotation_bits)) // 32) * 32)
 
 
-def link_scale(link) -> Scale | None:
+def link_scale(link) -> Scale:
     """The scale of a link, or of a sweep chunk's column of links, from the
     emitter's rotation term, (omega r_A / c)^2 of a station or (M/r)(a/r)^2
-    of an orbit, and M/r at the receiver; None for a column whose ends need
-    different scales, whose points must then each run alone, on the scale
-    they get alone."""
+    of an orbit, and M/r at the receiver.  A column whose extreme radii need
+    different scales is refused: each of its points must run alone, on the
+    scale it gets alone."""
     p, emitter = link.params, link.emitter
     scales = set()
     for r_e in {min(floats(emitter.r)), max(floats(emitter.r))}:
@@ -212,4 +213,6 @@ def link_scale(link) -> Scale | None:
             rotation = 3 * _log2(r_e) - _log2(p.M_geom) - 2 * _log2(p.a) + 3
         for r_r in {min(floats(link.receiver.r)), max(floats(link.receiver.r))}:
             scales.add(scale(p.M_geom, r_r, rotation).k)
-    return Scale(scales.pop()) if len(scales) == 1 else None
+    if len(scales) > 1:
+        raise DomainError("a column's points need different fixed-point scales")
+    return Scale(scales.pop())

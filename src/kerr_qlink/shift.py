@@ -90,16 +90,6 @@ class LinkScenario(Frozen):
             self.emitter,
             Worldline.circular_orbit(r, self.receiver.direction), self.params)
 
-    def points(self) -> list["LinkScenario"]:
-        """The link of each point of a column link, alone."""
-        e, r = self.emitter, self.receiver
-        radii = floats(e.r), floats(r.r)
-        n = max(map(len, radii))
-        return [LinkScenario(Worldline(e.kind, r_e, e.omega_si, e.direction),
-                             Worldline(r.kind, r_r, r.omega_si, r.direction),
-                             self.params)
-                for r_e, r_r in zip(*(x * n if len(x) == 1 else x for x in radii))]
-
 
 class ShiftResult(Frozen):
     """Shift ratio f and delta = f - 1 as compensated pairs, or as columns of
@@ -156,28 +146,17 @@ def _scale(link: LinkScenario):
     return link_scale(link)
 
 
-def _stack(record, points):
-    """``record`` of the columns of the points' DD fields."""
-    return record(*(DDColumn([(x.hi, x.lo) for x in column])
-                    for column in zip(*points)))
-
-
 def _closed_form(s: LinkScenario, split=None):
     """Closed-form shift of a link, one of whose orbit radii may be a column,
-    on the link's fixed-point scale (a column whose points need different
-    scales point by point): the parts of each end once, the emitter's, then
-    the receiver's, and the limbs of f and delta rounded once.  The
-    prefactor terms are the closed form's own; the parts are shared with the
-    observer layer.  With ``split`` (``perturb.decompose_ground`` or
-    ``decompose_sats``) it returns (result, split(A, emitter parts, receiver
-    parts, unrounded delta)): the decomposition from the same evaluation."""
+    on the link's fixed-point scale (``fixed.link_scale`` refuses a column
+    whose points need different scales): the parts of each end once, the
+    emitter's, then the receiver's, and the limbs of f and delta rounded
+    once.  The prefactor terms are the closed form's own; the parts are
+    shared with the observer layer.  With ``split`` (``perturb.decompose_ground``
+    or ``decompose_sats``) it returns (result, split(A, emitter parts,
+    receiver parts, unrounded delta)): the decomposition from the same
+    evaluation."""
     A = _scale(s)
-    if A is None:  # a column whose points need different scales
-        points = [_closed_form(point, split) for point in s.points()]
-        if split is None:
-            return _stack(ShiftResult, [(x.f, x.delta) for x in points])
-        return (_stack(ShiftResult, [(x.f, x.delta) for x, _ in points]),
-                _stack(type(points[0][1]), [dec for _, dec in points]))
     p, emitter, receiver = s.params, s.emitter, s.receiver
     if emitter.kind is WorldlineKind.GROUND_STATION:
         emit = x, _, aw, _ = _ground_parts(A, p, emitter)

@@ -37,7 +37,7 @@ from kerr_qlink.cli.scenario import (
     parse_config_text,
 )
 from kerr_qlink.cli.selfcheck import CHECKS, run_verify
-from kerr_qlink.cli.sweep import CSV_COLUMNS, SWEEP_CHUNK
+from kerr_qlink.cli.sweep import CSV_COLUMNS, SWEEP_CHUNK, _chunk_rows, _rows
 from kerr_qlink.crosscheck import metric_at, photon_tangent
 from kerr_qlink.ddouble import DDColumn
 from kerr_qlink.errors import (
@@ -118,6 +118,12 @@ class TestConfigParsing:
         for cfg in (*PRESETS.values(), overlaid):
             assert cfg.link().scheme is cfg.scheme
         assert overlaid.scheme is LinkScheme.SAT_TO_SAT
+
+    @pytest.mark.parametrize("scheme", ["ground-to-sat", None])
+    def test_scheme_that_is_not_a_link_scheme_is_refused(self, scheme):
+        # a string would make link() an orbit pair; None would fail a report
+        with pytest.raises(ConfigError, match="scheme must be a LinkScheme"):
+            ScenarioConfig(scheme=scheme, receiver_radius_m=leo_radius())
 
     def test_sweep_block(self):
         text = (
@@ -917,14 +923,22 @@ class TestSweepChunkConfig:
         cfg = PRESETS[preset]
         values = spec.values()
         link = spec.apply(cfg, values).link()
+        if spec.variable == "r_C":
+            # the emitter radii straddle 2**24 m, where the fixed-point scale
+            # steps: the closed form refuses the column, and the chunk's rows
+            # are those of each point alone
+            with pytest.raises(DomainError, match="different fixed-point scales"):
+                shift(link)
+            assert _chunk_rows(0, values, cfg, spec) == [
+                row for i, v in enumerate(values)
+                for row in _rows(i, [v], spec.apply(cfg, v), spec)]
+            return
         chunk = shift(link)
         for i, v in enumerate(values):
             point = shift(spec.apply(cfg, v).link())
             assert chunk.f.limbs[i] == (point.f.hi, point.f.lo)
             assert chunk.delta.limbs[i] == (point.delta.hi, point.delta.lo)
         # the decomposition, from the closed form's evaluation of the link
-        # (point by point on leo-geo-sat's r_C, whose points need different
-        # scales)
         decompose = (decompose_ground if cfg.scheme is LinkScheme.GROUND_TO_SAT
                      else decompose_sats)
         chunk = shift(link, decompose)[1]
@@ -1238,8 +1252,12 @@ class TestCliEntry:
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
         assert not out.parent.exists()
 
-    def test_missing_config_file(self, tmp_path, capsys):
-        path = tmp_path / "absent.cfg"
+    @pytest.mark.parametrize("content", [None, b"\xff"],
+                             ids=["absent", "not-utf8"])
+    def test_missing_config_file(self, tmp_path, capsys, content):
+        path = tmp_path / "config.cfg"
+        if content is not None:
+            path.write_bytes(content)
         assert main(["report", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(
             f"configuration error: cannot read config {path}")

@@ -3,12 +3,14 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from kerr_qlink.cli.scenario import PRESETS, SweepSpec
 from kerr_qlink.ddouble import DD, DDColumn
 from kerr_qlink.errors import DomainError
-from kerr_qlink.fixed import Scale, _fixed
+from kerr_qlink.fixed import Scale, _fixed, link_scale
 
 A = Scale(128)
 X = 0.7364812093
@@ -82,3 +84,25 @@ def test_limbs_are_the_doubles_nearest_the_value_and_its_remainder(k):
 def test_limbs_past_the_double_range_are_refused(k):
     with pytest.raises(DomainError, match="a shift quantity leaves the double range"):
         Scale(k).dd(_fixed([1, -(1 << 1024 + k)], k))
+
+
+# an orbit's rotation term puts an emitter just above 2**24 m 32 bits finer
+# than one just below it
+@pytest.mark.parametrize("preset, variable", [
+    ("earth-leo", "r_B"), ("earth-geo", "r_B"), ("leo-geo-sat", "r_B"),
+    ("leo-geo-sat", "r_C"),
+])
+def test_a_column_has_a_scale_iff_its_points_share_theirs(preset, variable):
+    cfg, spec = PRESETS[preset], SweepSpec(variable, 1.0, 2.0, 2)
+    refused = 0
+    for pair in combinations((1.2e7, 2.0 ** 24 - 2.0, 2.0 ** 24, 2.5e7), 2):
+        k1, k2 = (link_scale(spec.apply(cfg, r).link()).k for r in pair)
+        column = spec.apply(cfg, list(pair)).link()
+        if k1 == k2:
+            assert link_scale(column).k == k1
+        else:
+            refused += 1
+            with pytest.raises(DomainError,
+                               match="different fixed-point scales"):
+                link_scale(column)
+    assert refused == (4 if variable == "r_C" else 0)
