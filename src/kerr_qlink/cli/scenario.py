@@ -31,14 +31,20 @@ _FLOAT_KEYS = {
 }
 _INT_KEYS = {"emitter_direction", "receiver_direction"}
 
+# the config field each sweep variable sets; only these hold a chunk's list
+_SWEPT_FIELDS = {"r_B": "receiver_radius_m", "r_C": "emitter_radius_m",
+                 "s": "squeezing", "N": "probes", "sigma": "bandwidth_hz"}
+SWEEP_VARIABLES = tuple(_SWEPT_FIELDS)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One fully-specified link scenario plus probe resources, refused when
-    built unless every field is in its domain.  A float field may be a
-    list of doubles (a sweep chunk), checked element by element.  What the
-    radii decide against each other or the planet (orbit order, the
-    horizon, the station) is the link's to refuse."""
+    built unless every field is in its domain.  A float field is a float or
+    int; a swept one may instead be a non-empty list of them (a sweep
+    chunk), checked element by element.  What the radii decide against each
+    other or the planet (orbit order, the horizon, the station) is the
+    link's to refuse."""
 
     scheme: LinkScheme = LinkScheme.GROUND_TO_SAT
     emitter_radius_m: float = EARTH.r_A
@@ -57,7 +63,15 @@ class ScenarioConfig:
         if not isinstance(self.scheme, LinkScheme):
             raise ConfigError(f"scheme must be a LinkScheme, got {self.scheme!r}")
         for name in sorted(_FLOAT_KEYS):
-            if not all(map(math.isfinite, floats(getattr(self, name)))):
+            value = getattr(self, name)
+            swept = name in _SWEPT_FIELDS.values()
+            xs = value if swept and type(value) is list else (value,)
+            if not xs or not all(isinstance(x, (float, int)) for x in xs):
+                raise ConfigError(
+                    f"{name} must be a number"
+                    + (" or a non-empty list of numbers" if swept else "")
+                    + f", got {value!r}")
+            if not all(map(math.isfinite, xs)):
                 raise ConfigError(f"{name} must be finite")
         if any(r <= 0.0 for r in floats(self.receiver_radius_m)):
             raise ConfigError("receiver_radius_m must be set to a positive value")
@@ -134,12 +148,6 @@ PRESETS: dict[str, ScenarioConfig] = {
 }
 
 
-# the config field each sweep variable sets
-_SWEPT_FIELDS = {"r_B": "receiver_radius_m", "r_C": "emitter_radius_m",
-                 "s": "squeezing", "N": "probes", "sigma": "bandwidth_hz"}
-SWEEP_VARIABLES = tuple(_SWEPT_FIELDS)
-
-
 class SweepSpec(Frozen):
     """One swept variable over [lo, hi] on a linear or log grid."""
 
@@ -155,8 +163,8 @@ class SweepSpec(Frozen):
         if variable not in SWEEP_VARIABLES:
             raise ConfigError(
                 f"sweep variable must be one of {', '.join(SWEEP_VARIABLES)}")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigError("sweep bounds must be finite")
+        if not all(isinstance(x, (float, int)) and math.isfinite(x) for x in (lo, hi)):
+            raise ConfigError(f"sweep bounds must be finite numbers, got {lo!r} and {hi!r}")
         if not lo < hi:
             raise ConfigError("sweep needs lo < hi")
         if type(points) is not int:  # 2.0 would fail in values()

@@ -30,14 +30,12 @@ bounds for basic building blocks of double-word arithmetic" (ACM TOMS 44(2),
 TOMS 49(1), 2023).  tests/test_ddouble.py checks each bound exactly in
 rationals.
 
-Each kernel is one module-level function on float limbs that returns the
-(hi, lo) pair of its result: _add (for - too, the subtrahend negated limb by
-limb), _mul, _div, _sqrt, _quotient, _product and _sum2.  They write the
-error-free transformations out inline instead of calling them, and run the
-same IEEE operations in the same order, so every bit of a result, signed
-zeros included, is that of the composed form; tests/test_ddouble.py keeps
-the composed form as the reference.  DD's operators unpack the operands,
-call the kernel and wrap the pair.
+Every kernel is written as calls to the one two_sum, quick_two_sum and
+two_prod, step by step as the papers give it.  _add (for - too, the
+subtrahend negated limb by limb) and _div take and return float limbs, since
+each serves an operator and its reflection; the others sit in the DD method
+they serve.  _limbs is the one operand rule: every operator, comparison and
+DD.of reads a DD, float or int through it and refuses anything else.
 
 The DD class itself, with DD.ONE, is an arithmetic in the sense of
 ``geometry``: the observer deviations written once there run on it for the
@@ -85,132 +83,47 @@ def two_prod(a: float, b: float) -> tuple[float, float]:
 
 # -- kernels: limbs in, the result's (hi, lo) out ----------------------------
 
-def _sum2(a: float, b: float) -> tuple[float, float]:
-    """Exact a + b of two doubles (two_sum)."""
-    s = a + b
-    bb = s - a
-    # int operands give int limbs; float() rounds them as DD() does
-    return float(s), float((a - (s - bb)) + (b - bb))
-
-
-def _product(a: float, b: float) -> tuple[float, float]:
-    """Exact a * b of two doubles (two_prod)."""
-    p = a * b
-    t = _SPLITTER * a
-    ahi = t - (t - a)
-    alo = a - ahi
-    t = _SPLITTER * b
-    bhi = t - (t - b)
-    blo = b - bhi
-    # p is an int when both operands are; the error term is always a float
-    return float(p), ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _quotient(a: float, b: float) -> tuple[float, float]:
-    """DWDivFP1 on two doubles: a / b to double-double precision."""
-    q = a / b
-    # two_prod(q, b)
-    p = q * b
-    t = _SPLITTER * q
-    qhi = t - (t - q)
-    qlo = q - qhi
-    t = _SPLITTER * b
-    bhi = t - (t - b)
-    blo = b - bhi
-    e = ((qhi * bhi - p) + qhi * blo + qlo * bhi) + qlo * blo
-    # quick_two_sum(q, ((a - p) - e) / b)
-    r = ((a - p) - e) / b
-    s = q + r
-    return s, r - (s - q)
-
-
-# A float or int operand enters as (float(x), 0.0), negated as (-float(x),
-# -0.0).  Operations on such a zero lo limb stay in: they can decide the sign
-# of a zero result limb.
+# A subtrahend is negated limb by limb, a float's zero lo limb to -0.0.
+# Operations on such a zero lo limb stay in: they can decide the sign of a
+# zero result limb.
 
 def _add(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
     """AccurateDWPlusDW: (ah + al) + (bh + bl)."""
-    # two_sum on both limb pairs, then two renormalising quick_two_sums
-    s = ah + bh
-    bb = s - ah
-    e = (ah - (s - bb)) + (bh - bb)
-    t = al + bl
-    bb = t - al
-    f = (al - (t - bb)) + (bl - bb)
-    e += t
-    t = s + e
-    e = e - (t - s)
-    e += f
-    s = t + e
-    return s, e - (s - t)
-
-
-def _mul(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    """DWTimesDW1: (ah + al) * (bh + bl)."""
-    # two_prod(ah, bh), then the cross terms, then quick_two_sum
-    p = ah * bh
-    t = _SPLITTER * ah
-    ahh = t - (t - ah)
-    ahl = ah - ahh
-    t = _SPLITTER * bh
-    bhh = t - (t - bh)
-    bhl = bh - bhh
-    e = ((ahh * bhh - p) + ahh * bhl + ahl * bhh) + ahl * bhl
-    e += ah * bl + al * bh
-    s = p + e
-    return s, e - (s - p)
+    s, e = two_sum(ah, bh)
+    t, f = two_sum(al, bl)
+    s, e = quick_two_sum(s, e + t)
+    return quick_two_sum(s, e + f)
 
 
 def _div(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    """DWDivDW2: (ah + al) / (bh + bl)."""
-    # th = ah / bh, r = b * th (DWTimesFP1), then one correction
-    # (a - r) / bh; two_prod(bh, th) first
+    """DWDivDW2: (ah + al) / (bh + bl); r = b * th is DWTimesFP1, and
+    ah - rh is exact."""
     th = ah / bh
-    ch = bh * th
-    t = _SPLITTER * bh
-    bhh = t - (t - bh)
-    bhl = bh - bhh
-    t = _SPLITTER * th
-    thh = t - (t - th)
-    thl = th - thh
-    cl = ((bhh * thh - ch) + bhh * thl + bhl * thh) + bhl * thl
-    # quick_two_sum(ch, bl * th), then quick_two_sum(sh, tl + cl)
-    t = bl * th
-    sh = ch + t
-    t = (t - (sh - ch)) + cl
-    rh = sh + t
-    rl = t - (rh - sh)
-    # ah - rh is exact; quick_two_sum(th, tl)
-    t = ((ah - rh) + (al - rl)) / bh
-    s = th + t
-    return s, t - (s - th)
+    ch, cl = two_prod(bh, th)
+    sh, tl = quick_two_sum(ch, bl * th)
+    rh, rl = quick_two_sum(sh, tl + cl)
+    return quick_two_sum(th, ((ah - rh) + (al - rl)) / bh)
 
 
-def _sqrt(hi: float, lo: float) -> tuple[float, float]:
-    """SQRTDWtoDW: sqrt(hi + lo)."""
-    if hi == 0.0 and lo == 0.0:
-        return 0.0, 0.0
-    if hi < 0.0:
-        raise DomainError("square root of a negative compensated value")
-    sh = math.sqrt(hi)
-    # two_prod(sh, sh); hi - sh^2 is a double, so (hi - p) - e is exact
-    p = sh * sh
-    t = _SPLITTER * sh
-    h = t - (t - sh)
-    l = sh - h
-    e = ((h * h - p) + h * l + l * h) + l * l
-    sl = (((hi - p) - e) + lo) / (2.0 * sh)
-    # quick_two_sum(sh, sl)
-    s = sh + sl
-    return s, sl - (s - sh)
+# -- operands ----------------------------------------------------------------
+
+def _limbs(x) -> tuple[float, float] | None:
+    """The (hi, lo) limbs of a DD, float or int operand; None for anything
+    else.  A float or int enters as (float(x), 0.0)."""
+    if isinstance(x, DD):
+        return x.hi, x.lo
+    if isinstance(x, (float, int)):
+        return float(x), 0.0
+    return None
 
 
 class DD:
     """Immutable double-double number.
 
     Construct with already-normalised parts (internal use), or via
-    ``DD.of``, ``DD.sum2``, ``DD.product``, ``DD.quotient``.  All operators
-    accept DD, float or int operands.
+    ``DD.of``, ``DD.sum2``, ``DD.product``, ``DD.quotient``.  Operators and
+    comparisons take a DD, float or int operand; anything else, a string
+    or a Decimal included, is a TypeError (or unequal).
     """
 
     __slots__ = ("hi", "lo")
@@ -223,25 +136,31 @@ class DD:
 
     @staticmethod
     def of(x) -> "DD":
-        """x itself for a DD, else the DD of the double x."""
+        """x itself for a DD, else the DD of the float or int x."""
         if isinstance(x, DD):
             return x
-        return DD(float(x), 0.0)
+        o = _limbs(x)
+        if o is None:
+            raise TypeError(f"a DD needs a DD, float or int, got {type(x).__name__}")
+        return _dd(*o)
 
     @staticmethod
     def sum2(a: float, b: float) -> "DD":
-        """Exact a + b of two doubles."""
-        return _dd(*_sum2(a, b))
+        """Exact a + b of two doubles (two_sum)."""
+        # int operands give int limbs; DD() rounds them
+        return DD(*two_sum(a, b))
 
     @staticmethod
     def product(a: float, b: float) -> "DD":
-        """Exact a * b of two doubles."""
-        return _dd(*_product(a, b))
+        """Exact a * b of two doubles (two_prod)."""
+        return DD(*two_prod(a, b))
 
     @staticmethod
     def quotient(a: float, b: float) -> "DD":
-        """a / b of two doubles, accurate to double-double precision."""
-        return _dd(*_quotient(a, b))
+        """DWDivFP1: a / b of two doubles to double-double precision."""
+        q = a / b
+        p, e = two_prod(q, b)
+        return _dd(*quick_two_sum(q, ((a - p) - e) / b))
 
     # -- conversions -------------------------------------------------------
 
@@ -266,17 +185,12 @@ class DD:
 
     # -- arithmetic --------------------------------------------------------
     #
-    # An operand float() refuses gets NotImplemented, so Python tries its
+    # An operand _limbs refuses gets NotImplemented, so Python tries its
     # reflected operator and raises TypeError if it has none.
 
     def __add__(self, other) -> "DD":
-        if isinstance(other, DD):
-            return _dd(*_add(self.hi, self.lo, other.hi, other.lo))
-        try:
-            b = float(other)
-        except TypeError:
-            return NotImplemented
-        return _dd(*_add(self.hi, self.lo, b, 0.0))
+        o = _limbs(other)
+        return NotImplemented if o is None else _dd(*_add(self.hi, self.lo, *o))
 
     __radd__ = __add__
 
@@ -284,40 +198,35 @@ class DD:
         return _dd(-self.hi, -self.lo)
 
     def __sub__(self, other) -> "DD":
-        # self + (-other), the negation taken limb by limb
-        if isinstance(other, DD):
-            return _dd(*_add(self.hi, self.lo, -other.hi, -other.lo))
-        try:
-            b = float(other)
-        except TypeError:
+        o = _limbs(other)
+        if o is None:
             return NotImplemented
-        return _dd(*_add(self.hi, self.lo, -b, -0.0))
+        return _dd(*_add(self.hi, self.lo, -o[0], -o[1]))
 
     def __rsub__(self, other) -> "DD":
-        return DD.of(other).__sub__(self)
+        o = _limbs(other)
+        if o is None:
+            return NotImplemented
+        return _dd(*_add(*o, -self.hi, -self.lo))
 
     def __mul__(self, other) -> "DD":
-        if isinstance(other, DD):
-            return _dd(*_mul(self.hi, self.lo, other.hi, other.lo))
-        try:
-            b = float(other)
-        except TypeError:
+        """DWTimesDW1."""
+        o = _limbs(other)
+        if o is None:
             return NotImplemented
-        return _dd(*_mul(self.hi, self.lo, b, 0.0))
+        bh, bl = o
+        p, e = two_prod(self.hi, bh)
+        return _dd(*quick_two_sum(p, e + (self.hi * bl + self.lo * bh)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "DD":
-        if isinstance(other, DD):
-            return _dd(*_div(self.hi, self.lo, other.hi, other.lo))
-        try:
-            b = float(other)
-        except TypeError:
-            return NotImplemented
-        return _dd(*_div(self.hi, self.lo, b, 0.0))
+        o = _limbs(other)
+        return NotImplemented if o is None else _dd(*_div(self.hi, self.lo, *o))
 
     def __rtruediv__(self, other) -> "DD":
-        return DD.of(other).__truediv__(self)
+        o = _limbs(other)
+        return NotImplemented if o is None else _dd(*_div(*o, self.hi, self.lo))
 
     def __pow__(self, n: int) -> "DD":
         if not isinstance(n, int) or n < 0:
@@ -342,46 +251,45 @@ class DD:
     def sqrt(self) -> "DD":
         """Square root: SQRTDWtoDW of Lefevre, Louvet, Muller, Picot & Rideau
         (ACM TOMS 49(1), 2023), relative error below 25/8 u^2."""
-        return _dd(*_sqrt(self.hi, self.lo))
+        # hi - sh^2 is a double, so (hi - p) - e is exact
+        hi, lo = self.hi, self.lo
+        if hi == 0.0 and lo == 0.0:
+            return _dd(0.0, 0.0)
+        if hi < 0.0:
+            raise DomainError("square root of a negative compensated value")
+        sh = math.sqrt(hi)
+        p, e = two_prod(sh, sh)
+        return _dd(*quick_two_sum(sh, (((hi - p) - e) + lo) / (2.0 * sh)))
 
     # -- comparisons -------------------------------------------------------
-
-    # A DD compares with a DD, float or int only; for anything else Python
-    # falls back to the other operand's method, then to identity.
-
-    def _parts(self, other) -> tuple[float, float] | None:
-        if isinstance(other, DD):
-            return other.hi, other.lo
-        if isinstance(other, (float, int)):
-            return float(other), 0.0
-        return None
+    #
+    # For an operand _limbs refuses, Python falls back to the other
+    # operand's method, then to identity.
 
     def __eq__(self, other) -> bool:
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return self.hi == o[0] and self.lo == o[1]
+        o = _limbs(other)
+        return NotImplemented if o is None else self.hi == o[0] and self.lo == o[1]
 
     def __lt__(self, other) -> bool:
-        o = self._parts(other)
+        o = _limbs(other)
         if o is None:
             return NotImplemented
         return self.hi < o[0] or (self.hi == o[0] and self.lo < o[1])
 
     def __le__(self, other) -> bool:
-        o = self._parts(other)
+        o = _limbs(other)
         if o is None:
             return NotImplemented
         return self.hi < o[0] or (self.hi == o[0] and self.lo <= o[1])
 
     def __gt__(self, other) -> bool:
-        o = self._parts(other)
+        o = _limbs(other)
         if o is None:
             return NotImplemented
         return self.hi > o[0] or (self.hi == o[0] and self.lo > o[1])
 
     def __ge__(self, other) -> bool:
-        o = self._parts(other)
+        o = _limbs(other)
         if o is None:
             return NotImplemented
         return self.hi > o[0] or (self.hi == o[0] and self.lo >= o[1])

@@ -178,6 +178,12 @@ _BUILD_REFUSALS = [
      "planet_spin_parameter_m must be positive"),
     ("earth-leo", {"probes": 0.5}, "probes must be at least 1"),
     ("earth-leo", {"probes": [1e10, 1.0, 0.99]}, "probes must be at least 1"),
+    ("earth-leo", {"receiver_radius_m": []},
+     "receiver_radius_m must be a number or a non-empty list of numbers"),
+    ("earth-leo", {"squeezing": None}, "squeezing must be a number"),
+    ("earth-leo", {"probes": "1e10"}, "probes must be a number"),
+    # only a swept field holds a sweep chunk's list
+    ("earth-leo", {"planet_mass_kg": [5e24, 6e24]}, "planet_mass_kg must be a number,"),
 ]
 
 
@@ -222,6 +228,10 @@ class TestSweepSpec:
             SweepSpec("r_B", -1.0, 2.0, 5, "log")
         with pytest.raises(ConfigError, match="finite"):
             SweepSpec("r_B", 8e6, float("inf"), 3)
+
+    def test_bounds_that_are_not_numbers_are_refused(self):
+        with pytest.raises(ConfigError, match="sweep bounds must be finite numbers"):
+            SweepSpec("r_B", "1", 2, 3)
         with pytest.raises(ConfigError, match="finite"):
             SweepSpec("r_B", -float("inf"), 8e6, 3)
         # finite bounds whose span overflows would step through inf

@@ -4,6 +4,7 @@ import math
 import operator
 import struct
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from kerr_qlink.ddouble import DD, DDColumn, quick_two_sum, two_prod, two_sum
 from kerr_qlink.errors import DomainError
+from kerr_qlink.wavepacket import GaussianWavepacket, propagate
 
 finite = st.floats(min_value=-1e12, max_value=1e12,
                    allow_nan=False, allow_infinity=False)
@@ -217,6 +219,26 @@ def test_mixed_operand_types():
     assert (3 / DD.of(2)).to_float() == 1.5
 
 
+@pytest.mark.parametrize("other", ["2", Decimal("2"), Fraction(2), None],
+                         ids=["str", "Decimal", "Fraction", "None"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+def test_an_operand_that_is_not_a_dd_float_or_int_is_refused(op, other):
+    with pytest.raises(TypeError):
+        op(DD(1.0), other)
+    with pytest.raises(TypeError):
+        op(other, DD(1.0))
+
+
+def test_a_string_makes_no_dd_packet_or_shift_ratio():
+    with pytest.raises(TypeError):
+        DD.of("2")
+    with pytest.raises(TypeError):
+        GaussianWavepacket.of("7e14", 1e6)
+    with pytest.raises(TypeError):
+        propagate(GaussianWavepacket.of(7e14, 1e6), "1.5")
+
+
 def test_accuracy_on_catastrophic_cancellation():
     # (1 + h)^2 - 1 - 2h == h^2 with h small enough that plain doubles would
     # return pure noise; the compensated result carries ~1e-32 absolute error
@@ -231,8 +253,8 @@ def test_accuracy_on_catastrophic_cancellation():
 #
 # The reference below is the operator set written with the module's error-free
 # transformations, one call per step, building a DD for every intermediate.
-# The DD methods inline those steps; they must reproduce every bit, signed
-# zeros included.
+# The DD methods call the same transformations on bare limbs, building only
+# the result; they must reproduce every bit, signed zeros included.
 
 def _ref(x):
     return x if isinstance(x, DD) else DD(float(x), 0.0)
